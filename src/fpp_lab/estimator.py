@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import map_indexed
 from .errors import NumericsError, ValidationError
 from .point_process import IntensitySpec, MarkDistributionSpec, MarkedPath, simulate
 from .phi_solver import PhiFunction, phi_lambda_integral
@@ -206,7 +205,6 @@ class ConsistencyConfig:
     seed: int
     rmse_threshold: float = 0.15
     marks: MarkDistributionSpec | None = None
-    threads: int | None = None
 
     def __post_init__(self):
         hz = tuple(float(t) for t in self.horizons)
@@ -271,7 +269,7 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
             raise NumericsError(f"replica {i} produced zero jumps at horizon {t_max}")
         return [mle_solve(path, cfg.phi, cfg.intensity, T) for T in cfg.horizons]
 
-    est = np.array(map_indexed(one, cfg.replicas, cfg.threads))
+    est = np.array([one(i) for i in range(cfg.replicas)])
     err = est - cfg.theta_true
     mae = tuple(float(v) for v in np.abs(err).mean(axis=0))
     rmse = tuple(float(v) for v in np.sqrt(np.square(err).mean(axis=0)))

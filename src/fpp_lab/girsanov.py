@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import map_indexed
 from .errors import NumericsError, ValidationError
 from .filtered_process import eval_compensated
 from .kernels import KernelSpec, singular_quad_0_to_t, kernel_eval
@@ -158,7 +157,6 @@ class GirsanovCheckConfig:
     seed: int
     ks_bootstrap: int = 1000
     ks_level: float = 0.01
-    threads: int | None = None
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.eval_times)
@@ -344,7 +342,7 @@ def verify_equality_in_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
         vals = [eval_compensated(path, cfg.kernel, cfg.intensity, m1, t) for t in times]
         return logw, vals
 
-    rows = map_indexed(one, cfg.replicas, cfg.threads)
+    rows = [one(i) for i in range(cfg.replicas)]
     logw = np.array([r[0] for r in rows])
     x = np.array([r[1] for r in rows])  # (R, n_times): compensated values
     return _compare_laws(cfg, shifts, logw, x, x - np.array(shifts))
@@ -363,8 +361,7 @@ def verify_tilted_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
     Sample A is replica i simulated under lambda with seed `seed + i` and
     weighted by the density; sample B (the `*_shifted` report fields) is
     replica i simulated under the tilted intensity with seed
-    `seed + replicas + i` and unit weight.  Both come from one replica map,
-    so the result does not depend on `threads`.  The tilted intensity must
+    `seed + replicas + i` and unit weight.  The tilted intensity must
     be an `IntensitySpec`, which requires a constant base intensity and
     h.scale >= 0; any other config raises ValidationError.
 
@@ -392,7 +389,7 @@ def verify_tilted_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
         ys = [eval_compensated(ref, cfg.kernel, cfg.intensity, m1, t) for t in times]
         return logw, xs, ys
 
-    rows = map_indexed(one, cfg.replicas, cfg.threads)
+    rows = [one(i) for i in range(cfg.replicas)]
     logw = np.array([r[0] for r in rows])
     x = np.array([r[1] for r in rows])
     y = np.array([r[2] for r in rows])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -164,15 +165,18 @@ class MarkedPath:
         return cls(np.asarray(times), np.asarray(marks), horizon)
 
 
-def _thinning_segments(intensity: IntensitySpec, horizon: float) -> np.ndarray:
-    """Segment boundaries for the piecewise-constant majorant.
+@lru_cache(maxsize=64)
+def _thinning_majorant(intensity: IntensitySpec, horizon: float) -> tuple:
+    """(a, b, lambda_max) for each segment of the piecewise-constant majorant.
 
     Constant rate needs a single segment.  Phi-scaled rates get dyadic
     segments refined toward 0 until the expected count below the first
-    boundary is negligible; that stub is then skipped.
+    boundary is negligible; that stub is then skipped.  The list depends
+    only on (intensity, horizon), so it is built once and shared by every
+    path simulated with them.
     """
     if intensity.kind == "constant":
-        return np.array([0.0, horizon])
+        return ((0.0, horizon, intensity.base_rate),)
     lo = horizon
     for _ in range(200):
         lo *= 0.5
@@ -183,7 +187,7 @@ def _thinning_segments(intensity: IntensitySpec, horizon: float) -> np.ndarray:
         raise NumericsError("could not refine thinning segments near t = 0")
     n_levels = max(int(math.ceil(math.log2(horizon / lo))), 1)
     bounds = horizon * 0.5 ** np.arange(n_levels, -1, -1.0)
-    return np.concatenate(([0.0], bounds))
+    return tuple((a, b, intensity.max_rate_on(a, b)) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def simulate(
@@ -201,12 +205,8 @@ def simulate(
     if not horizon > 0:
         raise ValidationError(f"horizon must be positive, got {horizon}")
     rng = np.random.default_rng(seed)
-    bounds = _thinning_segments(intensity, horizon)
     kept = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if a == 0.0 and intensity.kind == "scaled-by-phi":
-            continue  # stub below the first dyadic boundary: expected mass < 1e-9
-        lam_max = intensity.max_rate_on(a, b)
+    for a, b, lam_max in _thinning_majorant(intensity, float(horizon)):
         n = rng.poisson(lam_max * (b - a))
         if n == 0:
             continue

@@ -312,28 +312,6 @@ class TestRunExperiments:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "NumericsError"
 
-    def test_threads_env_var_does_not_change_artifacts(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        raw = {
-            "experiment": "consistency",
-            "kernel": {"kind": "indicator"},
-            "intensity": {"kind": "constant", "base_rate": 1.0},
-            "marks": {"kind": "unit"},
-            "horizon": 300.0,
-            "grid": {"start": 100.0, "stop": 300.0, "count": 2},
-            "theta_true": 1.0,
-            "replicas": 40,
-            "seed": 19,
-        }
-        cfg = write_config(tmp_path, "c.json", dict(raw, output_path=str(out1)))
-        monkeypatch.setenv("FPP_LAB_THREADS", "1")
-        assert main(["run", str(cfg)]) == 0
-        monkeypatch.setenv("FPP_LAB_THREADS", "4")
-        assert main(["run", str(cfg), "--out", str(out2)]) == 0
-        a = (out1 / "consistency_rmse.csv").read_bytes()
-        b = (out2 / "consistency_rmse.csv").read_bytes()
-        assert a == b
-
     def test_scaled_intensity_simulate(self, tmp_path):
         out = tmp_path / "o"
         cfg = write_config(

@@ -218,22 +218,3 @@ class TestVerifyEqualityInLaw:
         )
         with pytest.raises(NumericsError):
             verify_equality_in_law(cfg)
-
-    def test_threading_does_not_change_results(self, unit_rate, unit_marks, frac_kernel):
-        def run(threads):
-            cfg = GirsanovCheckConfig(
-                kernel=frac_kernel,
-                h=ShiftFunction.scaled_phi(0.2, phi_fractional(0.7, 1.0)),
-                intensity=unit_rate,
-                marks=unit_marks,
-                eval_times=(1.0, 2.0),
-                replicas=200,
-                seed=77,
-                ks_bootstrap=100,
-                threads=threads,
-            )
-            return verify_equality_in_law(cfg)
-
-        a, b = run(1), run(4)
-        assert a.mean_diff == b.mean_diff
-        assert a.ks_stat == b.ks_stat

@@ -112,6 +112,24 @@ class TestSimulate:
         expected = lam * T + theta * phi.coefficient * T ** (1.5 - H) / (1.5 - H)
         assert abs(path.count - expected) <= 4.0 * math.sqrt(expected)
 
+    def test_majorant_built_once_per_intensity_and_horizon(self, monkeypatch):
+        calls = []
+        max_rate_on = IntensitySpec.max_rate_on
+
+        def counting(spec, a, b):
+            calls.append((a, b))
+            return max_rate_on(spec, a, b)
+
+        monkeypatch.setattr(IntensitySpec, "max_rate_on", counting)
+        inten = IntensitySpec.scaled_by_phi(1.0, 0.5, phi_fractional(0.7, 1.0))
+        marks = MarkDistributionSpec.unit()
+        simulate(inten, marks, 5.0, 0)
+        segments = len(calls)
+        assert segments > 1
+        for seed in range(1, 50):
+            simulate(inten, marks, 5.0, seed)
+        assert len(calls) == segments
+
     def test_thinning_counts_pass_chi_square(self):
         # N_T ~ Poisson(lam T); chi-square GOF at the 1% level over 10^4 replicas
         lam, T, reps = 2.0, 2.0, 10_000

@@ -2,9 +2,71 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fpp_lab import ValidationError, ks_bootstrap_threshold, weighted_ks_statistic
+
+
+def oracle_statistic(x, wx, y, wy):
+    """Reference statistic: sort each sample, read both CDFs with searchsorted."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    wx = np.asarray(wx, dtype=float)
+    wy = np.asarray(wy, dtype=float)
+    if x.size == 0 or y.size == 0:
+        raise ValidationError("KS statistic needs non-empty samples")
+    if np.any(wx < 0) or np.any(wy < 0) or wx.sum() <= 0 or wy.sum() <= 0:
+        raise ValidationError("weights must be nonnegative with positive totals")
+    ox = np.argsort(x, kind="stable")
+    oy = np.argsort(y, kind="stable")
+    xs, cwx = x[ox], np.cumsum(wx[ox]) / wx.sum()
+    ys, cwy = y[oy], np.cumsum(wy[oy]) / wy.sum()
+    grid = np.concatenate([xs, ys])
+    fx = np.concatenate([[0.0], cwx])[np.searchsorted(xs, grid, side="right")]
+    fy = np.concatenate([[0.0], cwy])[np.searchsorted(ys, grid, side="right")]
+    return float(np.abs(fx - fy).max())
+
+
+def oracle_threshold(x, wx, y, wy, n_boot, level, rng):
+    """Reference bootstrap: the oracle statistic on each pooled resample."""
+    vals = np.concatenate([x, y])
+    wts = np.concatenate([wx, wy])
+    n, m = len(x), len(y)
+    stats_ = np.empty(n_boot)
+    for b in range(n_boot):
+        ia = rng.integers(0, n + m, n)
+        ib = rng.integers(0, n + m, m)
+        stats_[b] = oracle_statistic(vals[ia], wts[ia], vals[ib], wts[ib])
+    return float(np.quantile(stats_, 1.0 - level))
+
+
+def outcome(fn, *args):
+    """fn's value, or the ValidationError it raised."""
+    try:
+        return fn(*args)
+    except ValidationError:
+        return ValidationError
+
+
+# tie-heavy values: a small set holding both zeros, mixed with arbitrary floats
+values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.25]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+weights = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
+
+
+@st.composite
+def weighted_samples(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40))
+    x = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(values, min_size=m, max_size=m)))
+    wx = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+    wy = np.array(draw(st.lists(weights, min_size=m, max_size=m)))
+    return x, wx, y, wy
 
 
 class TestStatistic:
@@ -36,12 +98,16 @@ class TestStatistic:
             weighted_ks_statistic(np.array([]), np.array([]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValidationError):
             weighted_ks_statistic(np.array([1.0]), np.array([-1.0]), np.array([1.0]), np.array([1.0]))
+        # a bootstrap resample that draws only zero weights: rng seed 0 draws
+        # index 1 (weight 0) for the one-point second half of its first resample
+        x, wx = np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0])
+        y, wy = np.array([1.5]), np.array([1.0])
+        assert weighted_ks_statistic(x, wx, y, wy) > 0.0
+        with pytest.raises(ValidationError):
+            ks_bootstrap_threshold(x, wx, y, wy, 10, 0.1, np.random.default_rng(0))
 
 
 class TestStatisticProperties:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
     def test_bounded_and_symmetric(self, seed):
@@ -82,3 +148,31 @@ class TestBootstrapThreshold:
         x = np.array([1.0, 2.0])
         with pytest.raises(ValidationError):
             ks_bootstrap_threshold(x, np.ones(2), x, np.ones(2), 10, 1.5, np.random.default_rng(0))
+
+
+class TestMatchesOracle:
+    """The rank-based code must equal the sort + searchsorted reference exactly."""
+
+    @given(weighted_samples())
+    @settings(max_examples=200, deadline=None)
+    def test_statistic(self, samples):
+        assert outcome(weighted_ks_statistic, *samples) == outcome(oracle_statistic, *samples)
+
+    @given(weighted_samples(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_bootstrap_threshold(self, samples, seed):
+        ours = outcome(ks_bootstrap_threshold, *samples, 25, 0.05, np.random.default_rng(seed))
+        ref = outcome(oracle_threshold, *samples, 25, 0.05, np.random.default_rng(seed))
+        assert ours == ref
+
+    def test_law_check_sized_ties(self):
+        # a quarter of each sample shares one value, as zero-jump paths do
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=2000), rng.normal(size=1500)
+        x[rng.random(2000) < 0.25] = -0.5
+        y[rng.random(1500) < 0.25] = -0.5
+        w = np.exp(rng.normal(0.0, 0.3, 2000))
+        assert weighted_ks_statistic(x, w, y, np.ones(1500)) == oracle_statistic(x, w, y, np.ones(1500))
+        ours = ks_bootstrap_threshold(x, w, y, np.ones(1500), 50, 0.01, np.random.default_rng(1))
+        ref = oracle_threshold(x, w, y, np.ones(1500), 50, 0.01, np.random.default_rng(1))
+        assert ours == ref
