@@ -6,7 +6,10 @@ Supported kinds:
 * ``exp_shot_noise``   K(t,s) = exp(-a (t-s)) for s <= t (convolution kernel)
 * ``fractional``       K(t,s) = (t-s)^(H-1/2) F(H-1/2, 1/2-H, H+1/2, 1-t/s)
                        / Gamma(H+1/2), for Hurst H in (1/2, 1)
-* ``tabulated``        bilinear interpolation of an externally supplied grid
+* ``tabulated``        bilinear interpolation of an externally supplied grid,
+                       clamped to the table edges; vectorized evaluation is
+                       one `_bilinear` call over all points, elementwise the
+                       same arithmetic as the scalar path
 
 Every kind is triangular (exactly 0 for s > t).  The fractional kind
 vanishes on the diagonal and diverges like s^(1/2-H) as s -> 0, which is
@@ -89,8 +92,7 @@ class KernelSpec:
         if not (np.all(np.diff(t_grid) > 0) and np.all(np.diff(s_grid) > 0)):
             raise ValidationError("tabulated kernel grids must be strictly increasing")
         if np.all(np.isfinite(values)):
-            diag = np.array([_bilinear(t_grid, s_grid, values, t, t) for t in t_grid])
-            degenerate = bool(np.all(diag == 0.0))
+            degenerate = bool(np.all(_bilinear(t_grid, s_grid, values, t_grid, t_grid) == 0.0))
         else:
             degenerate = False  # non-finite tables are classified irregular
         return cls(
@@ -191,7 +193,9 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
     """Vectorized K(t, s_array) for fixed t.
 
     The fractional kind uses the spline table of F on x = ln(t/s); points
-    beyond the table range (s/t < e^-32) fall back to the scalar path.
+    beyond the table range (s/t < e^-32) fall back to the scalar path.  The
+    tabulated kind interpolates all points with s <= t in one bilinear call,
+    equal (==) to `kernel_eval` point by point.
     """
     s = np.asarray(s, dtype=float)
     if not t > 0:
@@ -208,9 +212,8 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
         out[sel] = np.exp(-spec.a * (t - s[sel]))
         return out
     if spec.kind == "tabulated":
-        idx = np.nonzero(s <= t)[0]
-        for i in idx:
-            out[i] = _bilinear(spec.table_t, spec.table_s, spec.table_values, t, s[i])
+        sel = s <= t
+        out[sel] = _bilinear(spec.table_t, spec.table_s, spec.table_values, t, s[sel])
         return out
     # fractional
     sb = s[below]
@@ -237,7 +240,7 @@ def diagonal_class(spec: KernelSpec) -> str:
         return CADLAG
     if not np.all(np.isfinite(spec.table_values)):
         return IRREGULAR
-    diag = np.array([_bilinear(spec.table_t, spec.table_s, spec.table_values, t, t) for t in spec.table_t])
+    diag = _bilinear(spec.table_t, spec.table_s, spec.table_values, spec.table_t, spec.table_t)
     return CONTINUOUS if np.all(diag == 0.0) else CADLAG
 
 

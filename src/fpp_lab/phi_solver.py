@@ -269,6 +269,11 @@ def phi_lambda_integral(phi: PhiFunction, intensity: IntensitySpec, t: float) ->
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
+#: Gauss panels evaluated per kernel call by `_integral_kernel_phi_lambda`;
+#: fixed so that the (panels x 12) temporaries, and with them peak memory,
+#: stay small however fine the grid
+PANEL_BLOCK = 256
+
 
 def _integral_kernel_phi_lambda(
     phi: PhiFunction, kernel: KernelSpec, intensity: IntensitySpec, t: float
@@ -277,10 +282,20 @@ def _integral_kernel_phi_lambda(
 
     The interpolant has kinks at its nodes, so adaptive quadrature on the
     whole interval is noisy; instead each inter-node panel (smooth) gets a
-    fixed Gauss rule, and the clamped stub below the first node, where the
-    kernel may be singular, goes through the substitution-based quadrature.
+    fixed 12-point Gauss rule, and the clamped stub below the first node,
+    where the kernel may be singular, goes through the substitution-based
+    quadrature.
+
+    The panels are evaluated in blocks of PANEL_BLOCK: one `kernel_eval_at`,
+    `phi` and `rate_at` call on the block's flattened Gauss points, all three
+    elementwise, so every point gets the value a per-panel call would give.
+    The sum keeps the per-panel arithmetic so the result stays bit-identical
+    to adding the panels one at a time: each panel is its own `np.dot` of
+    weights and values, and the panel values are added left to right from
+    the stub value by `np.cumsum` (sequential, unlike `np.sum`), the running
+    total carried from block to block.  A row-wise sum or einsum would
+    reassociate and move the result in the last digits.
     """
-    bounds = np.unique(np.clip(phi.nodes, 0.0, t))
     total = 0.0
     stub = min(t, phi.nodes[0])
     if stub > 0:
@@ -291,14 +306,19 @@ def _integral_kernel_phi_lambda(
 
         val, _ = singular_quad_0_to_t(f_stub, stub, kernel.origin_exponent, rtol=1e-9)
         total += val
-    if t > phi.nodes[0]:
-        edges = np.unique(np.concatenate([bounds, [t]]))
-        for a, b in zip(edges[:-1], edges[1:]):
-            s = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-            w = 0.5 * (b - a) * _GL_WEIGHTS
-            vals = kernel_eval_at(kernel, t, s) * phi(s) * np.asarray(intensity.rate_at(s))
-            total += float(np.dot(w, vals))
-    return total
+    if t <= phi.nodes[0]:
+        return total
+    bounds = np.unique(np.clip(phi.nodes, 0.0, t))
+    edges = np.unique(np.concatenate([bounds, [t]]))
+    for lo in range(0, edges.size - 1, PANEL_BLOCK):
+        block = edges[lo : lo + PANEL_BLOCK + 1]
+        a, b = block[:-1, None], block[1:, None]
+        s = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+        w = 0.5 * (b - a) * _GL_WEIGHTS
+        flat = s.ravel()
+        vals = kernel_eval_at(kernel, t, flat) * phi(flat) * np.asarray(intensity.rate_at(flat))
+        total = np.cumsum([total, *map(np.dot, w, vals.reshape(s.shape))])[-1]
+    return float(total)
 
 
 def volterra_residuals(
@@ -312,8 +332,11 @@ def volterra_residuals(
 
     Recomputed by quadrature independent of the solver's product rule; the
     mandatory post-solve check compares these against 2x solver_rtol.
+    Raises ValidationError unless every node is finite and > 0.
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
+    if not np.all(np.isfinite(nodes) & (nodes > 0)):
+        raise ValidationError("residual nodes must be finite and > 0")
     out = np.empty(nodes.size)
     for k, t in enumerate(nodes):
         if phi.kind == "grid":

@@ -193,6 +193,20 @@ class TestTabulated:
         k = exp_table_kernel()
         assert kernel_eval(k, 1.0, 1.5) == 0.0
 
+    def test_batched_equals_scalar(self):
+        # kernel_eval_at must give kernel_eval's float for every point, also
+        # on table nodes, clamped outside the table, on and above the diagonal
+        rng = np.random.default_rng(3)
+        tg = np.linspace(0.5, 3.0, 11)
+        sg = np.linspace(0.25, 2.5, 13)
+        k = KernelSpec.tabulated(tg, sg, rng.uniform(-1.0, 2.0, (tg.size, sg.size)))
+        for t in (*tg[[0, 4, -1]], 0.1, 1.37, 5.0):
+            s = np.concatenate([sg, tg, [0.01, 0.2, 0.9, t, 2.6, 4.0, t * 1.5], rng.uniform(0.01, 6.0, 40)])
+            want = np.array([kernel_eval(k, t, si) for si in s])
+            got = kernel_eval_at(k, t, s)
+            assert np.array_equal(got, want), t
+            assert np.all(got[s > t] == 0.0)
+
     def test_csv_round_trip(self, tmp_path):
         tg = np.array([0.5, 1.0, 2.0])
         sg = np.array([0.25, 0.75, 1.5])

@@ -18,10 +18,43 @@ from fpp_lab import (
     uniform_grid,
     volterra_residuals,
 )
+from fpp_lab.kernels import kernel_eval_at, singular_quad_0_to_t
+from fpp_lab.phi_solver import _GL_NODES, _GL_WEIGHTS, PANEL_BLOCK
 
 # gamma-function oracle values (mpmath)
 PHI_1_H07_LAM2 = 0.3908930209156764
 RATIO_4_TO_1 = 0.75785828325519904  # 4^(-1/5)
+
+
+def oracle_residuals(phi, kernel, intensity, m1, nodes):
+    """Grid-phi residuals with one kernel call per Gauss panel.
+
+    The reference `volterra_residuals` must equal (==): the same stub
+    quadrature and 12-point Gauss panels, each panel evaluated and added on
+    its own.
+    """
+    out = []
+    for t in nodes:
+        total = 0.0
+        stub = min(t, phi.nodes[0])
+        if stub > 0:
+            v0 = float(phi.values[0])
+
+            def f_stub(s, _t=t):
+                return kernel_eval_at(kernel, _t, np.array([s]))[0] * v0 * float(intensity.rate_at(s))
+
+            val, _ = singular_quad_0_to_t(f_stub, stub, kernel.origin_exponent, rtol=1e-9)
+            total += val
+        if t > phi.nodes[0]:
+            bounds = np.unique(np.clip(phi.nodes, 0.0, t))
+            edges = np.unique(np.concatenate([bounds, [t]]))
+            for a, b in zip(edges[:-1], edges[1:]):
+                s = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+                w = 0.5 * (b - a) * _GL_WEIGHTS
+                vals = kernel_eval_at(kernel, t, s) * phi(s) * np.asarray(intensity.rate_at(s))
+                total += float(np.dot(w, vals))
+        out.append(abs(m1 * total - t) / t)
+    return np.array(out)
 
 
 class TestClosedForm:
@@ -197,6 +230,49 @@ class TestVolterraSolver:
             solve_phi_volterra(k, inten, 1.0, np.array([1.0, 0.5]))  # not increasing
         with pytest.raises(ValidationError):
             solve_phi_volterra(k, inten, 0.0, np.array([0.5, 1.0]))  # bad m1
+
+
+def _tabulated_exp_kernel():
+    tg = np.linspace(0.005, 2.0, 400)
+    sg = np.linspace(0.0025, 2.0, 400)
+    return KernelSpec.tabulated(tg, sg, np.exp(-(tg[:, None] - sg[None, :])))
+
+
+class TestBlockedResiduals:
+    # every grid has more panels than one block, and a panel count that is
+    # not a multiple of the block size
+    @pytest.mark.parametrize(
+        "kernel, grid",
+        [
+            (KernelSpec.fractional(0.7), uniform_grid(0.005, 3.0, 600)),
+            (KernelSpec.fractional(0.9), power_grid(3.0, 600)),
+            (KernelSpec.exp_shot_noise(1.3), uniform_grid(1e-3, 2.0, 520)),
+            (KernelSpec.indicator(), uniform_grid(0.01, 2.0, 300)),
+            (_tabulated_exp_kernel(), uniform_grid(0.01, 1.9, 300)),
+        ],
+        ids=["fractional-0.7", "fractional-0.9", "exp", "indicator", "tabulated"],
+    )
+    def test_equals_per_panel_oracle(self, kernel, grid):
+        inten, m1 = IntensitySpec.constant(1.5), 0.8
+        phi = solve_phi_volterra(kernel, inten, m1, grid)
+        assert phi.nodes.size - 1 > PANEL_BLOCK and (phi.nodes.size - 1) % PANEL_BLOCK != 0
+        nodes = np.array([
+            0.5 * phi.nodes[0],  # stub only
+            phi.nodes[PANEL_BLOCK + 3],  # on a node
+            0.5 * (grid[-3] + grid[-2]),
+            phi.nodes[-1],
+            1.25 * phi.nodes[-1],  # clamped extension
+        ])
+        got = volterra_residuals(phi, kernel, inten, m1, nodes)
+        assert np.array_equal(got, oracle_residuals(phi, kernel, inten, m1, nodes))
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_nodes_rejected(self, bad):
+        kernel, inten = KernelSpec.fractional(0.7), IntensitySpec.constant(1.0)
+        grid_phi = solve_phi_volterra(kernel, inten, 1.0, power_grid(2.0, 40))
+        for phi in (grid_phi, phi_fractional(0.7, 1.0)):
+            with pytest.raises(ValidationError):
+                volterra_residuals(phi, kernel, inten, 1.0, np.array([1.0, bad]))
 
 
 class TestPhiLambdaIntegral:
