@@ -54,7 +54,7 @@ from .point_process import (
     integrated_intensity,
     simulate,
 )
-from .special_functions import Hyp2F1Params, hyp2f1, hyp2f1_series, ln_gamma
+from .special_functions import Hyp2F1Params, hyp2f1, ln_gamma
 from .weighted_ks import ks_bootstrap_threshold, weighted_ks_statistic
 
 __version__ = "0.1.0"
@@ -85,7 +85,6 @@ __all__ = [
     "eval_observed",
     "fractional_hypothesis_note",
     "hyp2f1",
-    "hyp2f1_series",
     "integrated_intensity",
     "kernel_eval",
     "kernel_eval_at",

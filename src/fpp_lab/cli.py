@@ -30,7 +30,7 @@ from .girsanov import GirsanovCheckConfig, ShiftFunction, verify_equality_in_law
 from .kernels import KernelSpec
 from .phi_solver import PhiFunction, phi_fractional, solve_phi_volterra, volterra_residuals
 from .point_process import IntensitySpec, MarkDistributionSpec, simulate
-from .serialize import dumps_json, fmt_float, write_json
+from .serialize import dumps_json, write_csv, write_json
 
 EXPERIMENTS = ("simulate", "estimate", "trajectory", "verify-girsanov", "consistency", "solve-phi")
 
@@ -71,6 +71,8 @@ def _number(obj: dict, key: str, where: str, required: bool = True, default=None
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValidationError(f"{where}.{key} must be a number, got {val!r}")
+    if not abs(val) <= sys.float_info.max:  # JSON reads 1e310 as inf; also rejects nan
+        raise ValidationError(f"{where}.{key} must be finite, got {val!r}")
     return float(val)
 
 
@@ -286,10 +288,7 @@ def _run_estimate(cfg: ResolvedConfig) -> dict:
     for i in range(cfg.replicas):
         path = simulate(perturbed, cfg.marks, cfg.horizon, cfg.seed + i)
         rows.append((i, mle_solve(path, phi, base, cfg.horizon)))
-    with open(cfg.output_path / "estimates.csv", "w", encoding="utf-8") as fh:
-        fh.write("replica,theta_hat\n")
-        for i, th in rows:
-            fh.write(f"{i},{fmt_float(th)}\n")
+    write_csv(cfg.output_path / "estimates.csv", "replica,theta_hat", rows)
     est = np.array([th for _, th in rows])
     headline = {
         "theta_true": cfg.theta_true,
@@ -353,10 +352,11 @@ def _run_consistency(cfg: ResolvedConfig) -> dict:
     payload = report.to_dict()
     payload["config_echo"] = cfg.raw
     write_json(cfg.output_path / "consistency_report.json", payload)
-    with open(cfg.output_path / "consistency_rmse.csv", "w", encoding="utf-8") as fh:
-        fh.write("horizon,mae,rmse\n")
-        for T, mae, rmse in zip(report.horizons, report.mae, report.rmse):
-            fh.write(f"{fmt_float(T)},{fmt_float(mae)},{fmt_float(rmse)}\n")
+    write_csv(
+        cfg.output_path / "consistency_rmse.csv",
+        "horizon,mae,rmse",
+        zip(report.horizons, report.mae, report.rmse),
+    )
     headline = {"rmse": list(report.rmse), "final_rmse": report.rmse[-1]}
     return _summary(cfg, ["consistency_report.json", "consistency_rmse.csv"], headline, report.passed)
 

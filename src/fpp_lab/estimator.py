@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .point_process import IntensitySpec, MarkDistributionSpec, MarkedPath, simulate
 from .phi_solver import PhiFunction, phi_lambda_integral
-from .serialize import fmt_float
+from .serialize import write_csv
 
 #: absolute tolerance on theta for the Newton solve
 THETA_TOL = 1e-10
@@ -129,10 +129,7 @@ class EstimateTrace:
     def to_csv(self, path) -> None:
         flags = np.zeros(self.times.size, dtype=int)
         flags[self.jump_epochs] = 1
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,theta_hat,jump_epoch\n")
-            for t, th, fl in zip(self.times, self.theta_hat, flags):
-                fh.write(f"{fmt_float(float(t))},{fmt_float(float(th))},{fl}\n")
+        write_csv(path, "t,theta_hat,jump_epoch", zip(self.times, self.theta_hat, flags))
 
 
 def trajectory(

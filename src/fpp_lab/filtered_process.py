@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import KernelSpec, kernel_eval_at, kernel_lambda_integral
 from .point_process import IntensitySpec, MarkedPath
-from .serialize import fmt_float
+from .serialize import write_csv
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,7 @@ class PathOnGrid:
             raise ValidationError("values must be finite")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(self.grid, self.values):
-                fh.write(f"{fmt_float(float(t))},{fmt_float(float(v))}\n")
+        write_csv(path, "t,value", zip(self.grid, self.values))
 
 
 def _check_time(path: MarkedPath, t: float) -> None:

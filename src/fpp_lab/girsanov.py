@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .filtered_process import eval_compensated
-from .kernels import KernelSpec, singular_quad_0_to_t, kernel_eval
+from .kernels import KernelSpec, kernel_phi_lambda_integral
 from .point_process import IntensitySpec, MarkDistributionSpec, MarkedPath, simulate
 from .phi_solver import PhiFunction, phi_lambda_integral
 from .weighted_ks import ks_bootstrap_threshold, weighted_ks_statistic
@@ -111,22 +111,10 @@ def density(path: MarkedPath, h: ShiftFunction, intensity: IntensitySpec, t: flo
 def kernel_shift_lambda_integral(
     kernel: KernelSpec, h: ShiftFunction, intensity: IntensitySpec, t: float
 ) -> float:
-    """int_0^t K(t,s) h(s) lambda(s) ds to 1e-7 relative accuracy."""
+    """int_0^t K(t,s) h(s) lambda(s) ds: h.scale times `kernel_phi_lambda_integral` of h.phi."""
     if not t > 0:
         raise ValidationError(f"t must be positive, got {t}")
-    if h.scale == 0.0:
-        return 0.0
-    e = kernel.origin_exponent + h.phi.origin_exponent
-    if intensity.kind == "scaled-by-phi":
-        e += getattr(intensity.phi_ref, "origin_exponent", 0.0)
-
-    def f(s: float) -> float:
-        return kernel_eval(kernel, t, s) * float(h(s)) * float(intensity.rate_at(s))
-
-    val, err = singular_quad_0_to_t(f, t, e)
-    if err > max(1e-7 * abs(val), 1e-12):
-        raise NumericsError(f"kernel-shift quadrature did not converge at t={t}")
-    return val
+    return h.scale * kernel_phi_lambda_integral(t, intensity, kernel, h.phi) if h.scale else 0.0
 
 
 def shifted_compensated(

@@ -16,6 +16,12 @@ vanishes on the diagonal and diverges like s^(1/2-H) as s -> 0, which is
 integrable; quadrature against it substitutes s = t v^(1/(1-e)) to flatten
 the origin singularity of exponent e.
 
+`kernel_phi_lambda_integral` is the package's one integral against the
+kernel, the calibration function phi and the rate: closed forms where they
+exist (among them int K_H = Gamma(3/2-H) t^(H+1/2) / (H+1/2) and, for the
+closed-form phi of the same H, int K_H phi = t / lam), otherwise one
+quadrature at one tolerance with one convergence check.
+
 Scalar fractional evaluation assembles the defining formula from the
 special-functions module directly.  Vectorized evaluation goes through a
 per-H cubic-spline table of x -> F(1 - e^x) on x = ln(t/s) in [0, 32],
@@ -29,6 +35,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,6 +45,9 @@ from .errors import NumericsError, ValidationError
 from .point_process import IntensitySpec, integrated_intensity
 from .serialize import read_csv
 from .special_functions import Hyp2F1Params, hyp2f1, ln_gamma
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .phi_solver import PhiFunction
 
 KERNEL_KINDS = ("indicator", "exp_shot_noise", "fractional", "tabulated")
 
@@ -106,10 +116,9 @@ class KernelSpec:
     @classmethod
     def tabulated_from_csv(cls, path) -> "KernelSpec":
         """Load rows "t,s,value" forming a complete rectangular lattice."""
-        rows = read_csv(path, "t,s,value")
-        if not rows:
+        arr = read_csv(path, "t,s,value")
+        if not arr.size:
             raise ValidationError(f"empty tabulated kernel file {path}")
-        arr = np.asarray(rows)
         t_grid = np.unique(arr[:, 0])
         s_grid = np.unique(arr[:, 1])
         if arr.shape[0] != t_grid.size * s_grid.size:
@@ -244,11 +253,12 @@ def diagonal_class(spec: KernelSpec) -> str:
     return CONTINUOUS if np.all(diag == 0.0) else CADLAG
 
 
-def singular_quad_0_to_t(f, t: float, origin_exponent: float, rtol: float = 1e-9) -> tuple[float, float]:
+def singular_quad_0_to_t(f, t: float, origin_exponent: float) -> tuple[float, float]:
     """int_0^t f(s) ds where f(s) ~ s^(-origin_exponent) near 0.
 
     Substitutes s = t v^p with p = 1/(1 - e), turning the origin
-    singularity into a bounded integrand; returns (value, error estimate).
+    singularity into a bounded integrand; returns (value, error estimate)
+    of an adaptive quadrature at relative tolerance 1e-9.
     """
     if origin_exponent >= 1.0:
         raise NumericsError(f"non-integrable origin exponent {origin_exponent}")
@@ -263,37 +273,141 @@ def singular_quad_0_to_t(f, t: float, origin_exponent: float, rtol: float = 1e-9
         def g(v: float) -> float:
             return f(t * v) * t
 
-    return quad(g, 0.0, 1.0, epsabs=1e-12, epsrel=rtol, limit=200)
+    return quad(g, 0.0, 1.0, epsabs=1e-12, epsrel=1e-9, limit=200)
 
 
-@lru_cache(maxsize=4096)
-def _kernel_lambda_integral_cached(spec: KernelSpec, intensity: IntensitySpec, t: float) -> float:
-    if spec.kind == "indicator":
-        return integrated_intensity(intensity, t)
-    if spec.kind == "exp_shot_noise" and intensity.kind == "constant":
-        return intensity.base_rate * (1.0 - math.exp(-spec.a * t)) / spec.a
-    e = spec.origin_exponent
-    if intensity.kind == "scaled-by-phi":
-        e += getattr(intensity.phi_ref, "origin_exponent", 0.0)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+#: Gauss panels evaluated per kernel call for a grid phi; fixed so that the
+#: (panels x 12) temporaries, and with them peak memory, stay small however
+#: fine the grid
+PANEL_BLOCK = 256
+
+
+def _checked_quad(
+    t: float, upper: float, intensity: IntensitySpec, kernel: KernelSpec | None, phi: PhiFunction | None
+) -> float:
+    """int_0^upper K(t,s) phi(s) lambda(s) ds by `singular_quad_0_to_t`.
+
+    K comes from `kernel_eval_at` on one point; the origin exponent is the
+    sum of the three factors' exponents.  Raises NumericsError when the
+    error estimate exceeds max(1e-8 |value|, 1e-13).
+    """
+    e = intensity.origin_exponent
+    if kernel is not None:
+        e += kernel.origin_exponent
+    if phi is not None:
+        e += phi.origin_exponent
 
     def f(s: float) -> float:
-        return kernel_eval(spec, t, s) * float(intensity.rate_at(s))
+        k = 1.0 if kernel is None else kernel_eval_at(kernel, t, np.array([s]))[0]
+        p = 1.0 if phi is None else float(phi(s))
+        return k * p * float(intensity.rate_at(s))
 
-    val, err = singular_quad_0_to_t(f, t, e)
-    if err > max(1e-7 * abs(val), 1e-12):
+    val, err = singular_quad_0_to_t(f, upper, e)
+    if err > max(1e-8 * abs(val), 1e-13):
         raise NumericsError(
-            f"kernel-intensity quadrature did not converge at t={t}: "
+            f"quadrature of K phi lambda did not converge at t={t}: "
             f"value {val:.6e}, error estimate {err:.2e}"
         )
     return val
 
 
-def kernel_lambda_integral(spec: KernelSpec, intensity: IntensitySpec, t: float) -> float:
-    """int_0^t K(t, s) lambda(s) ds to 1e-7 relative accuracy.
+def _grid_phi_integral(
+    t: float, intensity: IntensitySpec, kernel: KernelSpec, phi: PhiFunction
+) -> float:
+    """int_0^t K(t,s) phi(s) lambda(s) ds for a grid phi.
 
-    Closed forms cover the indicator kind and the exponential kind under
-    constant intensity; everything else goes through singularity-aware
-    quadrature.  Results are cached per (kernel, intensity, t).
+    The interpolant has kinks at its nodes, so adaptive quadrature on the
+    whole interval is noisy; instead the stub from 0 to the first kink (a
+    positive node where the slope of the clamped interpolant changes),
+    where the kernel and the rate may be singular, goes through
+    `_checked_quad`, and each later inter-node panel (smooth) gets a fixed
+    12-point Gauss rule.  Without a kink below t the whole integral is the
+    stub, which keeps a constant or affine phi as accurate as the
+    quadrature (a Gauss rule on one wide panel would miss the kernel's
+    (t - s)^(H - 1/2) behaviour at the diagonal).
+
+    The panels are evaluated in blocks of PANEL_BLOCK: one `kernel_eval_at`,
+    `phi` and `rate_at` call on the block's flattened Gauss points, all three
+    elementwise, so every point gets the value a per-panel call would give.
+    The sum keeps the per-panel arithmetic so the result stays bit-identical
+    to adding the panels one at a time: each panel is its own `np.dot` of
+    weights and values, and the panel values are added left to right from
+    the stub value by `np.cumsum` (sequential, unlike `np.sum`), the running
+    total carried from block to block.  A row-wise sum or einsum would
+    reassociate and move the result in the last digits.
+    """
+    slopes = np.concatenate(([0.0], np.diff(phi.values) / np.diff(phi.nodes), [0.0]))
+    kinks = phi.nodes[(np.diff(slopes) != 0.0) & (phi.nodes > 0.0)]
+    stub = min(t, kinks[0]) if kinks.size else t
+    total = _checked_quad(t, stub, intensity, kernel, phi)
+    if stub == t:
+        return total
+    edges = np.unique(np.concatenate([np.clip(phi.nodes, stub, t), [t]]))
+    for lo in range(0, edges.size - 1, PANEL_BLOCK):
+        block = edges[lo : lo + PANEL_BLOCK + 1]
+        a, b = block[:-1, None], block[1:, None]
+        s = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+        w = 0.5 * (b - a) * _GL_WEIGHTS
+        flat = s.ravel()
+        vals = kernel_eval_at(kernel, t, flat) * phi(flat) * np.asarray(intensity.rate_at(flat))
+        total = np.cumsum([total, *map(np.dot, w, vals.reshape(s.shape))])[-1]
+    return float(total)
+
+
+def kernel_phi_lambda_integral(
+    t: float, intensity: IntensitySpec, kernel: KernelSpec | None = None, phi: PhiFunction | None = None
+) -> float:
+    """int_0^t K(t,s) phi(s) lambda(s) ds for t > 0; an omitted K or phi counts as 1.
+
+    The one routine that integrates against the kernel, the calibration
+    function (a `PhiFunction`) and the rate.  The first matching case wins:
+
+    1. grid phi with a kernel: quadrature on the stub below the first kink
+       of the interpolant plus blocked 12-point Gauss panels between the
+       later nodes (`_grid_phi_integral`);
+    2. no phi, and no kernel or the indicator kernel: `integrated_intensity`;
+    3. constant rate b, closed forms:
+       no kernel: b int_0^t phi;
+       exponential kernel, no phi: b (1 - e^(-a t)) / a;
+       fractional kernel, no phi: b Gamma(3/2 - H) t^(H+1/2) / (H + 1/2);
+       fractional kernel with the closed-form phi of the same H:
+       b t / phi.lam (the calibration identity);
+    4. otherwise singularity-aware quadrature of the product, with the sum
+       of the factors' origin exponents.
+
+    Every quadrature runs at relative tolerance 1e-9 and raises
+    NumericsError when its error estimate exceeds max(1e-8 |value|, 1e-13).
+    """
+    if phi is not None and phi.kind == "grid" and kernel is not None:
+        return _grid_phi_integral(t, intensity, kernel, phi)
+    if phi is None and (kernel is None or kernel.kind == "indicator"):
+        return integrated_intensity(intensity, t)
+    if intensity.kind == "constant":
+        b = intensity.base_rate
+        if kernel is None:
+            return b * phi.integral(t)
+        if phi is None and kernel.kind == "exp_shot_noise":
+            return b * (1.0 - math.exp(-kernel.a * t)) / kernel.a
+        if kernel.kind == "fractional":
+            H = kernel.H
+            if phi is None:
+                return b * math.gamma(1.5 - H) * t ** (H + 0.5) / (H + 0.5)
+            if phi.kind == "closed_form_fractional" and phi.H == H:
+                return b * t / phi.lam
+    return _checked_quad(t, t, intensity, kernel, phi)
+
+
+@lru_cache(maxsize=4096)
+def _kernel_lambda_integral_cached(spec: KernelSpec, intensity: IntensitySpec, t: float) -> float:
+    return kernel_phi_lambda_integral(t, intensity, spec)
+
+
+def kernel_lambda_integral(spec: KernelSpec, intensity: IntensitySpec, t: float) -> float:
+    """int_0^t K(t, s) lambda(s) ds by `kernel_phi_lambda_integral`.
+
+    Results are cached per (kernel, intensity, t).
     """
     if not t > 0:
         raise ValidationError(f"kernel_lambda_integral requires t > 0, got {t}")

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .kernels import KernelSpec, kernel_eval_at, singular_quad_0_to_t
+from .kernels import KernelSpec, kernel_eval_at, kernel_phi_lambda_integral
 from .point_process import IntensitySpec
-from .serialize import fmt_float, read_csv
+from .serialize import read_csv, write_csv
 from .special_functions import ln_gamma
 
 #: diagonal product weights below this abort the forward substitution
@@ -97,13 +97,13 @@ class PhiFunction:
 
     def __call__(self, s):
         scalar = np.isscalar(s)
+        if self.kind == "grid":
+            out = np.interp(s, self.nodes, self.values)  # interp clamps outside
+            return float(out) if scalar else np.atleast_1d(out)
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.kind == "closed_form_fractional":
-            if np.any(s_arr <= 0):
-                raise ValidationError("fractional phi requires s > 0")
-            out = self.coefficient * s_arr ** (0.5 - self.H) / self.lam
-        else:
-            out = np.interp(s_arr, self.nodes, self.values)  # interp clamps outside
+        if np.any(s_arr <= 0):
+            raise ValidationError("fractional phi requires s > 0")
+        out = self.coefficient * s_arr ** (0.5 - self.H) / self.lam
         return float(out[0]) if scalar else out
 
     def sup_on(self, a: float, b: float) -> float:
@@ -146,15 +146,11 @@ class PhiFunction:
     def to_csv(self, path) -> None:
         if self.kind != "grid":
             raise ValidationError("only grid phi functions serialize to CSV")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("s,phi\n")
-            for s, v in zip(self.nodes, self.values):
-                fh.write(f"{fmt_float(float(s))},{fmt_float(float(v))}\n")
+        write_csv(path, "s,phi", zip(self.nodes, self.values))
 
     @classmethod
     def from_csv(cls, path) -> "PhiFunction":
-        rows = read_csv(path, "s,phi")
-        arr = np.asarray(rows)
+        arr = read_csv(path, "s,phi")
         return cls(kind="grid", nodes=arr[:, 0], values=arr[:, 1])
 
 
@@ -245,80 +241,10 @@ def solve_phi_volterra(
 
 
 def phi_lambda_integral(phi: PhiFunction, intensity: IntensitySpec, t: float) -> float:
-    """int_0^t phi(s) lambda(s) ds.
-
-    Closed form under constant intensity; singularity-aware quadrature when
-    the intensity is itself phi-scaled.
-    """
+    """int_0^t phi(s) lambda(s) ds by `kernel_phi_lambda_integral` (no kernel)."""
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return 0.0
-    if intensity.kind == "constant":
-        return intensity.base_rate * phi.integral(t)
-    e = phi.origin_exponent + getattr(intensity.phi_ref, "origin_exponent", 0.0)
-
-    def f(s: float) -> float:
-        return float(phi(s)) * float(intensity.rate_at(s))
-
-    val, err = singular_quad_0_to_t(f, t, e)
-    if err > max(1e-8 * abs(val), 1e-13):
-        raise NumericsError(f"phi-intensity quadrature did not converge at t={t}")
-    return val
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-#: Gauss panels evaluated per kernel call by `_integral_kernel_phi_lambda`;
-#: fixed so that the (panels x 12) temporaries, and with them peak memory,
-#: stay small however fine the grid
-PANEL_BLOCK = 256
-
-
-def _integral_kernel_phi_lambda(
-    phi: PhiFunction, kernel: KernelSpec, intensity: IntensitySpec, t: float
-) -> float:
-    """int_0^t K(t,s) phi(s) lambda(s) ds for a grid phi.
-
-    The interpolant has kinks at its nodes, so adaptive quadrature on the
-    whole interval is noisy; instead each inter-node panel (smooth) gets a
-    fixed 12-point Gauss rule, and the clamped stub below the first node,
-    where the kernel may be singular, goes through the substitution-based
-    quadrature.
-
-    The panels are evaluated in blocks of PANEL_BLOCK: one `kernel_eval_at`,
-    `phi` and `rate_at` call on the block's flattened Gauss points, all three
-    elementwise, so every point gets the value a per-panel call would give.
-    The sum keeps the per-panel arithmetic so the result stays bit-identical
-    to adding the panels one at a time: each panel is its own `np.dot` of
-    weights and values, and the panel values are added left to right from
-    the stub value by `np.cumsum` (sequential, unlike `np.sum`), the running
-    total carried from block to block.  A row-wise sum or einsum would
-    reassociate and move the result in the last digits.
-    """
-    total = 0.0
-    stub = min(t, phi.nodes[0])
-    if stub > 0:
-        v0 = float(phi.values[0])
-
-        def f_stub(s: float) -> float:
-            return kernel_eval_at(kernel, t, np.array([s]))[0] * v0 * float(intensity.rate_at(s))
-
-        val, _ = singular_quad_0_to_t(f_stub, stub, kernel.origin_exponent, rtol=1e-9)
-        total += val
-    if t <= phi.nodes[0]:
-        return total
-    bounds = np.unique(np.clip(phi.nodes, 0.0, t))
-    edges = np.unique(np.concatenate([bounds, [t]]))
-    for lo in range(0, edges.size - 1, PANEL_BLOCK):
-        block = edges[lo : lo + PANEL_BLOCK + 1]
-        a, b = block[:-1, None], block[1:, None]
-        s = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        w = 0.5 * (b - a) * _GL_WEIGHTS
-        flat = s.ravel()
-        vals = kernel_eval_at(kernel, t, flat) * phi(flat) * np.asarray(intensity.rate_at(flat))
-        total = np.cumsum([total, *map(np.dot, w, vals.reshape(s.shape))])[-1]
-    return float(total)
+    return kernel_phi_lambda_integral(t, intensity, phi=phi) if t > 0 else 0.0
 
 
 def volterra_residuals(
@@ -330,24 +256,13 @@ def volterra_residuals(
 ) -> np.ndarray:
     """Relative residuals |m1 int_0^t K(t,s) phi(s) lambda(s) ds - t| / t.
 
-    Recomputed by quadrature independent of the solver's product rule; the
-    mandatory post-solve check compares these against 2x solver_rtol.
+    Recomputed by `kernel_phi_lambda_integral`, independent of the solver's
+    product rule; the mandatory post-solve check compares these against
+    2x solver_rtol.
     Raises ValidationError unless every node is finite and > 0.
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     if not np.all(np.isfinite(nodes) & (nodes > 0)):
         raise ValidationError("residual nodes must be finite and > 0")
-    out = np.empty(nodes.size)
-    for k, t in enumerate(nodes):
-        if phi.kind == "grid":
-            val = _integral_kernel_phi_lambda(phi, kernel, intensity, float(t))
-        else:
-            e = kernel.origin_exponent + phi.origin_exponent
-
-            def f(s: float, _t=float(t)) -> float:
-                ks = kernel_eval_at(kernel, _t, np.array([s]))[0]
-                return ks * float(phi(s)) * float(intensity.rate_at(s))
-
-            val, _ = singular_quad_0_to_t(f, float(t), e, rtol=1e-8)
-        out[k] = abs(m1 * val - t) / t
-    return out
+    vals = np.array([kernel_phi_lambda_integral(float(t), intensity, kernel, phi) for t in nodes])
+    return np.abs(m1 * vals - nodes) / nodes

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .serialize import fmt_float
+from .serialize import read_csv, write_csv
 
 if TYPE_CHECKING:  # pragma: no cover
     from .phi_solver import PhiFunction
@@ -97,6 +97,11 @@ class IntensitySpec:
     def scaled_by_phi(cls, base_rate: float, theta: float, phi: "PhiFunction") -> "IntensitySpec":
         return cls(kind="scaled-by-phi", base_rate=float(base_rate), theta=float(theta), phi_ref=phi)
 
+    @property
+    def origin_exponent(self) -> float:
+        """e with lambda(s) = O(s^(-e)) near 0: phi_ref's exponent for phi-scaled rates."""
+        return self.phi_ref.origin_exponent if self.kind == "scaled-by-phi" else 0.0
+
     def rate_at(self, s):
         """lambda(s); accepts scalars or arrays."""
         if self.kind == "constant":
@@ -144,25 +149,12 @@ class MarkedPath:
         return int(self.jump_times.size)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,z\n")
-            for t, z in zip(self.jump_times, self.marks):
-                fh.write(f"{fmt_float(float(t))},{fmt_float(float(z))}\n")
+        write_csv(path, "t,z", zip(self.jump_times, self.marks))
 
     @classmethod
     def from_csv(cls, path, horizon: float) -> "MarkedPath":
-        times, marks = [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "t,z":
-                raise ValidationError(f"bad MarkedPath CSV header {header!r}")
-            for line in fh:
-                line = line.strip()
-                if line:
-                    t, z = line.split(",")
-                    times.append(float(t))
-                    marks.append(float(z))
-        return cls(np.asarray(times), np.asarray(marks), horizon)
+        arr = read_csv(path, "t,z")
+        return cls(arr[:, 0], arr[:, 1], horizon)
 
 
 @lru_cache(maxsize=64)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
+import numpy as np
+
 from .errors import ValidationError
 
 
@@ -78,16 +80,30 @@ def write_csv(path, header: str, rows: Iterable[tuple]) -> None:
             fh.write("\n")
 
 
-def read_csv(path, expected_header: str) -> list[list[float]]:
+def read_csv(path, expected_header: str) -> np.ndarray:
+    """Rows of floats under a one-line header, as an (rows, fields) array.
+
+    Blank lines are skipped.  Raises ValidationError, naming the file and
+    line, for a wrong header, a row with the wrong number of fields or a
+    cell that is not a number.
+    """
+    fields = expected_header.count(",") + 1
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != expected_header:
             raise ValidationError(
                 f"bad CSV header in {path}: expected {expected_header!r}, got {header!r}"
             )
-        out = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
-                out.append([float(tok) for tok in line.split(",")])
-    return out
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != fields:
+                raise ValidationError(f"{path} line {lineno}: expected {fields} fields in {line!r}")
+            try:
+                rows.append([float(tok) for tok in cells])
+            except ValueError:
+                raise ValidationError(f"{path} line {lineno}: non-numeric cell in {line!r}") from None
+    return np.array(rows, dtype=float).reshape(-1, fields)

@@ -16,10 +16,8 @@ u^(b-1); the substitution u = v^(1/b) maps u^(b-1) du to dv / b exactly
 and leaves a bounded smooth integrand, which adaptive quadrature then
 resolves to near machine precision.
 
-A second, independent evaluation path (`hyp2f1_series`) applies the Pfaff
-transformation F(a,b,c,z) = (1-z)^(-a) F(a, c-b, c, z/(z-1)) for z < 0 and
-sums the Gauss series; it exists for cross-validation of the quadrature
-path and is exercised by the test suite.
+The test suite cross-validates this path against an independent one, the
+Pfaff transformation plus the Gauss series, kept there as an oracle.
 
 All functions here are pure and thread-safe.
 """
@@ -118,32 +116,3 @@ def hyp2f1(p: Hyp2F1Params) -> float:
             f" at (a={p.a}, b={p.b}, c={p.c}, z={p.z})"
         )
     return pref * val
-
-
-def hyp2f1_series(p: Hyp2F1Params, tol: float = 1e-14, max_terms: int = 500_000) -> float:
-    """Secondary evaluation path: Pfaff transformation plus the Gauss series.
-
-    For z < 0 the Pfaff transform maps the argument to w = z/(z-1) in [0, 1),
-    where the series converges; for 0 <= z < 1 the series is summed directly.
-    Used to cross-validate the quadrature path.
-    """
-    a, b, c, z = p.a, p.b, p.c, p.z
-    if a == 0.0 or b == 0.0:
-        return 1.0  # every series term beyond n=0 carries the factor (0)_n
-    if z < 0.0:
-        w = z / (z - 1.0)
-        pref = (1.0 - z) ** (-a)
-        aa, bb = a, c - b
-    else:
-        w, pref, aa, bb = z, 1.0, a, b
-    term = 1.0
-    total = 1.0
-    for n in range(max_terms):
-        term *= (aa + n) * (bb + n) / ((c + n) * (n + 1.0)) * w
-        total += term
-        if abs(term) <= tol * abs(total):
-            return pref * total
-    raise NumericsError(
-        f"hyp2f1 series did not converge in {max_terms} terms at "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )

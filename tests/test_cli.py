@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from fpp_lab.cli import main
 
 
@@ -331,3 +333,42 @@ class TestRunExperiments:
         )
         assert main(["run", str(cfg)]) == 0
         assert (out / "path.csv").exists()
+
+
+class TestBadInputExitsThroughContract:
+    """Bad input leaves with exit 1 and a JSON error record, never a traceback."""
+
+    def run_invalid(self, tmp_path, capsys, cfg_text: str) -> str:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text)
+        assert main(["run", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        return err["error"]["message"]
+
+    @pytest.mark.parametrize("key", ["base_rate", "horizon"])
+    def test_overflowing_number(self, tmp_path, capsys, key):
+        # JSON reads 1e310 as inf, which passes every "> 0" check
+        raw = simulate_config(tmp_path / "out")
+        (raw["intensity"] if key == "base_rate" else raw)[key] = "OVERFLOW"
+        text = json.dumps(raw).replace('"OVERFLOW"', "1e310")
+        assert "finite" in self.run_invalid(tmp_path, capsys, text)
+
+    @pytest.mark.parametrize(
+        "rows", ["1,1,0.5\n1,2,abc\n2,1,0.1\n2,2,0.2\n", "1,1,0.5\n1,2\n2,1,0.1\n2,2,0.2\n"],
+        ids=["non-numeric-cell", "ragged-row"],
+    )
+    def test_malformed_tabulated_kernel(self, tmp_path, capsys, rows):
+        table = tmp_path / "k.csv"
+        table.write_text("t,s,value\n" + rows)
+        raw = {
+            "experiment": "solve-phi",
+            "kernel": {"kind": "tabulated", "path": str(table)},
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "grid": {"start": 0.5, "stop": 2.0, "count": 4},
+            "seed": 1,
+            "output_path": str(tmp_path / "out"),
+        }
+        message = self.run_invalid(tmp_path, capsys, json.dumps(raw))
+        assert str(table) in message and "line 3" in message

@@ -116,6 +116,13 @@ class TestShiftedCompensated:
             got = kernel_shift_lambda_integral(k, h, unit_rate, t)
             assert got == pytest.approx(theta * t, rel=1e-6)
 
+    def test_calibrated_shift_within_4_ulp(self, unit_rate):
+        k = KernelSpec.fractional(0.7)
+        h = ShiftFunction.scaled_phi(0.3, phi_fractional(0.7, 1.0))
+        for t in (0.5, 1.0, 2.5, 3.0, 5.0, 1000.0):
+            got = kernel_shift_lambda_integral(k, h, unit_rate, t)
+            assert abs(got - 0.3 * t) <= 4 * math.ulp(0.3 * t), t
+
 
 class TestVerifyEqualityInLaw:
     def test_indicator_kernel_rejected(self, unit_rate, unit_marks):

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.integrate import IntegrationWarning
+
 from fpp_lab import (
     Hyp2F1Params,
     IntensitySpec,
     KernelSpec,
+    NumericsError,
+    PhiFunction,
     ValidationError,
     diagonal_class,
     hyp2f1,
@@ -18,7 +22,9 @@ from fpp_lab import (
     kernel_eval_at,
     kernel_lambda_integral,
     ln_gamma,
+    phi_fractional,
 )
+from fpp_lab.kernels import kernel_phi_lambda_integral, singular_quad_0_to_t
 
 # frozen oracle values (mpmath, cross-checked against the quadrature oracle)
 K_07_2_1 = 1.1196796529762092
@@ -177,6 +183,70 @@ class TestKernelLambdaIntegral:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValidationError):
             kernel_lambda_integral(KernelSpec.indicator(), IntensitySpec.constant(1.0), 0.0)
+
+
+def oracle_kernel_phi_lambda(kernel, intensity, t, phi=None):
+    """int_0^t K(t,s) phi(s) lambda(s) ds by the quadrature the closed forms replace.
+
+    Scalar `kernel_eval` times phi and lambda through `singular_quad_0_to_t`
+    with the summed origin exponents, as `kernel_lambda_integral` and
+    `kernel_shift_lambda_integral` computed every fractional-kernel integral
+    before the closed forms.
+    """
+    e = kernel.origin_exponent + intensity.origin_exponent
+    if phi is not None:
+        e += phi.origin_exponent
+
+    def f(s):
+        p = 1.0 if phi is None else float(phi(s))
+        return kernel_eval(kernel, t, s) * p * float(intensity.rate_at(s))
+
+    val, err = singular_quad_0_to_t(f, t, e)
+    assert err <= 1e-8 * abs(val)
+    return val
+
+
+class TestKernelPhiLambdaIntegral:
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_fractional_closed_forms_match_quadrature(self, H):
+        kernel, inten = KernelSpec.fractional(H), IntensitySpec.constant(2.5)
+        phi = phi_fractional(H, 1.7)
+        for t in (1.0, 3.0, 5.0, 1000.0):
+            want = oracle_kernel_phi_lambda(kernel, inten, t)
+            assert kernel_phi_lambda_integral(t, inten, kernel) == pytest.approx(want, rel=1e-12)
+            want = oracle_kernel_phi_lambda(kernel, inten, t, phi)
+            assert kernel_phi_lambda_integral(t, inten, kernel, phi) == pytest.approx(want, rel=1e-12)
+
+    def test_fractional_closed_form_matches_frozen_oracle(self):
+        got = kernel_phi_lambda_integral(1.0, IntensitySpec.constant(1.0), KernelSpec.fractional(0.7))
+        assert got == pytest.approx(INT_K07_T1, rel=1e-15)
+
+    def test_phi_scaled_rate_matches_quadrature(self):
+        # spline kernel values and the rate's own origin exponent
+        kernel = KernelSpec.fractional(0.7)
+        inten = IntensitySpec.scaled_by_phi(1.5, 0.5, phi_fractional(0.7, 1.5))
+        for t in (0.5, 2.0, 5.0):
+            got = kernel_lambda_integral(kernel, inten, t)
+            assert got == pytest.approx(oracle_kernel_phi_lambda(kernel, inten, t), rel=1e-8)
+
+    def test_coarse_grid_phi_matches_closed_form(self):
+        # a constant grid phi has no kink, so no Gauss panel meets the
+        # kernel's (t - s)^(H - 1/2) behaviour at the diagonal
+        kernel, inten = KernelSpec.fractional(0.7), IntensitySpec.constant(2.5)
+        for t in (0.5, 2.0, 5.0):
+            got = kernel_phi_lambda_integral(t, inten, kernel, PhiFunction.constant(0.4))
+            want = 0.4 * kernel_phi_lambda_integral(t, inten, kernel)
+            assert got == pytest.approx(want, rel=1e-10)
+
+    def test_non_converging_quadrature_raises(self):
+        # a rough grid phi scaling the rate: adaptive quadrature of phi * lambda
+        # cannot resolve thousands of kinks
+        nodes = np.linspace(0.0, 2.0, 4001)
+        values = np.random.default_rng(5).uniform(0.0, 1.0, nodes.size)
+        phi = PhiFunction(kind="grid", nodes=nodes, values=values)
+        inten = IntensitySpec.scaled_by_phi(1.0, 1.0, phi)
+        with pytest.warns(IntegrationWarning), pytest.raises(NumericsError):
+            kernel_phi_lambda_integral(2.0, inten, phi=phi)
 
 
 class TestTabulated:

@@ -18,8 +18,7 @@ from fpp_lab import (
     uniform_grid,
     volterra_residuals,
 )
-from fpp_lab.kernels import kernel_eval_at, singular_quad_0_to_t
-from fpp_lab.phi_solver import _GL_NODES, _GL_WEIGHTS, PANEL_BLOCK
+from fpp_lab.kernels import _GL_NODES, _GL_WEIGHTS, PANEL_BLOCK, kernel_eval_at, singular_quad_0_to_t
 
 # gamma-function oracle values (mpmath)
 PHI_1_H07_LAM2 = 0.3908930209156764
@@ -43,7 +42,7 @@ def oracle_residuals(phi, kernel, intensity, m1, nodes):
             def f_stub(s, _t=t):
                 return kernel_eval_at(kernel, _t, np.array([s]))[0] * v0 * float(intensity.rate_at(s))
 
-            val, _ = singular_quad_0_to_t(f_stub, stub, kernel.origin_exponent, rtol=1e-9)
+            val, _ = singular_quad_0_to_t(f_stub, stub, kernel.origin_exponent)
             total += val
         if t > phi.nodes[0]:
             bounds = np.unique(np.clip(phi.nodes, 0.0, t))

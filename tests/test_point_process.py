@@ -58,12 +58,15 @@ class TestMarkedPath:
             MarkedPath(np.array([6.0]), np.array([1.0]), 5.0)  # beyond horizon
 
     def test_csv_round_trip(self, tmp_path):
-        path = MarkedPath(np.array([0.5, 1.25]), np.array([2.0, 0.125]), 3.0)
-        f = tmp_path / "p.csv"
-        path.to_csv(f)
-        again = MarkedPath.from_csv(f, horizon=3.0)
-        np.testing.assert_array_equal(path.jump_times, again.jump_times)
-        np.testing.assert_array_equal(path.marks, again.marks)
+        for path in (
+            MarkedPath(np.array([0.5, 1.25]), np.array([2.0, 0.125]), 3.0),
+            MarkedPath(np.empty(0), np.empty(0), 3.0),  # zero jumps: header only
+        ):
+            f = tmp_path / "p.csv"
+            path.to_csv(f)
+            again = MarkedPath.from_csv(f, horizon=3.0)
+            np.testing.assert_array_equal(path.jump_times, again.jump_times)
+            np.testing.assert_array_equal(path.marks, again.marks)
 
     def test_csv_header_checked(self, tmp_path):
         f = tmp_path / "bad.csv"
