@@ -22,14 +22,21 @@ from .errors import FppError, NumericsError, ValidationError
 from .estimator import (
     ConsistencyConfig,
     consistency_experiment,
-    mle_solve,
+    mle_solve_batch,
     monotonicity_violations,
     trajectory,
 )
 from .girsanov import GirsanovCheckConfig, ShiftFunction, verify_equality_in_law
 from .kernels import KernelSpec
 from .phi_solver import PhiFunction, phi_fractional, solve_phi_volterra, volterra_residuals
-from .point_process import IntensitySpec, MarkDistributionSpec, simulate
+from .point_process import (
+    IntensitySpec,
+    MarkDistributionSpec,
+    expected_jumps,
+    replica_blocks,
+    simulate,
+    simulate_batch,
+)
 from .serialize import dumps_json, write_csv, write_json
 
 EXPERIMENTS = ("simulate", "estimate", "trajectory", "verify-girsanov", "consistency", "solve-phi")
@@ -270,12 +277,14 @@ def _summary(cfg: ResolvedConfig, artifacts: list[str], headline: dict, passed: 
 def _run_simulate(cfg: ResolvedConfig) -> dict:
     artifacts = []
     counts = []
-    for i in range(cfg.replicas):
-        path = simulate(cfg.intensity, cfg.marks, cfg.horizon, cfg.seed + i)
-        name = "path.csv" if cfg.replicas == 1 else f"path_{i:04d}.csv"
-        path.to_csv(cfg.output_path / name)
-        artifacts.append(name)
-        counts.append(path.count)
+    for rows in replica_blocks(cfg.replicas, expected_jumps(cfg.intensity, cfg.horizon)):
+        seeds = range(cfg.seed + rows.start, cfg.seed + rows.stop)
+        batch = simulate_batch(cfg.intensity, cfg.marks, cfg.horizon, seeds, rows.start)
+        for i in range(rows.start, rows.stop):
+            name = "path.csv" if cfg.replicas == 1 else f"path_{i:04d}.csv"
+            batch.row(i - rows.start).to_csv(cfg.output_path / name)
+            artifacts.append(name)
+        counts.extend(batch.counts.tolist())
     headline = {"mean_count": float(np.mean(counts)), "replicas": cfg.replicas}
     return _summary(cfg, artifacts, headline, True)
 
@@ -284,12 +293,13 @@ def _run_estimate(cfg: ResolvedConfig) -> dict:
     phi = cfg.phi()
     base = IntensitySpec.constant(cfg.base_rate)
     perturbed = IntensitySpec.scaled_by_phi(cfg.base_rate, cfg.theta_true, phi)
-    rows = []
-    for i in range(cfg.replicas):
-        path = simulate(perturbed, cfg.marks, cfg.horizon, cfg.seed + i)
-        rows.append((i, mle_solve(path, phi, base, cfg.horizon)))
-    write_csv(cfg.output_path / "estimates.csv", "replica,theta_hat", rows)
-    est = np.array([th for _, th in rows])
+    est = np.empty(cfg.replicas)
+    for rows in replica_blocks(cfg.replicas, expected_jumps(perturbed, cfg.horizon)):
+        seeds = range(cfg.seed + rows.start, cfg.seed + rows.stop)
+        batch = simulate_batch(perturbed, cfg.marks, cfg.horizon, seeds, rows.start)
+        est[rows] = mle_solve_batch(batch, phi, base, cfg.horizon)[:, 0]
+        del batch  # before the next block is simulated: one block in memory at a time
+    write_csv(cfg.output_path / "estimates.csv", "replica,theta_hat", enumerate(est))
     headline = {
         "theta_true": cfg.theta_true,
         "mean_theta_hat": float(est.mean()),

@@ -9,9 +9,10 @@ and otherwise the unique positive root of
 
     sum_{T_j <= t} phi(T_j) / (1 + theta phi(T_j)) = int_0^t phi(s) lambda(s) ds,
 
-found by safeguarded Newton iteration.  Between consecutive jumps the
-estimator trajectory is nonincreasing (the left side is frozen while the
-right side grows), which `monotonicity_violations` checks on traces.
+found by safeguarded Newton iteration, run for many (path, time) lanes at
+once by `mle_solve_batch`.  Between consecutive jumps the estimator
+trajectory is nonincreasing (the left side is frozen while the right side
+grows), which `monotonicity_violations` checks on traces.
 """
 
 from __future__ import annotations
@@ -21,7 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .point_process import IntensitySpec, MarkDistributionSpec, MarkedPath, simulate
+from .point_process import (
+    JUMP_BLOCK,
+    IntensitySpec,
+    MarkDistributionSpec,
+    MarkedPath,
+    PathBatch,
+    expected_jumps,
+    replica_blocks,
+    simulate_batch,
+)
 from .phi_solver import PhiFunction, phi_lambda_integral
 from .serialize import write_csv
 
@@ -57,48 +67,121 @@ def score(
     return f, fp, fpp
 
 
+def mle_solve_batch(batch: PathBatch, phi: PhiFunction, intensity: IntensitySpec, times) -> np.ndarray:
+    """Drift estimates of every row of a batch at every time: a (rows, times) array.
+
+    Each (row, time) pair is a lane: the argmax over theta >= 0 of the
+    concave log-likelihood of the row's jumps up to that time.  phi is
+    evaluated once at the jumps of all rows, and the lanes are solved
+    together by `_newton_lanes`, in blocks of about JUMP_BLOCK
+    (lane, jump) terms.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1 or not np.all(times > 0):
+        raise ValidationError(f"t must be positive, got {times}")
+    pv = np.asarray(phi(batch.jump_times), dtype=float)
+    integral = np.array([phi_lambda_integral(phi, intensity, t) for t in times])
+    off = batch.offsets
+    # lane (i, k) holds the first counts[i, k] jumps of row i
+    counts = np.array(
+        [np.searchsorted(batch.jump_times[lo:hi], times, side="right") for lo, hi in zip(off[:-1], off[1:])]
+    ).ravel()
+    starts = np.repeat(off[:-1], times.size)
+    integral = np.tile(integral, batch.replicas)
+    theta = np.empty(counts.size)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < counts.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + JUMP_BLOCK, side="right")))
+        n = counts[lo:hi]
+        theta[lo:hi] = _newton_lanes(pv[_lane_jumps(starts[lo:hi], n)], n, integral[lo:hi])
+        lo = hi
+    return theta.reshape(batch.replicas, times.size)
+
+
+def _lane_jumps(starts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Indices of the jumps of consecutive lanes: starts[i], ..., starts[i] + n[i] - 1 for each lane i."""
+    jumps = np.arange(n.sum())
+    jumps += np.repeat(starts - (np.cumsum(n) - n), n)
+    return jumps
+
+
+def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.ndarray:
+    """Root theta >= 0 of sum phi_j / (1 + theta phi_j) = integral, lane by lane.
+
+    ``pv`` holds phi at the jumps of lane 0, then of lane 1, and so on, and
+    ``n`` the number of jumps of each lane; `np.add.reduceat` sums per lane.
+    A lane whose score at 0 is <= 0 has its maximizer at the boundary 0.
+    Every other lane brackets the root by doubling from [0, 1], starts from
+    the moment guess and runs safeguarded Newton (bisection whenever a step
+    leaves the bracket) until the step is below THETA_TOL and the score is
+    below 1e-11 max(1, sum phi_j), or the score is exactly 0, where a step
+    could only leave the root.  Lanes leave the arrays as they finish, so an
+    iteration costs only the active ones.
+    """
+    theta_hat = np.zeros(n.size)
+    s0 = np.zeros(n.size)
+    s0[n > 0] = np.add.reduceat(pv, (np.cumsum(n) - n)[n > 0]) if pv.size else 0.0
+    interior = s0 - integral > 0.0  # the other lanes' maximizer is the boundary 0
+    ids = np.flatnonzero(interior)
+    if not ids.size:
+        return theta_hat
+    if ids.size < n.size:
+        pv = pv[np.repeat(interior, n)]
+        n, s0, integral = n[ids], s0[ids], integral[ids]
+
+    def grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # phi_j / (1 + theta phi_j) and its square, built in place in one buffer
+        starts = np.cumsum(n) - n
+        ratio = np.repeat(theta, n)
+        ratio *= pv
+        ratio += 1.0
+        np.divide(pv, ratio, out=ratio)
+        g = np.add.reduceat(ratio, starts) - integral
+        ratio *= ratio
+        return g, -np.add.reduceat(ratio, starts)
+
+    lo = np.zeros(ids.size)
+    hi = np.ones(ids.size)
+    doubling = grad(hi)[0] > 0.0
+    while doubling.any():
+        lo[doubling] = hi[doubling]
+        hi[doubling] *= 2.0
+        if hi.max() > BRACKET_CAP:
+            raise NumericsError("failed to bracket the likelihood root below 1e12")
+        doubling &= grad(hi)[0] > 0.0
+
+    theta = np.maximum(s0 / integral - 1.0, 0.0) + 0.1  # crude moment guess
+    outside = ~((lo < theta) & (theta < hi))
+    theta[outside] = 0.5 * (lo + hi)[outside]
+    g_tol = 1e-11 * np.maximum(1.0, s0)
+    for _ in range(200):
+        g, gp = grad(theta)  # gp < 0: every interior lane has a jump with phi > 0
+        lo = np.where(g > 0.0, theta, lo)
+        hi = np.where(g > 0.0, hi, theta)
+        new = theta - g / gp
+        outside = ~((lo < new) & (new < hi))
+        new[outside] = 0.5 * (lo + hi)[outside]
+        root = g == 0.0
+        finished = root | ((np.abs(new - theta) <= THETA_TOL) & (np.abs(g) <= g_tol))
+        theta = np.where(root, theta, new)
+        if finished.any():
+            theta_hat[ids[finished]] = theta[finished]
+            keep = ~finished
+            pv = pv[np.repeat(keep, n)]
+            lanes = (ids, n, theta, lo, hi, g_tol, integral)
+            ids, n, theta, lo, hi, g_tol, integral = (v[keep] for v in lanes)
+            if not ids.size:
+                break
+    theta_hat[ids] = theta
+    return theta_hat
+
+
 def mle_solve(path: MarkedPath, phi: PhiFunction, intensity: IntensitySpec, t: float) -> float:
-    """Drift estimate at time t: argmax of the concave log-likelihood over theta >= 0."""
+    """Drift estimate at time t, the argmax over theta >= 0: the one-lane `mle_solve_batch`."""
     if not t > 0:
         raise ValidationError(f"t must be positive, got {t}")
-    pv = _phi_at_jumps(path, phi, t)
-    integral = phi_lambda_integral(phi, intensity, t)
-
-    def grad(th: float) -> tuple[float, float]:
-        ratio = pv / (1.0 + th * pv)
-        return float(ratio.sum()) - integral, -float(np.square(ratio).sum())
-
-    s0 = float(pv.sum())
-    if s0 - integral <= 0.0:
-        return 0.0  # boundary maximizer: no positive root of f'
-
-    hi = 1.0
-    lo = 0.0
-    while grad(hi)[0] > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise NumericsError("failed to bracket the likelihood root below 1e12")
-
-    theta = max(s0 / integral - 1.0, 0.0) + 0.1  # crude moment guess
-    if not lo < theta < hi:
-        theta = 0.5 * (lo + hi)
-    g_scale = max(1.0, s0)
-    for _ in range(200):
-        g, gp = grad(theta)
-        if g > 0.0:
-            lo = theta
-        else:
-            hi = theta
-        step = g / gp if gp != 0.0 else 0.0
-        new = theta - step
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        done = abs(new - theta) <= THETA_TOL and abs(g) <= 1e-11 * g_scale
-        theta = new
-        if done:
-            break
-    return float(theta)
+    return float(mle_solve_batch(PathBatch.from_path(path), phi, intensity, [t])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -144,7 +227,7 @@ def trajectory(
         raise ValidationError("grid must lie inside (0, horizon]")
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing")
-    theta = np.array([mle_solve(path, phi, intensity, t) for t in grid])
+    theta = mle_solve_batch(PathBatch.from_path(path), phi, intensity, grid)[0]
     prev = np.concatenate(([0.0], grid[:-1]))
     counts = np.searchsorted(path.jump_times, grid, side="right") - np.searchsorted(
         path.jump_times, prev, side="right"
@@ -259,14 +342,15 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
         raise ValidationError("consistency experiment expects a constant base intensity")
     perturbed = IntensitySpec.scaled_by_phi(cfg.intensity.base_rate, cfg.theta_true, cfg.phi)
     t_max = cfg.horizons[-1]
-
-    def one(i: int) -> list[float]:
-        path = simulate(perturbed, cfg.marks, t_max, cfg.seed + i)
-        if path.count == 0:
-            raise NumericsError(f"replica {i} produced zero jumps at horizon {t_max}")
-        return [mle_solve(path, cfg.phi, cfg.intensity, T) for T in cfg.horizons]
-
-    est = np.array([one(i) for i in range(cfg.replicas)])
+    est = np.empty((cfg.replicas, len(cfg.horizons)))
+    for rows in replica_blocks(cfg.replicas, expected_jumps(perturbed, t_max)):
+        seeds = range(cfg.seed + rows.start, cfg.seed + rows.stop)
+        batch = simulate_batch(perturbed, cfg.marks, t_max, seeds, rows.start)
+        empty = np.flatnonzero(batch.counts == 0)
+        if empty.size:
+            raise NumericsError(f"{batch.describe(empty[0])} produced zero jumps at horizon {t_max}")
+        est[rows] = mle_solve_batch(batch, cfg.phi, cfg.intensity, cfg.horizons)
+        del batch  # before the next block is simulated: one block in memory at a time
     err = est - cfg.theta_true
     mae = tuple(float(v) for v in np.abs(err).mean(axis=0))
     rmse = tuple(float(v) for v in np.sqrt(np.square(err).mean(axis=0)))

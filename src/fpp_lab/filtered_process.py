@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import KernelSpec, kernel_eval_at, kernel_lambda_integral
-from .point_process import IntensitySpec, MarkedPath
+from .point_process import IntensitySpec, MarkedPath, PathBatch
 from .serialize import write_csv
 
 
@@ -42,23 +42,30 @@ class PathOnGrid:
         write_csv(path, "t,value", zip(self.grid, self.values))
 
 
-def _check_time(path: MarkedPath, t: float) -> None:
+def _check_time(horizon: float, t: float) -> None:
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
-    if t > path.horizon:
-        raise ValidationError(f"t={t} beyond path horizon {path.horizon}")
+    if t > horizon:
+        raise ValidationError(f"t={t} beyond path horizon {horizon}")
+
+
+def eval_filtered_batch(batch: PathBatch, kernel: KernelSpec, t: float) -> np.ndarray:
+    """N^K_t of every row of a batch: the exact finite sum of Z_n K(t, T_n) over jumps up to t.
+
+    One `kernel_eval_at` call on the jumps of all rows; `np.bincount` then
+    adds each row's terms left to right.
+    """
+    _check_time(batch.horizon, t)
+    sel = batch.jump_times <= t
+    if not sel.any():
+        return np.zeros(batch.replicas)
+    kv = kernel_eval_at(kernel, t, batch.jump_times[sel])
+    return np.bincount(batch.rows[sel], weights=batch.marks[sel] * kv, minlength=batch.replicas)
 
 
 def eval_filtered(path: MarkedPath, kernel: KernelSpec, t: float) -> float:
-    """N^K_t = sum of Z_n K(t, T_n) over jumps up to t; exact finite sum."""
-    _check_time(path, t)
-    if t == 0 or path.count == 0:
-        return 0.0
-    k = int(np.searchsorted(path.jump_times, t, side="right"))
-    if k == 0:
-        return 0.0
-    kv = kernel_eval_at(kernel, t, path.jump_times[:k])
-    return float(np.dot(path.marks[:k], kv))
+    """N^K_t = sum of Z_n K(t, T_n) over jumps up to t: the one-row `eval_filtered_batch`."""
+    return float(eval_filtered_batch(PathBatch.from_path(path), kernel, t)[0])
 
 
 def eval_filtered_on_grid(path: MarkedPath, kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
@@ -115,6 +122,23 @@ def sample_on_grid(
     return PathOnGrid(grid=grid, values=values, meta=meta)
 
 
+def eval_compensated_batch(
+    batch: PathBatch,
+    kernel: KernelSpec,
+    intensity: IntensitySpec,
+    m1: float,
+    t: float,
+) -> np.ndarray:
+    """Compensated filtered process of every row: N^K_t - m1 int_0^t K(t,s) lambda(s) ds.
+
+    The compensator is computed once for all rows.
+    """
+    _check_time(batch.horizon, t)
+    if t == 0:
+        return np.zeros(batch.replicas)
+    return eval_filtered_batch(batch, kernel, t) - m1 * kernel_lambda_integral(kernel, intensity, t)
+
+
 def eval_compensated(
     path: MarkedPath,
     kernel: KernelSpec,
@@ -122,11 +146,8 @@ def eval_compensated(
     m1: float,
     t: float,
 ) -> float:
-    """Compensated filtered process: N^K_t - m1 int_0^t K(t,s) lambda(s) ds."""
-    _check_time(path, t)
-    if t == 0:
-        return 0.0
-    return eval_filtered(path, kernel, t) - m1 * kernel_lambda_integral(kernel, intensity, t)
+    """Compensated filtered process: the one-row `eval_compensated_batch`."""
+    return float(eval_compensated_batch(PathBatch.from_path(path), kernel, intensity, m1, t)[0])
 
 
 def eval_observed(

@@ -35,9 +35,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .filtered_process import eval_compensated
+from .filtered_process import eval_compensated, eval_compensated_batch
 from .kernels import KernelSpec, kernel_phi_lambda_integral
-from .point_process import IntensitySpec, MarkDistributionSpec, MarkedPath, simulate
+from .point_process import (
+    IntensitySpec,
+    MarkDistributionSpec,
+    MarkedPath,
+    PathBatch,
+    expected_jumps,
+    replica_blocks,
+    simulate_batch,
+)
 from .phi_solver import PhiFunction, phi_lambda_integral
 from .weighted_ks import ks_bootstrap_threshold, weighted_ks_statistic
 
@@ -86,21 +94,33 @@ class ShiftFunction:
         return ("closed_form" if closed else "numeric_check", value)
 
 
+def log_density_batch(batch: PathBatch, h: ShiftFunction, intensity: IntensitySpec, t: float) -> np.ndarray:
+    """Log Radon-Nikodym density at time t along every row of a batch.
+
+    One `h` call on the jumps of all rows up to t; `np.bincount` adds each
+    row's ln(1 + h(T_j)) left to right.  Raises ValidationError naming the
+    first row, and its seed, where 1 + h vanishes or goes negative at a jump.
+    """
+    if t < 0 or t > batch.horizon:
+        raise ValidationError(f"t={t} outside [0, horizon={batch.horizon}]")
+    sel = batch.jump_times <= t
+    rows = batch.rows[sel]
+    hv = np.asarray(h(batch.jump_times[sel]), dtype=float)
+    bad = 1.0 + hv <= 0.0
+    if bad.any():
+        raise ValidationError(
+            f"1 + h(T_j) <= 0 at a jump of {batch.describe(rows[bad.argmax()])}; density undefined"
+        )
+    jump_sum = np.bincount(rows, weights=np.log1p(hv), minlength=batch.replicas)
+    return jump_sum - h.lambda_integral(intensity, t)
+
+
 def log_density(path: MarkedPath, h: ShiftFunction, intensity: IntensitySpec, t: float) -> float:
-    """Log Radon-Nikodym density at time t along one path.
+    """Log Radon-Nikodym density at time t along one path: the one-row `log_density_batch`.
 
     Raises ValidationError if 1 + h vanishes or goes negative at a jump.
     """
-    if t < 0 or t > path.horizon:
-        raise ValidationError(f"t={t} outside [0, horizon={path.horizon}]")
-    k = int(np.searchsorted(path.jump_times, t, side="right"))
-    jump_sum = 0.0
-    if k:
-        hv = np.asarray(h(path.jump_times[:k]), dtype=float)
-        if np.any(1.0 + hv <= 0.0):
-            raise ValidationError("1 + h(T_j) <= 0 at a jump; density undefined")
-        jump_sum = float(np.log1p(hv).sum())
-    return jump_sum - h.lambda_integral(intensity, t)
+    return float(log_density_batch(PathBatch.from_path(path), h, intensity, t)[0])
 
 
 def density(path: MarkedPath, h: ShiftFunction, intensity: IntensitySpec, t: float) -> float:
@@ -319,20 +339,8 @@ def verify_equality_in_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
             "equality in law requires a diagonal-degenerate kernel (K(t,t) = 0); "
             f"got kind {cfg.kernel.kind!r}"
         )
-    horizon = max(cfg.eval_times)
-    m1 = cfg.marks.mean
-    times = cfg.eval_times
     shifts = _shifts(cfg)
-
-    def one(i: int):
-        path = simulate(cfg.intensity, cfg.marks, horizon, cfg.seed + i)
-        logw = log_density(path, cfg.h, cfg.intensity, horizon)
-        vals = [eval_compensated(path, cfg.kernel, cfg.intensity, m1, t) for t in times]
-        return logw, vals
-
-    rows = [one(i) for i in range(cfg.replicas)]
-    logw = np.array([r[0] for r in rows])
-    x = np.array([r[1] for r in rows])  # (R, n_times): compensated values
+    logw, x = _weighted_sample(cfg)
     return _compare_laws(cfg, shifts, logw, x, x - np.array(shifts))
 
 
@@ -365,20 +373,34 @@ def verify_tilted_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
         )
     tilted = IntensitySpec.scaled_by_phi(cfg.intensity.base_rate, cfg.h.scale, cfg.h.phi)
     horizon = max(cfg.eval_times)
-    m1 = cfg.marks.mean
-    times = cfg.eval_times
-    shifts = _shifts(cfg)
+    logw, x = _weighted_sample(cfg)
+    y = np.empty_like(x)
+    for rows in replica_blocks(cfg.replicas, expected_jumps(tilted, horizon)):
+        seeds = range(cfg.seed + cfg.replicas + rows.start, cfg.seed + cfg.replicas + rows.stop)
+        ref = simulate_batch(tilted, cfg.marks, horizon, seeds, rows.start)
+        y[rows] = _compensated_values(ref, cfg)
+    return _compare_laws(cfg, _shifts(cfg), logw, x, y)
 
-    def one(i: int):
-        base = simulate(cfg.intensity, cfg.marks, horizon, cfg.seed + i)
-        ref = simulate(tilted, cfg.marks, horizon, cfg.seed + cfg.replicas + i)
-        logw = log_density(base, cfg.h, cfg.intensity, horizon)
-        xs = [eval_compensated(base, cfg.kernel, cfg.intensity, m1, t) for t in times]
-        ys = [eval_compensated(ref, cfg.kernel, cfg.intensity, m1, t) for t in times]
-        return logw, xs, ys
 
-    rows = [one(i) for i in range(cfg.replicas)]
-    logw = np.array([r[0] for r in rows])
-    x = np.array([r[1] for r in rows])
-    y = np.array([r[2] for r in rows])
-    return _compare_laws(cfg, shifts, logw, x, y)
+def _compensated_values(batch: PathBatch, cfg: GirsanovCheckConfig) -> np.ndarray:
+    """(rows, n_times) compensated values of a batch at the evaluation times."""
+    return np.column_stack(
+        [eval_compensated_batch(batch, cfg.kernel, cfg.intensity, cfg.marks.mean, t) for t in cfg.eval_times]
+    )
+
+
+def _weighted_sample(cfg: GirsanovCheckConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Log-densities at max(eval_times) and compensated values of replicas simulated under lambda.
+
+    Replica i uses seed `seed + i`; replicas are simulated and evaluated in
+    blocks of about `JUMP_BLOCK` expected jumps.
+    """
+    horizon = max(cfg.eval_times)
+    logw = np.empty(cfg.replicas)
+    x = np.empty((cfg.replicas, len(cfg.eval_times)))
+    for rows in replica_blocks(cfg.replicas, expected_jumps(cfg.intensity, horizon)):
+        seeds = range(cfg.seed + rows.start, cfg.seed + rows.stop)
+        batch = simulate_batch(cfg.intensity, cfg.marks, horizon, seeds, rows.start)
+        logw[rows] = log_density_batch(batch, cfg.h, cfg.intensity, horizon)
+        x[rows] = _compensated_values(batch, cfg)
+    return logw, x

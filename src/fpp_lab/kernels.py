@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -399,16 +398,8 @@ def kernel_phi_lambda_integral(
     return _checked_quad(t, t, intensity, kernel, phi)
 
 
-@lru_cache(maxsize=4096)
-def _kernel_lambda_integral_cached(spec: KernelSpec, intensity: IntensitySpec, t: float) -> float:
-    return kernel_phi_lambda_integral(t, intensity, spec)
-
-
 def kernel_lambda_integral(spec: KernelSpec, intensity: IntensitySpec, t: float) -> float:
-    """int_0^t K(t, s) lambda(s) ds by `kernel_phi_lambda_integral`.
-
-    Results are cached per (kernel, intensity, t).
-    """
+    """int_0^t K(t, s) lambda(s) ds by `kernel_phi_lambda_integral`."""
     if not t > 0:
         raise ValidationError(f"kernel_lambda_integral requires t > 0, got {t}")
-    return _kernel_lambda_integral_cached(spec, intensity, float(t))
+    return kernel_phi_lambda_integral(float(t), intensity, spec)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class PhiFunction:
     def constant(cls, value: float) -> "PhiFunction":
         return cls(kind="grid", nodes=np.array([0.0, 1.0]), values=np.array([value, value], dtype=float))
 
-    @property
+    @cached_property
     def coefficient(self) -> float:
         """Gamma(3/2 - H) / Gamma(2 - 2H) for the closed fractional form."""
         return math.exp(ln_gamma(1.5 - self.H) - ln_gamma(2.0 - 2.0 * self.H))

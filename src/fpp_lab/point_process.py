@@ -7,14 +7,19 @@ Simulation uses thinning against a piecewise-constant majorant of the
 rate; for phi-scaled intensities, whose rate diverges at the origin like
 s^(1/2-H), the majorant is built on dyadic segments refined toward zero
 until the expected count in the uncovered stub is below 1e-9.
+
+Replica loops simulate a `PathBatch`: the jumps of many replicas in flat
+arrays with CSR offsets, built by `simulate_batch` block by block
+(`replica_blocks`), so that each layer above makes one vectorized call per
+block instead of one per replica.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from dataclasses import InitVar, dataclass
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -26,6 +31,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: expected number of jumps tolerated in the uncovered stub near t = 0
 SKIPPED_MASS_TOL = 1e-9
+
+#: expected jumps per block of replicas in the batched replica loops, and
+#: (lane, jump) terms per block of the lane-wise MLE; fixed so that the
+#: per-block arrays, and with them peak memory, stay small however many
+#: replicas a run asks for (the counterpart of kernels.PANEL_BLOCK; on the
+#: drift-consistency benchmark 2**16 added 7.7 MB to the peak RSS, 2**14 cost
+#: a quarter of the run time in per-block overhead)
+JUMP_BLOCK = 2**15
+
+#: the largest mean `numpy.random.Generator.poisson` accepts
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -105,7 +121,7 @@ class IntensitySpec:
     def rate_at(self, s):
         """lambda(s); accepts scalars or arrays."""
         if self.kind == "constant":
-            return self.base_rate * np.ones_like(np.asarray(s, dtype=float))
+            return np.full(np.shape(s), self.base_rate)
         return self.base_rate * (1.0 + self.theta * self.phi_ref(s))
 
     def max_rate_on(self, a: float, b: float) -> float:
@@ -121,17 +137,24 @@ class IntensitySpec:
 
 @dataclass(frozen=True)
 class MarkedPath:
-    """One realization: sorted jump times with marks, on [0, horizon]."""
+    """One realization: sorted jump times with marks, on [0, horizon].
+
+    The arrays are validated unless ``check`` is false, which the
+    constructors whose input is valid by construction pass.
+    """
 
     jump_times: np.ndarray
     marks: np.ndarray
     horizon: float
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
         t = np.asarray(self.jump_times, dtype=float)
         z = np.asarray(self.marks, dtype=float)
         object.__setattr__(self, "jump_times", t)
         object.__setattr__(self, "marks", z)
+        if not check:
+            return
         if t.shape != z.shape or t.ndim != 1:
             raise ValidationError("jump_times and marks must be 1-d arrays of equal length")
         if not self.horizon > 0:
@@ -157,29 +180,163 @@ class MarkedPath:
         return cls(arr[:, 0], arr[:, 1], horizon)
 
 
+@dataclass(frozen=True)
+class PathBatch:
+    """Paths of several replicas in CSR layout, on a common [0, horizon].
+
+    Row i holds ``jump_times[offsets[i]:offsets[i + 1]]`` with the marks at
+    the same positions.  ``seeds`` (if known) gives each row's seed and
+    ``first_replica`` the replica number of row 0, so errors can name the
+    replica that reproduces them.  The arrays are validated like a
+    `MarkedPath`'s unless ``check`` is false.
+    """
+
+    jump_times: np.ndarray
+    marks: np.ndarray
+    offsets: np.ndarray
+    horizon: float
+    seeds: np.ndarray | None = None
+    first_replica: int = 0
+    check: InitVar[bool] = True
+
+    def __post_init__(self, check: bool):
+        t = np.asarray(self.jump_times, dtype=float)
+        z = np.asarray(self.marks, dtype=float)
+        off = np.asarray(self.offsets, dtype=np.intp)
+        object.__setattr__(self, "jump_times", t)
+        object.__setattr__(self, "marks", z)
+        object.__setattr__(self, "offsets", off)
+        if not check:
+            return
+        if t.shape != z.shape or t.ndim != 1:
+            raise ValidationError("jump_times and marks must be 1-d arrays of equal length")
+        if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != t.size or np.any(np.diff(off) < 0):
+            raise ValidationError("offsets must run nondecreasing from 0 to the number of jumps")
+        if not self.horizon > 0:
+            raise ValidationError(f"horizon must be positive, got {self.horizon}")
+        if self.seeds is not None and np.size(self.seeds) != off.size - 1:
+            raise ValidationError("need one seed per row")
+        if t.size:
+            if not (t.min() > 0 and t.max() <= self.horizon):
+                raise ValidationError("jump times must lie in (0, horizon]")
+            row_start = np.zeros(t.size, dtype=bool)
+            row_start[off[:-1][off[:-1] < t.size]] = True
+            if not np.all((np.diff(t) > 0) | row_start[1:]):
+                raise ValidationError("jump times must be strictly increasing within a row")
+            if not np.all(z > 0):
+                raise ValidationError("marks must be positive")
+
+    @classmethod
+    def from_path(cls, path: MarkedPath) -> "PathBatch":
+        """The one-row batch of a path."""
+        return cls(path.jump_times, path.marks, np.array([0, path.count]), path.horizon, check=False)
+
+    @property
+    def replicas(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Jumps per row."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of every jump, the index that `np.bincount` reduces by."""
+        return np.repeat(np.arange(self.replicas), self.counts)
+
+    def row(self, i: int) -> MarkedPath:
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return MarkedPath(self.jump_times[lo:hi], self.marks[lo:hi], self.horizon, check=False)
+
+    def describe(self, i: int) -> str:
+        """'replica <n> (seed <s>)' for row i, for error messages."""
+        name = f"replica {self.first_replica + i}"
+        return name if self.seeds is None else f"{name} (seed {int(self.seeds[i])})"
+
+
 @lru_cache(maxsize=64)
 def _thinning_majorant(intensity: IntensitySpec, horizon: float) -> tuple:
-    """(a, b, lambda_max) for each segment of the piecewise-constant majorant.
+    """(rows a, b - a, lambda_max; Poisson means lambda_max (b - a)) over the majorant's segments.
 
     Constant rate needs a single segment.  Phi-scaled rates get dyadic
     segments refined toward 0 until the expected count below the first
-    boundary is negligible; that stub is then skipped.  The list depends
-    only on (intensity, horizon), so it is built once and shared by every
-    path simulated with them.
+    boundary is negligible; that stub is then skipped.  The segments depend
+    only on (intensity, horizon), so they are built once and shared by every
+    path simulated with them.  Raises ValidationError before any segment is
+    built when `expected_jumps` rejects the horizon, and after when a
+    segment's mean is beyond what a Poisson draw accepts.
     """
+    expected_jumps(intensity, horizon)
     if intensity.kind == "constant":
-        return ((0.0, horizon, intensity.base_rate),)
-    lo = horizon
-    for _ in range(200):
-        lo *= 0.5
-        mass = intensity.base_rate * (lo + intensity.theta * intensity.phi_ref.integral(lo))
-        if mass < SKIPPED_MASS_TOL:
-            break
-    else:  # pragma: no cover - phi with non-integrable origin would fail earlier
-        raise NumericsError("could not refine thinning segments near t = 0")
-    n_levels = max(int(math.ceil(math.log2(horizon / lo))), 1)
-    bounds = horizon * 0.5 ** np.arange(n_levels, -1, -1.0)
-    return tuple((a, b, intensity.max_rate_on(a, b)) for a, b in zip(bounds[:-1], bounds[1:]))
+        segments = [(0.0, horizon, intensity.base_rate)]
+    else:
+        lo = horizon
+        for _ in range(200):
+            lo *= 0.5
+            mass = intensity.base_rate * (lo + intensity.theta * intensity.phi_ref.integral(lo))
+            if mass < SKIPPED_MASS_TOL:
+                break
+        else:  # pragma: no cover - phi with non-integrable origin would fail earlier
+            raise NumericsError("could not refine thinning segments near t = 0")
+        n_levels = max(int(math.ceil(math.log2(horizon / lo))), 1)
+        bounds = horizon * 0.5 ** np.arange(n_levels, -1, -1.0)
+        segments = [(a, b, intensity.max_rate_on(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    a, b, lam = (np.array(col, dtype=float) for col in zip(*segments))
+    means = lam * (b - a)
+    if not means.max() <= POISSON_MEAN_MAX:
+        raise ValidationError(f"thinning majorant on [0, {horizon}] is beyond what a Poisson draw accepts")
+    segments = np.stack([a, b - a, lam])
+    segments.setflags(write=False)  # shared by every caller of the cache
+    return segments, tuple(means.tolist())
+
+
+def expected_jumps(intensity: IntensitySpec, horizon: float) -> float:
+    """Lambda(horizon), the expected jump count of one path.
+
+    Raises ValidationError when it is not finite or beyond the largest mean
+    `Generator.poisson` accepts, where thinning could not draw it.
+    """
+    mass = integrated_intensity(intensity, horizon)
+    if not mass <= POISSON_MEAN_MAX:
+        raise ValidationError(
+            f"expected jump count {mass:.6g} on [0, {horizon}] is beyond what a Poisson "
+            f"draw accepts ({POISSON_MEAN_MAX:.6g})"
+        )
+    return mass
+
+
+def replica_blocks(replicas: int, jumps_per_replica: float) -> Iterator[slice]:
+    """Consecutive replica slices of about JUMP_BLOCK expected jumps each (at least one replica)."""
+    size = max(1, int(JUMP_BLOCK // max(jumps_per_replica, 1.0)))
+    for lo in range(0, replicas, size):
+        yield slice(lo, min(lo + size, replicas))
+
+
+def simulate_batch(
+    intensity: IntensitySpec,
+    marks: MarkDistributionSpec,
+    horizon: float,
+    seeds,
+    first_replica: int = 0,
+) -> PathBatch:
+    """Draw one path per seed by thinning; row i is the path `simulate` draws for seeds[i].
+
+    Each row has its own PCG64 stream, consumed in time order: per majorant
+    segment a Poisson count n, then n uniform times and n uniform acceptance
+    draws (one `random(2 n)` call gives both, bit for bit the draws of
+    `uniform(a, b, n)` then `uniform(0, 1, n)`), and the marks last.  The
+    acceptance test u lambda_max < lambda(t) is deferred: one `rate_at` call
+    on the candidates of all rows.  Candidates of consecutive segments lie in
+    consecutive intervals, so sorting a row's candidates at once pairs each
+    acceptance draw with the time a per-segment sort would give it.  The
+    marks are drawn for every candidate and each row keeps the first ones it
+    needs; the samplers draw value by value and nothing is drawn after them,
+    so the kept marks are those a draw of the exact count gives.
+    """
+    seeds = [int(s) for s in seeds]
+    times, z, offsets = _thin(intensity, marks, horizon, seeds)
+    return PathBatch(times, z, offsets, float(horizon), np.array(seeds), first_replica, check=False)
 
 
 def simulate(
@@ -188,27 +345,65 @@ def simulate(
     horizon: float,
     seed: int,
 ) -> MarkedPath:
-    """Draw one path of the marked point process by thinning.
+    """Draw one path of the marked point process by thinning: one row of `simulate_batch`."""
+    times, z, _ = _thin(intensity, marks, horizon, [seed])
+    return MarkedPath(times, z, float(horizon), check=False)
 
-    Fully deterministic given the seed: segments are processed in time
-    order, each consuming (count, times, acceptance) from a single PCG64
-    stream, and marks are drawn last.
-    """
+
+def _thin(intensity: IntensitySpec, marks: MarkDistributionSpec, horizon: float, seeds: list) -> tuple:
+    """(jump times, marks, CSR offsets) of one path per seed; see `simulate_batch`."""
     if not horizon > 0:
         raise ValidationError(f"horizon must be positive, got {horizon}")
-    rng = np.random.default_rng(seed)
-    kept = []
-    for a, b, lam_max in _thinning_majorant(intensity, float(horizon)):
-        n = rng.poisson(lam_max * (b - a))
-        if n == 0:
-            continue
-        t = np.sort(rng.uniform(a, b, n))
-        accept = rng.uniform(0.0, 1.0, n) * lam_max < intensity.rate_at(t)
-        if np.any(accept):
-            kept.append(t[accept])
-    times = np.concatenate(kept) if kept else np.empty(0)
-    z = marks.sample(rng, times.size)
-    return MarkedPath(times, z, horizon)
+    segments, means = _thinning_majorant(intensity, float(horizon))
+    time_draws, accept_draws, mark_draws = [], [], []
+    group_n, group_seg, candidates = [], [], []  # per non-empty (row, segment); per row
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        c = 0
+        for k, mean in enumerate(means):
+            n = rng.poisson(mean)
+            if n:
+                u = rng.random(2 * n)
+                time_draws.append(u[:n])
+                accept_draws.append(u[n:])
+                group_n.append(n)
+                group_seg.append(k)
+                c += n
+        if marks.kind != "unit":  # unit marks draw nothing
+            mark_draws.append(marks.sample(rng, c))
+        candidates.append(c)
+    # per candidate: its segment's (a, b - a, lambda_max), then its time and
+    # acceptance threshold built in place (a + (b - a) u and u lambda_max, as
+    # the per-segment draws computed them); one segment needs no gather
+    seg = 0 if len(means) == 1 else np.repeat(np.array(group_seg, dtype=np.uint8), group_n)
+    a, width, lam = segments[:, seg]
+    t = _concat(time_draws)
+    t *= width
+    t += a
+    del a, width
+    ends = np.cumsum(candidates, dtype=np.intp)
+    lo = 0
+    for hi in ends.tolist():
+        t[lo:hi].sort()
+        lo = hi
+    threshold = _concat(accept_draws)
+    threshold *= lam
+    del seg, lam, time_draws, accept_draws
+    accept = threshold < intensity.rate_at(t)
+    del threshold
+    times = t[accept]
+    offsets = np.concatenate(([0], np.cumsum(accept)))[np.concatenate(([0], ends))]
+    if marks.kind == "unit":
+        return times, np.ones(times.size), offsets
+    keep = np.arange(t.size) < np.repeat(offsets[1:] - offsets[:-1] + ends - candidates, candidates)
+    return times, _concat(mark_draws)[keep], offsets
+
+
+def _concat(arrays: list) -> np.ndarray:
+    """One array of the pieces; a single piece is returned as it is, not copied."""
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate(arrays) if arrays else np.empty(0)
 
 
 def integrated_intensity(intensity: IntensitySpec, t: float) -> float:

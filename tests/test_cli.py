@@ -354,6 +354,21 @@ class TestBadInputExitsThroughContract:
         text = json.dumps(raw).replace('"OVERFLOW"', "1e310")
         assert "finite" in self.run_invalid(tmp_path, capsys, text)
 
+    @pytest.mark.parametrize("experiment", ["simulate", "consistency"])
+    def test_expected_jumps_beyond_poisson_range(self, tmp_path, capsys, experiment):
+        # finite, but no Poisson draw takes 2e301 expected jumps (numpy: "lam value too large")
+        raw = simulate_config(tmp_path / "out")
+        raw["intensity"]["base_rate"] = 1e300
+        if experiment == "consistency":
+            raw.update(
+                experiment="consistency",
+                kernel={"kind": "fractional", "H": 0.7},
+                marks={"kind": "unit"},
+                grid={"start": 10.0, "stop": 20.0, "count": 2},
+                theta_true=1.0,
+            )
+        assert "expected jump count" in self.run_invalid(tmp_path, capsys, json.dumps(raw))
+
     @pytest.mark.parametrize(
         "rows", ["1,1,0.5\n1,2,abc\n2,1,0.1\n2,2,0.2\n", "1,1,0.5\n1,2\n2,1,0.1\n2,2,0.2\n"],
         ids=["non-numeric-cell", "ragged-row"],

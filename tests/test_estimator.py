@@ -101,6 +101,14 @@ class TestMleSolve:
             worst = max(worst, abs(got - want))
         assert worst <= 1e-8
 
+    def test_exact_root_is_kept(self, unit_rate, frac_phi):
+        # on this drift path the iterate 0.45254119004438... has a score of
+        # exactly 0.0; stepping on from it used to move the estimate by 2e-10
+        perturbed = IntensitySpec.scaled_by_phi(1.0, 1.0, frac_phi)
+        path = simulate(perturbed, MarkDistributionSpec.unit(), 1000.0, 75)
+        got = mle_solve(path, frac_phi, unit_rate, 50.0)
+        assert abs(got - 0.4525411900443826) <= 1e-13 * 0.4525411900443826
+
     def test_root_residual_and_concavity(self, unit_rate, frac_phi):
         marks = MarkDistributionSpec.unit()
         for i in range(50):
@@ -199,6 +207,23 @@ class TestConsistency:
             seed=4,
         )
         with pytest.raises(NumericsError):
+            consistency_experiment(cfg)
+
+    def test_zero_jump_error_names_replica_and_seed(self):
+        # rate 0.5 (1 + 1): about a third of the paths on [0, 1] have no jump
+        cfg = ConsistencyConfig(
+            intensity=IntensitySpec.constant(0.5),
+            phi=PHI_ONE,
+            theta_true=1.0,
+            horizons=(0.5, 1.0),
+            replicas=20,
+            seed=4,
+        )
+        perturbed = IntensitySpec.scaled_by_phi(0.5, 1.0, PHI_ONE)
+        first = next(i for i in range(20) if simulate(perturbed, cfg.marks, 1.0, 4 + i).count == 0)
+        assert first > 0
+        message = rf"^replica {first} \(seed {4 + first}\) produced zero jumps"
+        with pytest.raises(NumericsError, match=message):
             consistency_experiment(cfg)
 
     def test_null_case_concentrates_near_zero(self, unit_rate):

@@ -19,9 +19,11 @@ from fpp_lab import (
     eval_compensated,
     kernel_shift_lambda_integral,
     log_density,
+    log_density_batch,
     phi_fractional,
     shifted_compensated,
     simulate,
+    simulate_batch,
     verify_equality_in_law,
     verify_tilted_law,
 )
@@ -45,6 +47,16 @@ class TestLogDensity:
         h = ShiftFunction.constant(-1.0)
         with pytest.raises(ValidationError):
             log_density(TWO_JUMPS, h, unit_rate, 3.0)
+
+    def test_batch_domain_error_names_replica_and_seed(self):
+        # rate 0.3 on [0, 1]: most rows have no jump, and h = -1 fails at any jump
+        rate = IntensitySpec.constant(0.3)
+        batch = simulate_batch(rate, MarkDistributionSpec.unit(), 1.0, range(18, 38), first_replica=5)
+        first = int(np.flatnonzero(batch.counts)[0])
+        assert first > 0
+        message = rf"replica {5 + first} \(seed {18 + first}\); density undefined"
+        with pytest.raises(ValidationError, match=message):
+            log_density_batch(batch, ShiftFunction.constant(-1.0), rate, 1.0)
 
     def test_density_positive(self, unit_rate):
         h = ShiftFunction.constant(-0.5)
