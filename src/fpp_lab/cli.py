@@ -431,6 +431,10 @@ def run_command(config_path: str, seed: int | None, out: str | None) -> int:
     except ValidationError as exc:
         sys.stderr.write(_error_record(exc))
         return 1
+    except MemoryError as exc:
+        record = ValidationError(f"the run needs more memory than is available: {exc}")
+        sys.stderr.write(_error_record(record))
+        return 1
     except NumericsError as exc:
         sys.stderr.write(_error_record(exc))
         return 2

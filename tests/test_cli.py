@@ -369,6 +369,15 @@ class TestBadInputExitsThroughContract:
             )
         assert "expected jump count" in self.run_invalid(tmp_path, capsys, json.dumps(raw))
 
+    def test_expected_jumps_beyond_memory(self, tmp_path, capsys):
+        # 5e16 expected jumps: a Poisson draw takes them, but thinning's uniforms
+        # would need 711 PiB, which no address space maps, so nothing is allocated
+        raw = simulate_config(tmp_path / "out")
+        raw["intensity"]["base_rate"] = 1e16
+        raw["horizon"] = 5.0
+        message = self.run_invalid(tmp_path, capsys, json.dumps(raw))
+        assert "more memory than is available" in message and "PiB" in message
+
     @pytest.mark.parametrize(
         "rows", ["1,1,0.5\n1,2,abc\n2,1,0.1\n2,2,0.2\n", "1,1,0.5\n1,2\n2,1,0.1\n2,2,0.2\n"],
         ids=["non-numeric-cell", "ragged-row"],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,19 @@ class TestEval:
         with pytest.raises(ValidationError):
             kernel_eval(k, 2.0, -1.0)
 
+    @pytest.mark.parametrize("H", [0.5001, 0.55, 0.7, 0.9, 0.99])
+    def test_fractional_matches_mpmath(self, H):
+        # s = e^-x at t = 1 over the kernel's range x = ln(t/s), against 30 digits
+        x = np.append(np.linspace(0.0, 40.0, 81)[1:], math.log(1e15))
+        spec = KernelSpec.fractional(H)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for s in np.exp(-x):
+                f = mpmath.hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1 - 1 / mpmath.mpf(s))
+                want = (1 - mpmath.mpf(s)) ** (H - 0.5) * f / mpmath.gamma(H + 0.5)
+                worst = max(worst, float(abs(kernel_eval(spec, 1.0, float(s)) / want - 1)))
+        assert worst <= 1e-14
+
     @given(st.floats(min_value=0.01, max_value=10.0), st.floats(min_value=1.01, max_value=5.0))
     @settings(max_examples=50, deadline=None)
     def test_triangular_property(self, t, factor):
@@ -138,10 +152,17 @@ class TestVectorizedEval:
 
     def test_beyond_table_falls_back(self):
         spec = KernelSpec.fractional(0.7)
-        s = np.array([1e-15])  # ln(t/s) > 32: scalar fallback branch
+        s = np.array([1e-15])  # ln(t/s) > 32: direct F branch
         vec = kernel_eval_at(spec, 1.0, s)
         ref = kernel_eval(spec, 1.0, 1e-15)
         assert vec[0] == pytest.approx(ref, abs=1e-10)
+        # several beyond-table points in one call, between in-table ones
+        s = np.array([0.5, 1e-15, 1e-3, 1e-17, 1e-20])
+        for H in (0.55, 0.7, 0.9):
+            spec = KernelSpec.fractional(H)
+            vec = kernel_eval_at(spec, 1.0, s)
+            far = s < 1e-14
+            assert np.array_equal(vec[far], [kernel_eval(spec, 1.0, si) for si in s[far]])
 
     def test_exp_and_indicator(self):
         s = np.array([0.5, 1.0, 2.0, 3.0])

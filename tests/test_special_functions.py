@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ def hyp2f1_series(p: Hyp2F1Params, tol: float = 1e-14, max_terms: int = 500_000)
 
     For z < 0, F(a,b,c,z) = (1-z)^(-a) F(a, c-b, c, w) with w = z/(z-1) in
     [0, 1), where the series converges; for 0 <= z < 1 the series is summed
-    directly.  An evaluation path independent of `hyp2f1`'s Euler integral.
+    directly.  An evaluation path independent of `hyp2f1`'s scipy routine.
     """
     a, b, c, z = p.a, p.b, p.c, p.z
     if a == 0.0 or b == 0.0:
@@ -109,7 +110,7 @@ class TestHyp2F1:
         assert worst <= 1e-8
 
     def test_zero_parameter_gives_one(self):
-        # series path is exactly 1, quadrature path to 1e-12
+        # series path is exactly 1, scipy path to 1e-12
         p = Hyp2F1Params(0.0, 0.35, 1.2, -7.5)
         assert hyp2f1_series(p) == 1.0
         assert hyp2f1(p) == pytest.approx(1.0, abs=1e-12)
@@ -139,6 +140,18 @@ class TestHyp2F1:
             p = Hyp2F1Params(H - 0.5, 0.5 - H, H + 0.5, z)
             worst = max(worst, abs(hyp2f1(p) - hyp2f1_series(p)))
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("H", [0.5001, 0.55, 0.7, 0.9, 0.99])
+    def test_fractional_range_matches_mpmath(self, H):
+        # z = 1 - e^x over the kernel's range x = ln(t/s), against 30 digits
+        a, b, c = H - 0.5, 0.5 - H, H + 0.5
+        x = np.append(np.linspace(0.0, 40.0, 81), math.log(1e15))
+        worst = 0.0
+        with mpmath.workdps(30):
+            for z in -np.expm1(x):
+                got = hyp2f1(Hyp2F1Params(a, b, c, float(z)))
+                worst = max(worst, float(abs(got / mpmath.hyp2f1(a, b, c, z) - 1)))
+        assert worst <= 1e-14
 
     def test_series_nonconvergence_raises(self):
         with pytest.raises(NumericsError):
