@@ -39,6 +39,16 @@ from .point_process import (
 )
 from .serialize import dumps_json, write_csv, write_json
 
+# Pre-flight cost caps, checked before anything is allocated; each is more than
+# 100x the largest run in the tests and the benchmark (1000 replicas x 1000
+# expected jumps; a 4000-node phi grid).
+
+#: cap on replicas x max(base_rate x horizon, 1), a lower bound of the jumps a
+#: run draws (a phi tilt only adds jumps)
+MAX_REPLICA_JUMPS = 1e9
+#: cap on the grid count squared: the Volterra solve is O(n^2) in the nodes
+MAX_GRID_NODES_SQUARED = 1e10
+
 EXPERIMENTS = ("simulate", "estimate", "trajectory", "verify-girsanov", "consistency", "solve-phi")
 
 _TOP_KEYS = {
@@ -138,6 +148,10 @@ def parse_grid(obj: dict) -> np.ndarray:
     count = _integer(obj, "count", "grid")
     if not (0 < start <= stop) or count < 1:
         raise ValidationError("grid requires 0 < start <= stop and count >= 1")
+    if count**2 > MAX_GRID_NODES_SQUARED:
+        raise ValidationError(
+            f"grid.count {count} exceeds the pre-flight cap: count^2 must be <= {MAX_GRID_NODES_SQUARED:.3g}"
+        )
     if count == 1:
         if start != stop:
             raise ValidationError("grid with count=1 requires start == stop")
@@ -246,6 +260,13 @@ class ResolvedConfig:
 
         if self.grid is not None and self.horizon is not None and self.grid[-1] > self.horizon:
             raise ValidationError("grid extends beyond the horizon")
+        jumps = 1.0 if self.horizon is None else max(self.base_rate * self.horizon, 1.0)
+        # replicas first: an int beyond the float range cannot multiply a float
+        if self.replicas > MAX_REPLICA_JUMPS or not self.replicas * jumps <= MAX_REPLICA_JUMPS:
+            raise ValidationError(
+                f"replicas x expected jump count ({self.replicas} x {jumps:.6g}) exceeds "
+                f"the pre-flight cap {MAX_REPLICA_JUMPS:.3g}"
+            )
 
     @property
     def intensity(self) -> IntensitySpec:

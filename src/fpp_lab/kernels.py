@@ -31,6 +31,12 @@ take one F call.  The spline reproduces F to better than 1e-11 relative
 (measured for H from 0.5001 to 0.99), far inside the 1e-8 kernel accuracy
 contract, and is faster than F itself on the thousands of points a
 calibration call evaluates.
+
+scipy is imported inside the functions that use it, not at module level:
+importing `scipy.special`, `scipy.integrate` and `scipy.interpolate` takes
+longer than a drift-consistency run, which needs none of them, so a run pays
+for a scipy submodule only when it first evaluates the fractional kernel,
+calls F or runs a quadrature.
 """
 
 from __future__ import annotations
@@ -40,9 +46,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.special
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericsError, ValidationError
 from .point_process import IntensitySpec, integrated_intensity
@@ -50,6 +53,8 @@ from .serialize import read_csv
 from .special_functions import ln_gamma
 
 if TYPE_CHECKING:  # pragma: no cover
+    from scipy.interpolate import CubicSpline
+
     from .phi_solver import PhiFunction
 
 KERNEL_KINDS = ("indicator", "exp_shot_noise", "fractional", "tabulated")
@@ -164,6 +169,8 @@ _f_tables: dict[float, CubicSpline] = {}
 
 def _fractional_f(H: float, z: np.ndarray) -> np.ndarray:
     """F(H-1/2, 1/2-H, H+1/2, z), elementwise."""
+    import scipy.special
+
     return scipy.special.hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
 
 
@@ -179,6 +186,8 @@ def _fractional_k(H: float, t: float, s: np.ndarray, f: np.ndarray) -> np.ndarra
 def _fractional_table(H: float) -> CubicSpline:
     spline = _f_tables.get(H)
     if spline is None:
+        from scipy.interpolate import CubicSpline
+
         x = np.linspace(0.0, _F_TABLE_XMAX, _F_TABLE_NODES)
         spline = _f_tables[H] = CubicSpline(x, _fractional_f(H, -np.expm1(x)))
     return spline
@@ -261,6 +270,8 @@ def singular_quad_0_to_t(f, t: float, origin_exponent: float) -> tuple[float, fl
     singularity into a bounded integrand; returns (value, error estimate)
     of an adaptive quadrature at relative tolerance 1e-9.
     """
+    from scipy.integrate import quad
+
     if origin_exponent >= 1.0:
         raise NumericsError(f"non-integrable origin exponent {origin_exponent}")
     if origin_exponent > 0.0:

@@ -74,7 +74,10 @@ class MarkDistributionSpec:
     def lognormal(cls, mu: float, sigma: float) -> "MarkDistributionSpec":
         if sigma < 0:
             raise ValidationError(f"lognormal sigma must be >= 0, got {sigma}")
-        mean = math.exp(mu + 0.5 * sigma * sigma)
+        log_mean = mu + 0.5 * sigma * sigma
+        if not log_mean <= math.log(np.finfo(float).max):
+            raise ValidationError(f"lognormal mean exp(mu + sigma^2/2) overflows for mu={mu}, sigma={sigma}")
+        mean = math.exp(log_mean)
         return cls(kind="lognormal", mean=mean, mu=mu, sigma=sigma)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

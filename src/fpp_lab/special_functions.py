@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import scipy.special
-
 from .errors import ValidationError
 
 
@@ -77,4 +75,6 @@ def hyp2f1(p: Hyp2F1Params) -> float:
             f"no admissible Euler ordering for (a={p.a}, b={p.b}, c={p.c}): "
             "need c > b > 0 for one of the symmetric orderings"
         )
+    import scipy.special
+
     return float(scipy.special.hyp2f1(p.a, p.b, p.c, p.z))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from fpp_lab import cli
 from fpp_lab.cli import main
 
 
@@ -355,8 +357,10 @@ class TestBadInputExitsThroughContract:
         assert "finite" in self.run_invalid(tmp_path, capsys, text)
 
     @pytest.mark.parametrize("experiment", ["simulate", "consistency"])
-    def test_expected_jumps_beyond_poisson_range(self, tmp_path, capsys, experiment):
-        # finite, but no Poisson draw takes 2e301 expected jumps (numpy: "lam value too large")
+    def test_expected_jumps_beyond_poisson_range(self, tmp_path, capsys, monkeypatch, experiment):
+        # finite, but no Poisson draw takes 2e301 expected jumps (numpy: "lam value too large");
+        # the cost cap, lifted here, would reject the config first
+        monkeypatch.setattr(cli, "MAX_REPLICA_JUMPS", math.inf)
         raw = simulate_config(tmp_path / "out")
         raw["intensity"]["base_rate"] = 1e300
         if experiment == "consistency":
@@ -369,14 +373,59 @@ class TestBadInputExitsThroughContract:
             )
         assert "expected jump count" in self.run_invalid(tmp_path, capsys, json.dumps(raw))
 
-    def test_expected_jumps_beyond_memory(self, tmp_path, capsys):
+    def test_expected_jumps_beyond_memory(self, tmp_path, capsys, monkeypatch):
         # 5e16 expected jumps: a Poisson draw takes them, but thinning's uniforms
-        # would need 711 PiB, which no address space maps, so nothing is allocated
+        # would need 711 PiB, which no address space maps, so nothing is allocated;
+        # the cost cap, lifted here, would reject the config first
+        monkeypatch.setattr(cli, "MAX_REPLICA_JUMPS", math.inf)
         raw = simulate_config(tmp_path / "out")
         raw["intensity"]["base_rate"] = 1e16
         raw["horizon"] = 5.0
         message = self.run_invalid(tmp_path, capsys, json.dumps(raw))
         assert "more memory than is available" in message and "PiB" in message
+
+    @pytest.mark.parametrize("experiment", ["consistency", "verify-girsanov"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_replicas_beyond_cost_cap(self, tmp_path, capsys, experiment, command):
+        # 10**20 replicas used to leave as a raw "Maximum allowed dimension exceeded"
+        raw = simulate_config(tmp_path / "out")
+        raw.update(
+            experiment=experiment,
+            kernel={"kind": "fractional", "H": 0.7},
+            marks={"kind": "unit"},
+            grid={"start": 10.0, "stop": 20.0, "count": 2},
+            theta_true=1.0,
+            h_spec={"scale": 0.3, "phi_source": "closed_form"},
+            replicas=10**20,
+        )
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert main([command, str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert "pre-flight cap" in err["error"]["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"experiment": "simulate", "intensity": {"kind": "constant", "base_rate": 1e16}, "horizon": 5.0},
+            {
+                "experiment": "solve-phi",
+                "kernel": {"kind": "exp_shot_noise", "a": 1.0},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "grid": {"start": 0.001, "stop": 2.0, "count": 10**6},
+            },
+        ],
+        ids=["expected-jumps", "grid-nodes"],
+    )
+    def test_cost_cap_rejects_before_allocating(self, tmp_path, capsys, raw):
+        # validate, not run: without the cap these configs would run for hours
+        raw = dict(raw, marks={"kind": "unit"}, seed=1, output_path=str(tmp_path / "out"))
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert main(["validate", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert "pre-flight cap" in err["error"]["message"]
 
     @pytest.mark.parametrize(
         "rows", ["1,1,0.5\n1,2,abc\n2,1,0.1\n2,2,0.2\n", "1,1,0.5\n1,2\n2,1,0.1\n2,2,0.2\n"],
