@@ -28,15 +28,8 @@ from .estimator import (
 )
 from .girsanov import GirsanovCheckConfig, ShiftFunction, verify_equality_in_law
 from .kernels import KernelSpec
-from .phi_solver import PhiFunction, phi_fractional, solve_phi_volterra, volterra_residuals
-from .point_process import (
-    IntensitySpec,
-    MarkDistributionSpec,
-    expected_jumps,
-    replica_blocks,
-    simulate,
-    simulate_batch,
-)
+from .phi_solver import PhiFunction, phi_fractional, power_grid, solve_phi_volterra, volterra_residuals
+from .point_process import IntensitySpec, MarkDistributionSpec, simulate, simulate_replicas
 from .serialize import dumps_json, write_csv, write_json
 
 # Pre-flight cost caps, checked before anything is allocated; each is more than
@@ -118,7 +111,10 @@ def parse_kernel(obj: dict) -> KernelSpec:
         return KernelSpec.fractional(_number(obj, "H", "kernel"))
     if kind == "tabulated":
         _check_keys(obj, {"kind", "path"}, "kernel(tabulated)")
-        return KernelSpec.tabulated_from_csv(_require(obj, "path"))
+        path = _require(obj, "path")
+        if not isinstance(path, str) or not path:
+            raise ValidationError(f"kernel.path must be a non-empty string, got {path!r}")
+        return KernelSpec.tabulated_from_csv(path)
     raise ValidationError(f"unknown kernel kind {kind!r}")
 
 
@@ -183,7 +179,7 @@ def build_phi(
             return PhiFunction(kind="grid", nodes=nodes, values=values)
         raise ValidationError(f"no closed-form phi for kernel kind {kernel.kind!r}")
     if source == "volterra":
-        grid = horizon * (np.arange(1, 2001) / 2000.0) ** 2.0
+        grid = power_grid(horizon, 2000)
         return solve_phi_volterra(kernel, IntensitySpec.constant(base_rate), m1, grid)
     raise ValidationError(f"unknown phi_source {source!r} (use closed_form or volterra)")
 
@@ -298,9 +294,7 @@ def _summary(cfg: ResolvedConfig, artifacts: list[str], headline: dict, passed: 
 def _run_simulate(cfg: ResolvedConfig) -> dict:
     artifacts = []
     counts = []
-    for rows in replica_blocks(cfg.replicas, expected_jumps(cfg.intensity, cfg.horizon)):
-        seeds = range(cfg.seed + rows.start, cfg.seed + rows.stop)
-        batch = simulate_batch(cfg.intensity, cfg.marks, cfg.horizon, seeds, rows.start)
+    for rows, batch in simulate_replicas(cfg.intensity, cfg.marks, cfg.horizon, cfg.replicas, cfg.seed):
         for i in range(rows.start, rows.stop):
             name = "path.csv" if cfg.replicas == 1 else f"path_{i:04d}.csv"
             batch.row(i - rows.start).to_csv(cfg.output_path / name)
@@ -315,9 +309,7 @@ def _run_estimate(cfg: ResolvedConfig) -> dict:
     base = IntensitySpec.constant(cfg.base_rate)
     perturbed = IntensitySpec.scaled_by_phi(cfg.base_rate, cfg.theta_true, phi)
     est = np.empty(cfg.replicas)
-    for rows in replica_blocks(cfg.replicas, expected_jumps(perturbed, cfg.horizon)):
-        seeds = range(cfg.seed + rows.start, cfg.seed + rows.stop)
-        batch = simulate_batch(perturbed, cfg.marks, cfg.horizon, seeds, rows.start)
+    for rows, batch in simulate_replicas(perturbed, cfg.marks, cfg.horizon, cfg.replicas, cfg.seed):
         est[rows] = mle_solve_batch(batch, phi, base, cfg.horizon)[:, 0]
         del batch  # before the next block is simulated: one block in memory at a time
     write_csv(cfg.output_path / "estimates.csv", "replica,theta_hat", enumerate(est))
@@ -356,9 +348,7 @@ def _run_verify_girsanov(cfg: ResolvedConfig) -> dict:
         seed=cfg.seed,
     )
     report = verify_equality_in_law(check)
-    payload = report.to_dict()
-    payload["config_echo"] = cfg.raw
-    write_json(cfg.output_path / "law_report.json", payload)
+    write_json(cfg.output_path / "law_report.json", dict(report.to_dict(), config_echo=cfg.raw))
     headline = {
         "max_abs_mean_diff": max(abs(d) for d in report.mean_diff),
         "max_ks": max(report.ks_stat),
@@ -380,9 +370,7 @@ def _run_consistency(cfg: ResolvedConfig) -> dict:
             marks=cfg.marks,
         )
     )
-    payload = report.to_dict()
-    payload["config_echo"] = cfg.raw
-    write_json(cfg.output_path / "consistency_report.json", payload)
+    write_json(cfg.output_path / "consistency_report.json", dict(report.to_dict(), config_echo=cfg.raw))
     write_csv(
         cfg.output_path / "consistency_rmse.csv",
         "horizon,mae,rmse",

@@ -17,7 +17,7 @@ grows), which `monotonicity_violations` checks on traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,9 +28,7 @@ from .point_process import (
     MarkDistributionSpec,
     MarkedPath,
     PathBatch,
-    expected_jumps,
-    replica_blocks,
-    simulate_batch,
+    simulate_replicas,
 )
 from .phi_solver import PhiFunction, phi_lambda_integral
 from .serialize import write_csv
@@ -311,22 +309,9 @@ class ConsistencyReport:
     rmse_threshold: float
     hypothesis_note: dict
     passed: bool
-    config_echo: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "horizons": list(self.horizons),
-            "mae": list(self.mae),
-            "rmse": list(self.rmse),
-            "frac_error_decreasing": self.frac_error_decreasing,
-            "theta_true": self.theta_true,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "rmse_threshold": self.rmse_threshold,
-            "hypothesis_note": self.hypothesis_note,
-            "passed": bool(self.passed),
-            "config_echo": self.config_echo,
-        }
+        return asdict(self)
 
 
 def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
@@ -343,9 +328,7 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
     perturbed = IntensitySpec.scaled_by_phi(cfg.intensity.base_rate, cfg.theta_true, cfg.phi)
     t_max = cfg.horizons[-1]
     est = np.empty((cfg.replicas, len(cfg.horizons)))
-    for rows in replica_blocks(cfg.replicas, expected_jumps(perturbed, t_max)):
-        seeds = range(cfg.seed + rows.start, cfg.seed + rows.stop)
-        batch = simulate_batch(perturbed, cfg.marks, t_max, seeds, rows.start)
+    for rows, batch in simulate_replicas(perturbed, cfg.marks, t_max, cfg.replicas, cfg.seed):
         empty = np.flatnonzero(batch.counts == 0)
         if empty.size:
             raise NumericsError(f"{batch.describe(empty[0])} produced zero jumps at horizon {t_max}")
@@ -372,5 +355,4 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
         rmse_threshold=cfg.rmse_threshold,
         hypothesis_note=note,
         passed=passed,
-        config_echo={},
     )

@@ -7,7 +7,6 @@ observed process additionally subtracts a linear drift theta * t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,32 +68,11 @@ def eval_filtered(path: MarkedPath, kernel: KernelSpec, t: float) -> float:
 
 
 def eval_filtered_on_grid(path: MarkedPath, kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
-    """Filtered-process values on a grid.
-
-    For the exponential convolution kernel the state recursion
-    value <- value * exp(-a dt) + (new jumps) gives each grid point in O(1);
-    other kernels depend on t beyond a time shift, so every point is a
-    fresh sum.  The two paths agree to rounding (tested).
-    """
+    """Filtered-process values on a grid: `eval_filtered` at every grid time."""
     grid = np.asarray(grid, dtype=float)
     if grid.size and grid[-1] > path.horizon:
         raise ValidationError("grid extends beyond the path horizon")
-    if kernel.kind != "exp_shot_noise":
-        return np.array([eval_filtered(path, kernel, t) for t in grid])
-    out = np.empty(grid.size)
-    state = 0.0
-    prev = 0.0
-    j = 0
-    times, marks = path.jump_times, path.marks
-    for i, t in enumerate(grid):
-        state *= math.exp(-kernel.a * (t - prev))
-        k = int(np.searchsorted(times, t, side="right"))
-        if k > j:
-            state += float(np.dot(marks[j:k], np.exp(-kernel.a * (t - times[j:k]))))
-            j = k
-        out[i] = state
-        prev = t
-    return out
+    return np.array([eval_filtered(path, kernel, t) for t in grid])
 
 
 def sample_on_grid(

@@ -30,7 +30,7 @@ threshold):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,9 +42,7 @@ from .point_process import (
     MarkDistributionSpec,
     MarkedPath,
     PathBatch,
-    expected_jumps,
-    replica_blocks,
-    simulate_batch,
+    simulate_replicas,
 )
 from .phi_solver import PhiFunction, phi_lambda_integral
 from .weighted_ks import ks_bootstrap_threshold, weighted_ks_statistic
@@ -197,32 +195,9 @@ class LawComparisonReport:
     seed: int
     passed_times: tuple
     passed: bool
-    config_echo: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "eval_times": list(self.eval_times),
-            "shift": list(self.shift),
-            "mean_weighted": list(self.mean_weighted),
-            "mean_weighted_se": list(self.mean_weighted_se),
-            "mean_shifted": list(self.mean_shifted),
-            "mean_diff": list(self.mean_diff),
-            "mean_diff_se": list(self.mean_diff_se),
-            "var_weighted": list(self.var_weighted),
-            "var_shifted": list(self.var_shifted),
-            "var_diff": list(self.var_diff),
-            "var_diff_se": list(self.var_diff_se),
-            "ks_stat": list(self.ks_stat),
-            "ks_threshold": list(self.ks_threshold),
-            "mean_weight": self.mean_weight,
-            "mean_weight_se": self.mean_weight_se,
-            "effective_sample_size": self.effective_sample_size,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "passed_times": [bool(p) for p in self.passed_times],
-            "passed": bool(self.passed),
-            "config_echo": self.config_echo,
-        }
+        return asdict(self)
 
 
 def _compare_laws(
@@ -242,16 +217,14 @@ def _compare_laws(
     R = cfg.replicas
 
     ess = float(w.sum() ** 2 / np.square(w).sum())
-    if ess < MIN_EFFECTIVE_SAMPLE:
+    if not ess >= MIN_EFFECTIVE_SAMPLE:  # NaN weights fail too
         raise NumericsError(f"degenerate importance weights: effective sample size {ess:.1f}")
 
     wbar = w.mean()
     mean_w = float(wbar)
     mean_w_se = float(w.std(ddof=1) / np.sqrt(R))
 
-    m_A, mse_A, m_B, dm, dm_se = [], [], [], [], []
-    v_A, v_B, dv, dv_se = [], [], [], []
-    ks, ks_thr, ok = [], [], []
+    stats = []  # one tuple per evaluation time, transposed into the report's fields below
     for k in range(len(cfg.eval_times)):
         xa = x[:, k]
         yb = y[:, k]
@@ -260,6 +233,7 @@ def _compare_laws(
         va = float(np.sum(w * (xa - ma) ** 2) / np.sum(w))
         vb = float(yb.var(ddof=0))
         psi_a = w * (xa - ma) / wbar
+        mse_a = float(psi_a.std(ddof=1) / np.sqrt(R))
         psi_mean = psi_a - (yb - mb)
         psi_var = w * ((xa - ma) ** 2 - va) / wbar - ((yb - mb) ** 2 - vb)
         se_mean = float(psi_mean.std(ddof=1) / np.sqrt(R))
@@ -269,44 +243,32 @@ def _compare_laws(
         thr = ks_bootstrap_threshold(
             xa, w, yb, np.ones(R), cfg.ks_bootstrap, cfg.ks_level, rng
         )
-        m_A.append(ma)
-        mse_A.append(float(psi_a.std(ddof=1) / np.sqrt(R)))
-        m_B.append(mb)
-        dm.append(ma - mb)
-        dm_se.append(se_mean)
-        v_A.append(va)
-        v_B.append(vb)
-        dv.append(va - vb)
-        dv_se.append(se_var)
-        ks.append(stat)
-        ks_thr.append(thr)
-        ok.append(
-            abs(ma - mb) <= 4.0 * se_mean and abs(va - vb) <= 4.0 * se_var and stat < thr
-        )
+        ok = abs(ma - mb) <= 4.0 * se_mean and abs(va - vb) <= 4.0 * se_var and stat < thr
+        stats.append((ma, mse_a, mb, ma - mb, se_mean, va, vb, va - vb, se_var, stat, thr, bool(ok)))
+    m_A, mse_A, m_B, dm, dm_se, v_A, v_B, dv, dv_se, ks, ks_thr, ok = zip(*stats)
 
     weight_ok = abs(mean_w - 1.0) <= 4.0 * mean_w_se
     return LawComparisonReport(
         eval_times=tuple(cfg.eval_times),
         shift=tuple(shifts),
-        mean_weighted=tuple(m_A),
-        mean_weighted_se=tuple(mse_A),
-        mean_shifted=tuple(m_B),
-        mean_diff=tuple(dm),
-        mean_diff_se=tuple(dm_se),
-        var_weighted=tuple(v_A),
-        var_shifted=tuple(v_B),
-        var_diff=tuple(dv),
-        var_diff_se=tuple(dv_se),
-        ks_stat=tuple(ks),
-        ks_threshold=tuple(ks_thr),
+        mean_weighted=m_A,
+        mean_weighted_se=mse_A,
+        mean_shifted=m_B,
+        mean_diff=dm,
+        mean_diff_se=dm_se,
+        var_weighted=v_A,
+        var_shifted=v_B,
+        var_diff=dv,
+        var_diff_se=dv_se,
+        ks_stat=ks,
+        ks_threshold=ks_thr,
         mean_weight=mean_w,
         mean_weight_se=mean_w_se,
         effective_sample_size=ess,
         replicas=R,
         seed=cfg.seed,
-        passed_times=tuple(ok),
+        passed_times=ok,
         passed=bool(all(ok) and weight_ok),
-        config_echo={},
     )
 
 
@@ -375,9 +337,7 @@ def verify_tilted_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
     horizon = max(cfg.eval_times)
     logw, x = _weighted_sample(cfg)
     y = np.empty_like(x)
-    for rows in replica_blocks(cfg.replicas, expected_jumps(tilted, horizon)):
-        seeds = range(cfg.seed + cfg.replicas + rows.start, cfg.seed + cfg.replicas + rows.stop)
-        ref = simulate_batch(tilted, cfg.marks, horizon, seeds, rows.start)
+    for rows, ref in simulate_replicas(tilted, cfg.marks, horizon, cfg.replicas, cfg.seed + cfg.replicas):
         y[rows] = _compensated_values(ref, cfg)
     return _compare_laws(cfg, _shifts(cfg), logw, x, y)
 
@@ -393,14 +353,12 @@ def _weighted_sample(cfg: GirsanovCheckConfig) -> tuple[np.ndarray, np.ndarray]:
     """Log-densities at max(eval_times) and compensated values of replicas simulated under lambda.
 
     Replica i uses seed `seed + i`; replicas are simulated and evaluated in
-    blocks of about `JUMP_BLOCK` expected jumps.
+    the blocks of `simulate_replicas`.
     """
     horizon = max(cfg.eval_times)
     logw = np.empty(cfg.replicas)
     x = np.empty((cfg.replicas, len(cfg.eval_times)))
-    for rows in replica_blocks(cfg.replicas, expected_jumps(cfg.intensity, horizon)):
-        seeds = range(cfg.seed + rows.start, cfg.seed + rows.stop)
-        batch = simulate_batch(cfg.intensity, cfg.marks, horizon, seeds, rows.start)
+    for rows, batch in simulate_replicas(cfg.intensity, cfg.marks, horizon, cfg.replicas, cfg.seed):
         logw[rows] = log_density_batch(batch, cfg.h, cfg.intensity, horizon)
         x[rows] = _compensated_values(batch, cfg)
     return logw, x

@@ -18,7 +18,7 @@ singularity; the mandatory residual check (`volterra_residuals`) guards
 every downstream use.  Near the origin the first panel's unknown is a
 kernel-weighted panel average, so for singular phi the returned values
 carry an O(1) relative startup error below the first grid node; accuracy
-on the grid span is what the solver advertises (see `solver_rtol`).
+on the grid span is what the solver advertises (see `SOLVER_RTOL`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ from .special_functions import ln_gamma
 
 #: diagonal product weights below this abort the forward substitution
 SINGULAR_WEIGHT_TOL = 1e-14
+
+#: relative residual the Volterra solver advertises on its grid span; carried
+#: by each solution as `PhiFunction.solver_rtol`, which the residual check reads
+SOLVER_RTOL = 1e-2
 
 #: the solver's accuracy advertisement applies at nodes >= this multiple of
 #: the first grid node; the startup layer below it absorbs the product rule's
@@ -186,7 +190,6 @@ def solve_phi_volterra(
     intensity: IntensitySpec,
     m1: float,
     grid: np.ndarray,
-    solver_rtol: float = 1e-2,
 ) -> PhiFunction:
     """Solve m1 int_0^t K(t,s) phi(s) lambda(s) ds = t on the given grid.
 
@@ -201,7 +204,7 @@ def solve_phi_volterra(
     For kernels singular at s = 0 the unknown on the initial panel is a
     kernel-weighted panel average, which mismatches a diverging phi by an
     O(1) relative factor; that startup error decays over the first handful
-    of nodes.  The advertised tolerance `solver_rtol` therefore applies to
+    of nodes.  The advertised tolerance SOLVER_RTOL therefore applies to
     residuals at nodes >= STARTUP_SPAN_FACTOR * grid[0], and closed-form
     agreement holds on the span of downstream use.  Graded meshes
     (`power_grid`) keep the scheme stable for diagonal-degenerate kernels;
@@ -238,7 +241,7 @@ def solve_phi_volterra(
             "Volterra solution violates phi >= 0; refine the grid (graded meshes "
             "stabilize diagonal-degenerate kernels)"
         )
-    return PhiFunction(kind="grid", nodes=mids, values=phi, solver_rtol=solver_rtol)
+    return PhiFunction(kind="grid", nodes=mids, values=phi, solver_rtol=SOLVER_RTOL)
 
 
 def phi_lambda_integral(phi: PhiFunction, intensity: IntensitySpec, t: float) -> float:
@@ -259,7 +262,7 @@ def volterra_residuals(
 
     Recomputed by `kernel_phi_lambda_integral`, independent of the solver's
     product rule; the mandatory post-solve check compares these against
-    2x solver_rtol.
+    2x SOLVER_RTOL.
     Raises ValidationError unless every node is finite and > 0.
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))

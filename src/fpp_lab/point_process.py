@@ -8,10 +8,10 @@ rate; for phi-scaled intensities, whose rate diverges at the origin like
 s^(1/2-H), the majorant is built on dyadic segments refined toward zero
 until the expected count in the uncovered stub is below 1e-9.
 
-Replica loops simulate a `PathBatch`: the jumps of many replicas in flat
-arrays with CSR offsets, built by `simulate_batch` block by block
-(`replica_blocks`), so that each layer above makes one vectorized call per
-block instead of one per replica.
+Replica loops take their paths from `simulate_replicas`, the one place
+that maps replica i to its seed: `PathBatch` blocks, the jumps of many
+replicas in flat arrays with CSR offsets, so that each layer above makes
+one vectorized call per block instead of one per replica.
 """
 
 from __future__ import annotations
@@ -340,6 +340,24 @@ def simulate_batch(
     seeds = [int(s) for s in seeds]
     times, z, offsets = _thin(intensity, marks, horizon, seeds)
     return PathBatch(times, z, offsets, float(horizon), np.array(seeds), first_replica, check=False)
+
+
+def simulate_replicas(
+    intensity: IntensitySpec,
+    marks: MarkDistributionSpec,
+    horizon: float,
+    replicas: int,
+    seed: int,
+) -> Iterator[tuple[slice, PathBatch]]:
+    """(rows, batch) blocks of about JUMP_BLOCK expected jumps holding replicas 0, ..., replicas - 1.
+
+    Replica i draws from the stream `seed + i`.  `expected_jumps` rejects the
+    run before anything is drawn.  No batch is kept after it is yielded, so
+    a caller that drops each one holds one block in memory at a time.
+    """
+    for rows in replica_blocks(replicas, expected_jumps(intensity, horizon)):
+        seeds = range(seed + rows.start, seed + rows.stop)
+        yield rows, simulate_batch(intensity, marks, horizon, seeds, rows.start)
 
 
 def simulate(

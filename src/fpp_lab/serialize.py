@@ -83,27 +83,30 @@ def write_csv(path, header: str, rows: Iterable[tuple]) -> None:
 def read_csv(path, expected_header: str) -> np.ndarray:
     """Rows of floats under a one-line header, as an (rows, fields) array.
 
-    Blank lines are skipped.  Raises ValidationError, naming the file and
-    line, for a wrong header, a row with the wrong number of fields or a
-    cell that is not a number.
+    Blank lines are skipped.  Raises ValidationError, naming the file, when
+    it cannot be read, and naming the line too for a wrong header, a row
+    with the wrong number of fields or a cell that is not a number.
     """
     fields = expected_header.count(",") + 1
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != expected_header:
-            raise ValidationError(
-                f"bad CSV header in {path}: expected {expected_header!r}, got {header!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != fields:
-                raise ValidationError(f"{path} line {lineno}: expected {fields} fields in {line!r}")
-            try:
-                rows.append([float(tok) for tok in cells])
-            except ValueError:
-                raise ValidationError(f"{path} line {lineno}: non-numeric cell in {line!r}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != expected_header:
+                raise ValidationError(
+                    f"bad CSV header in {path}: expected {expected_header!r}, got {header!r}"
+                )
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                if len(cells) != fields:
+                    raise ValidationError(f"{path} line {lineno}: expected {fields} fields in {line!r}")
+                try:
+                    rows.append([float(tok) for tok in cells])
+                except ValueError:
+                    raise ValidationError(f"{path} line {lineno}: non-numeric cell in {line!r}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read CSV file {path}: {exc}") from exc
     return np.array(rows, dtype=float).reshape(-1, fields)

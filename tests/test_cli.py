@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fpp_lab import cli
@@ -65,6 +67,12 @@ class TestValidate:
         p = tmp_path / "broken.json"
         p.write_text("{not json")
         assert main(["validate", str(p)]) == 1
+
+    def test_readme_example(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        cfg = write_config(tmp_path, "readme.json", json.loads(example))
+        assert main(["validate", str(cfg)]) == 0
 
     def test_unknown_experiment(self, tmp_path):
         raw = simulate_config(tmp_path / "out")
@@ -316,6 +324,32 @@ class TestRunExperiments:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "NumericsError"
 
+    def test_nan_effective_sample_size_exits_2(self, tmp_path, capsys):
+        # h = 1e308 phi overflows: the weights, and with them the ESS, are NaN
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "verify-girsanov",
+                "kernel": {"kind": "fractional", "H": 0.7},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "horizon": 3.0,
+                "grid": {"start": 1.0, "stop": 3.0, "count": 2},
+                "h_spec": {"scale": 1e308, "phi_source": "closed_form"},
+                "replicas": 200,
+                "seed": 3,
+                "output_path": str(out),
+            },
+        )
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "NumericsError"
+        assert "effective sample size nan" in err["error"]["message"]
+        assert not (out / "law_report.json").exists()
+
     def test_scaled_intensity_simulate(self, tmp_path):
         out = tmp_path / "o"
         cfg = write_config(
@@ -445,3 +479,26 @@ class TestBadInputExitsThroughContract:
         }
         message = self.run_invalid(tmp_path, capsys, json.dumps(raw))
         assert str(table) in message and "line 3" in message
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("path", ["missing", "directory", "undecodable", 1.5, None, 0])
+    def test_unreadable_tabulated_kernel(self, tmp_path, capsys, command, path):
+        # 0 used to open file descriptor 0 and read the kernel from stdin
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "undecodable").write_bytes(b"t,s,value\n\xff\xfe\n")
+        if isinstance(path, str):
+            path = str(tmp_path / path)
+        raw = {
+            "experiment": "solve-phi",
+            "kernel": {"kind": "tabulated", "path": path},
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "grid": {"start": 0.5, "stop": 2.0, "count": 4},
+            "seed": 1,
+            "output_path": str(tmp_path / "out"),
+        }
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert main([command, str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert (path if isinstance(path, str) else "kernel.path") in err["error"]["message"]

@@ -9,6 +9,7 @@ batched layers must reproduce them path by path.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from fpp_lab import (
     phi_fractional,
     phi_lambda_integral,
     replica_blocks,
+    simulate,
     simulate_batch,
+    simulate_replicas,
     verify_equality_in_law,
     verify_tilted_law,
 )
@@ -243,6 +246,38 @@ class TestReplicaBlocks:
         size = blocks[0].stop - blocks[0].start
         assert size == max(1, min(replicas, int(point_process.JUMP_BLOCK // max(jumps, 1.0))))
         assert all(0 < b.stop - b.start <= size for b in blocks)
+
+
+class TestSimulateReplicas:
+    def test_blocks_hold_the_per_seed_paths(self, monkeypatch):
+        # 2.5 expected jumps per replica and 10 per block: blocks of 4, 4 and a short 2
+        monkeypatch.setattr(point_process, "JUMP_BLOCK", 10)
+        inten, marks = IntensitySpec.constant(1.25), MARKS["exponential"]
+        blocks = list(simulate_replicas(inten, marks, 2.0, 10, 70))
+        assert [(rows.start, rows.stop) for rows, _ in blocks] == [(0, 4), (4, 8), (8, 10)]
+        for rows, batch in blocks:
+            assert batch.replicas == rows.stop - rows.start and batch.first_replica == rows.start
+            assert batch.seeds.tolist() == list(range(70 + rows.start, 70 + rows.stop))
+            for j, i in enumerate(range(rows.start, rows.stop)):
+                want = simulate(inten, marks, 2.0, 70 + i)
+                assert np.array_equal(batch.row(j).jump_times, want.jump_times)
+                assert np.array_equal(batch.row(j).marks, want.marks)
+                assert batch.describe(j) == f"replica {i} (seed {70 + i})"
+
+    def test_keeps_no_yielded_batch(self):
+        blocks = simulate_replicas(IntensitySpec.constant(2.0), MARKS["unit"], 5.0, 30, 1)
+        _, batch = next(blocks)
+        ref = weakref.ref(batch)
+        del batch
+        assert ref() is None
+
+    def test_preflight_rejects_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(point_process, "simulate_batch", lambda *args: drawn.append(args))
+        blocks = simulate_replicas(IntensitySpec.constant(1e300), MARKS["unit"], 5.0, 3, 0)
+        with pytest.raises(ValidationError, match="expected jump count"):
+            next(blocks)
+        assert drawn == []
 
 
 class TestBatchedLayers:
