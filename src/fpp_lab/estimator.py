@@ -9,8 +9,8 @@ and otherwise the unique positive root of
 
     sum_{T_j <= t} phi(T_j) / (1 + theta phi(T_j)) = int_0^t phi(s) lambda(s) ds,
 
-found by safeguarded Newton iteration, run for many (path, time) lanes at
-once by `mle_solve_batch`.  Between consecutive jumps the estimator
+found by monotone Newton iteration from theta = 0, run for many (path, time)
+lanes at once by `mle_solve_batch`.  Between consecutive jumps the estimator
 trajectory is nonincreasing (the left side is frozen while the right side
 grows), which `monotonicity_violations` checks on traces.
 """
@@ -35,8 +35,8 @@ from .serialize import write_csv
 
 #: absolute tolerance on theta for the Newton solve
 THETA_TOL = 1e-10
-#: give up bracketing the root above this value (cannot happen for phi > 0)
-BRACKET_CAP = 1e12
+#: Newton steps after which a lane that has not converged raises NumericsError
+MAX_NEWTON_STEPS = 200
 
 
 def _phi_at_jumps(path: MarkedPath, phi: PhiFunction, t: float) -> np.ndarray:
@@ -72,7 +72,8 @@ def mle_solve_batch(batch: PathBatch, phi: PhiFunction, intensity: IntensitySpec
     concave log-likelihood of the row's jumps up to that time.  phi is
     evaluated once at the jumps of all rows, and the lanes are solved
     together by `_newton_lanes`, in blocks of about JUMP_BLOCK
-    (lane, jump) terms.
+    (lane, jump) terms.  A lane that has not converged within
+    MAX_NEWTON_STEPS raises NumericsError naming its replica and time.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or not np.all(times > 0):
@@ -94,6 +95,10 @@ def mle_solve_batch(batch: PathBatch, phi: PhiFunction, intensity: IntensitySpec
         n = counts[lo:hi]
         theta[lo:hi] = _newton_lanes(pv[_lane_jumps(starts[lo:hi], n)], n, integral[lo:hi])
         lo = hi
+    if np.isnan(theta).any():
+        row, k = divmod(int(np.flatnonzero(np.isnan(theta))[0]), times.size)
+        where = f"{batch.describe(row)}: the drift MLE did not converge at t = {times[k]}"
+        raise NumericsError(f"{where} within {MAX_NEWTON_STEPS} Newton steps")
     return theta.reshape(batch.replicas, times.size)
 
 
@@ -110,12 +115,15 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
     ``pv`` holds phi at the jumps of lane 0, then of lane 1, and so on, and
     ``n`` the number of jumps of each lane; `np.add.reduceat` sums per lane.
     A lane whose score at 0 is <= 0 has its maximizer at the boundary 0.
-    Every other lane brackets the root by doubling from [0, 1], starts from
-    the moment guess and runs safeguarded Newton (bisection whenever a step
-    leaves the bracket) until the step is below THETA_TOL and the score is
-    below 1e-11 max(1, sum phi_j), or the score is exactly 0, where a step
-    could only leave the root.  Lanes leave the arrays as they finish, so an
-    iteration costs only the active ones.
+    Every other lane takes plain Newton steps from theta = 0: its score is
+    strictly decreasing and convex, so the iterates rise monotonically to the
+    root.  A lane stops when the step is below THETA_TOL and the score below
+    1e-11 max(1, sum phi_j), or when the score is <= 0, which only rounding
+    brings about: that iterate is the root to working precision, and a step
+    could only leave it (the rounding of a root near 1e6 or above already
+    exceeds the absolute THETA_TOL).  Lanes leave the arrays as they finish,
+    so an iteration costs only the active ones; a lane still active after
+    MAX_NEWTON_STEPS steps comes back as NaN.
     """
     theta_hat = np.zeros(n.size)
     s0 = np.zeros(n.size)
@@ -139,39 +147,22 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
         ratio *= ratio
         return g, -np.add.reduceat(ratio, starts)
 
-    lo = np.zeros(ids.size)
-    hi = np.ones(ids.size)
-    doubling = grad(hi)[0] > 0.0
-    while doubling.any():
-        lo[doubling] = hi[doubling]
-        hi[doubling] *= 2.0
-        if hi.max() > BRACKET_CAP:
-            raise NumericsError("failed to bracket the likelihood root below 1e12")
-        doubling &= grad(hi)[0] > 0.0
-
-    theta = np.maximum(s0 / integral - 1.0, 0.0) + 0.1  # crude moment guess
-    outside = ~((lo < theta) & (theta < hi))
-    theta[outside] = 0.5 * (lo + hi)[outside]
+    theta = np.zeros(ids.size)
     g_tol = 1e-11 * np.maximum(1.0, s0)
-    for _ in range(200):
+    for _ in range(MAX_NEWTON_STEPS):
         g, gp = grad(theta)  # gp < 0: every interior lane has a jump with phi > 0
-        lo = np.where(g > 0.0, theta, lo)
-        hi = np.where(g > 0.0, hi, theta)
-        new = theta - g / gp
-        outside = ~((lo < new) & (new < hi))
-        new[outside] = 0.5 * (lo + hi)[outside]
-        root = g == 0.0
-        finished = root | ((np.abs(new - theta) <= THETA_TOL) & (np.abs(g) <= g_tol))
-        theta = np.where(root, theta, new)
+        step = g / gp
+        root = g <= 0.0  # no exact iterate passes the root: this one is on it up to rounding
+        finished = root | ((np.abs(step) <= THETA_TOL) & (np.abs(g) <= g_tol))
+        theta = np.where(root, theta, theta - step)
         if finished.any():
             theta_hat[ids[finished]] = theta[finished]
             keep = ~finished
             pv = pv[np.repeat(keep, n)]
-            lanes = (ids, n, theta, lo, hi, g_tol, integral)
-            ids, n, theta, lo, hi, g_tol, integral = (v[keep] for v in lanes)
+            ids, n, theta, g_tol, integral = (v[keep] for v in (ids, n, theta, g_tol, integral))
             if not ids.size:
-                break
-    theta_hat[ids] = theta
+                return theta_hat
+    theta_hat[ids] = np.nan
     return theta_hat
 
 

@@ -38,8 +38,8 @@ from .special_functions import ln_gamma
 #: diagonal product weights below this abort the forward substitution
 SINGULAR_WEIGHT_TOL = 1e-14
 
-#: relative residual the Volterra solver advertises on its grid span; carried
-#: by each solution as `PhiFunction.solver_rtol`, which the residual check reads
+#: relative residual the Volterra solver advertises on its grid span, which
+#: the residual check reads
 SOLVER_RTOL = 1e-2
 
 #: the solver's accuracy advertisement applies at nodes >= this multiple of
@@ -62,7 +62,6 @@ class PhiFunction:
     lam: float | None = None
     nodes: np.ndarray | None = None
     values: np.ndarray | None = None
-    solver_rtol: float | None = None
 
     def __post_init__(self):
         if self.kind == "closed_form_fractional":
@@ -198,8 +197,9 @@ def solve_phi_volterra(
     node), the i-th equation collocates the integral at grid node i, and
     the resulting lower-triangular system is solved by forward
     substitution.  Raises NumericsError when a diagonal weight falls below
-    1e-14 (kernel too degenerate near the diagonal for the chosen grid) or
-    when the computed phi violates nonnegativity.
+    1e-14 (kernel too degenerate near the diagonal for the chosen grid), or
+    when the computed phi is not finite (say from an infinite tabulated
+    kernel value) or violates nonnegativity.
 
     For kernels singular at s = 0 the unknown on the initial panel is a
     kernel-weighted panel average, which mismatches a diverging phi by an
@@ -236,12 +236,14 @@ def solve_phi_volterra(
                 "(kernel too degenerate near the diagonal for this grid)"
             )
         phi[i] = (t - w[:i] @ phi[:i]) / w[i]
+    if not np.isfinite(phi).all():
+        raise NumericsError(f"Volterra solution is not finite at node {grid[~np.isfinite(phi)][0]}")
     if np.any(phi < 0):
         raise NumericsError(
             "Volterra solution violates phi >= 0; refine the grid (graded meshes "
             "stabilize diagonal-degenerate kernels)"
         )
-    return PhiFunction(kind="grid", nodes=mids, values=phi, solver_rtol=SOLVER_RTOL)
+    return PhiFunction(kind="grid", nodes=mids, values=phi)
 
 
 def phi_lambda_integral(phi: PhiFunction, intensity: IntensitySpec, t: float) -> float:

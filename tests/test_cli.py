@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpp_lab import cli
+from fpp_lab import cli, estimator
 from fpp_lab.cli import main
 
 
@@ -350,6 +350,61 @@ class TestRunExperiments:
         assert "effective sample size nan" in err["error"]["message"]
         assert not (out / "law_report.json").exists()
 
+    def test_mle_non_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimator, "MAX_NEWTON_STEPS", 1)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "estimate",
+                "kernel": {"kind": "fractional", "H": 0.7},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "horizon": 20.0,
+                "theta_true": 1.0,
+                "replicas": 3,
+                "seed": 5,
+                "output_path": str(out),
+            },
+        )
+        assert main(["run", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "NumericsError"
+        message = r"replica \d+ \(seed \d+\): the drift MLE did not converge at t = 20\.0"
+        assert re.match(message, err["error"]["message"])
+        assert not (out / "run_summary.json").exists()
+
+    def test_non_finite_phi_exits_2(self, tmp_path, capsys):
+        # K = e^-(t-s) below the diagonal with one infinite cell: the solve used to
+        # return phi = nan everywhere and the NaN residual passed the check
+        rows = ["t,s,value"]
+        for t in (0.5, 1.0, 2.0):
+            for s in (0.0, 0.5, 1.0, 2.0):
+                value = math.inf if (t, s) == (1.0, 0.5) else (math.exp(s - t) if s <= t else 0.0)
+                rows.append(f"{t},{s},{value}")
+        (tmp_path / "k.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "solve-phi",
+                "kernel": {"kind": "tabulated", "path": str(tmp_path / "k.csv")},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "grid": {"start": 0.5, "stop": 2.0, "count": 4},
+                "seed": 1,
+                "output_path": str(out),
+            },
+        )
+        with np.errstate(invalid="ignore"):
+            assert main(["run", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "NumericsError"
+        assert "not finite" in err["error"]["message"]
+        assert not (out / "run_summary.json").exists()
+
     def test_scaled_intensity_simulate(self, tmp_path):
         out = tmp_path / "o"
         cfg = write_config(
@@ -417,6 +472,28 @@ class TestBadInputExitsThroughContract:
         raw["horizon"] = 5.0
         message = self.run_invalid(tmp_path, capsys, json.dumps(raw))
         assert "more memory than is available" in message and "PiB" in message
+
+    @pytest.mark.parametrize("experiment", ["estimate", "trajectory", "verify-girsanov", "consistency"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_scaled_intensity_rejected_where_ignored(self, tmp_path, capsys, experiment, command):
+        # these runs take the base intensity at the constant base_rate: theta was silently ignored
+        raw = simulate_config(tmp_path / "out")
+        raw.update(
+            experiment=experiment,
+            kernel={"kind": "fractional", "H": 0.7},
+            intensity={"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 5.0},
+            marks={"kind": "unit"},
+            grid={"start": 10.0, "stop": 20.0, "count": 2},
+            theta_true=1.0,
+            h_spec={"scale": 0.3, "phi_source": "closed_form"},
+            replicas=5,
+        )
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert main([command, str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert "only simulate and solve-phi read a scaled-by-phi intensity" in err["error"]["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment", ["consistency", "verify-girsanov"])
     @pytest.mark.parametrize("command", ["run", "validate"])

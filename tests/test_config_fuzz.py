@@ -18,7 +18,7 @@ TEMPLATES = [
     {
         "experiment": "consistency",
         "kernel": {"kind": "fractional", "H": 0.7},
-        "intensity": {"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 0.5},
+        "intensity": {"kind": "constant", "base_rate": 1.0},
         "marks": {"kind": "lognormal", "mu": 0.0, "sigma": 0.5},
         "horizon": 20.0,
         "grid": {"start": 1.0, "stop": 20.0, "count": 3},
@@ -43,7 +43,7 @@ TEMPLATES = [
     {
         "experiment": "solve-phi",
         "kernel": {"kind": "indicator"},
-        "intensity": {"kind": "constant", "base_rate": 1.0},
+        "intensity": {"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 0.5},
         "marks": {"kind": "unit"},
         "grid": {"start": 0.01, "stop": 2.0, "count": 100},
         "seed": 3,

@@ -11,16 +11,20 @@ from fpp_lab import (
     MarkDistributionSpec,
     MarkedPath,
     NumericsError,
+    PathBatch,
     PhiFunction,
     ValidationError,
     consistency_experiment,
     fractional_hypothesis_note,
     mle_solve,
+    mle_solve_batch,
     monotonicity_violations,
+    phi_lambda_integral,
     score,
     simulate,
     trajectory,
 )
+from fpp_lab import estimator
 
 PHI_ONE = PhiFunction.constant(1.0)
 
@@ -92,14 +96,20 @@ class TestMleSolve:
         assert mle_solve(path, phi, inten, 1.0) == pytest.approx(0.5, abs=1e-10)
 
     def test_closed_form_over_many_paths(self, unit_rate):
+        # phi == 1 under a unit rate: theta-hat = max(N_t / t - 1, 0) exactly
         marks = MarkDistributionSpec.unit()
+        cases = [(simulate(unit_rate, marks, 10.0, 8000 + i), 10.0) for i in range(200)]
+        # one jump by t = 0.2, so theta-hat = 4; the bracketed solve stopped 1.6e-11 short
+        short = simulate(IntensitySpec.constant(0.4), MarkDistributionSpec.exponential(1.3), 2.0, 0)
+        cases.append((short, 0.2))
+        # roots of 1e6 and 1e12, whose rounding exceeds THETA_TOL; bracketing gave up at 1e12
+        cases += [(path_with([0.5 * t], 1.0), t) for t in (1e-6, 1e-12)]
         worst = 0.0
-        for i in range(200):
-            path = simulate(unit_rate, marks, 10.0, 8000 + i)
-            got = mle_solve(path, PHI_ONE, unit_rate, 10.0)
-            want = max(path.count / 10.0 - 1.0, 0.0)
-            worst = max(worst, abs(got - want))
-        assert worst <= 1e-8
+        for path, t in cases:
+            got = mle_solve(path, PHI_ONE, unit_rate, t)
+            want = max(np.searchsorted(path.jump_times, t, side="right") / t - 1.0, 0.0)
+            worst = max(worst, abs(got - want) / max(1.0, want))
+        assert worst <= 1e-14
 
     def test_exact_root_is_kept(self, unit_rate, frac_phi):
         # on this drift path the iterate 0.45254119004438... has a score of
@@ -109,17 +119,26 @@ class TestMleSolve:
         got = mle_solve(path, frac_phi, unit_rate, 50.0)
         assert abs(got - 0.4525411900443826) <= 1e-13 * 0.4525411900443826
 
+    def test_non_convergence_names_replica_and_time(self, monkeypatch, unit_rate, frac_phi):
+        monkeypatch.setattr(estimator, "MAX_NEWTON_STEPS", 1)
+        drift = IntensitySpec.scaled_by_phi(1.0, 1.0, frac_phi)
+        batch = PathBatch.from_path(simulate(drift, MarkDistributionSpec.unit(), 20.0, 9000))
+        message = r"replica 0: the drift MLE did not converge at t = 10\.0 within 1 Newton step"
+        with pytest.raises(NumericsError, match=message):
+            mle_solve_batch(batch, frac_phi, unit_rate, [10.0, 20.0])
+
     def test_root_residual_and_concavity(self, unit_rate, frac_phi):
         marks = MarkDistributionSpec.unit()
-        for i in range(50):
-            path = simulate(
-                IntensitySpec.scaled_by_phi(1.0, 1.0, frac_phi), marks, 20.0, 9000 + i
-            )
-            theta = mle_solve(path, frac_phi, unit_rate, 20.0)
-            f, fp, fpp = score(path, frac_phi, unit_rate, theta, 20.0)
+        drift = IntensitySpec.scaled_by_phi(1.0, 1.0, frac_phi)
+        cases = [(simulate(drift, marks, 20.0, 9000 + i), 20.0) for i in range(50)]
+        cases.append((path_with([0.5e-9, 0.9e-9], 1.0), 1e-9))  # a root near 3.2e7
+        for path, t in cases:
+            theta = mle_solve(path, frac_phi, unit_rate, t)
+            f, fp, fpp = score(path, frac_phi, unit_rate, theta, t)
             assert fpp <= 0.0
             if theta > 0.0:
-                assert abs(fp) <= 1e-8  # root residual of the estimating equation
+                # root residual of the estimating equation, relative to its sides below 1
+                assert abs(fp) <= 1e-8 * min(1.0, phi_lambda_integral(frac_phi, unit_rate, t))
             else:
                 assert fp <= 0.0
 

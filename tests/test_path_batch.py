@@ -1,9 +1,10 @@
 """The batched path engine against the per-replica code it replaced.
 
 The oracles below are the per-replica implementations of `simulate`,
-`eval_filtered`, `log_density` and `mle_solve` as they stood before the
-replica loops moved to `PathBatch` (the MLE with the exact-root stop); the
-batched layers must reproduce them path by path.
+`eval_filtered` and `log_density` as they stood before the replica loops
+moved to `PathBatch`, and the per-path form of the MLE's monotone Newton
+iteration from theta = 0; the batched layers must reproduce them path by
+path.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fpp_lab import (
     verify_tilted_law,
 )
 from fpp_lab import estimator, point_process
-from fpp_lab.estimator import BRACKET_CAP, THETA_TOL
+from fpp_lab.estimator import MAX_NEWTON_STEPS, THETA_TOL
 from fpp_lab.girsanov import _compare_laws, _shifts
 from fpp_lab.kernels import kernel_eval_at
 from fpp_lab.point_process import SKIPPED_MASS_TOL
@@ -112,43 +113,24 @@ def oracle_log_density(path, h, intensity, t):
 
 
 def oracle_mle_solve(path, phi, intensity, t):
-    """Safeguarded Newton on one path, stopping at an exact root."""
+    """Newton from theta = 0 on one path, stopping at or past the root."""
     k = int(np.searchsorted(path.jump_times, t, side="right"))
     pv = np.asarray(phi(path.jump_times[:k]), dtype=float) if k else np.empty(0)
     integral = phi_lambda_integral(phi, intensity, t)
-
-    def grad(th):
-        ratio = pv / (1.0 + th * pv)
-        return float(ratio.sum()) - integral, -float(np.square(ratio).sum())
-
     s0 = float(pv.sum())
     if s0 - integral <= 0.0:
         return 0.0
-    hi, lo = 1.0, 0.0
-    while grad(hi)[0] > 0.0:
-        lo = hi
-        hi *= 2.0
-        assert hi <= BRACKET_CAP
-    theta = max(s0 / integral - 1.0, 0.0) + 0.1
-    if not lo < theta < hi:
-        theta = 0.5 * (lo + hi)
-    g_scale = max(1.0, s0)
-    for _ in range(200):
-        g, gp = grad(theta)
-        if g == 0.0:
+    theta = 0.0
+    for _ in range(MAX_NEWTON_STEPS):
+        ratio = pv / (1.0 + theta * pv)
+        g = float(ratio.sum()) - integral
+        if g <= 0.0:
             return theta
-        if g > 0.0:
-            lo = theta
-        else:
-            hi = theta
-        new = theta - (g / gp if gp != 0.0 else 0.0)
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        done = abs(new - theta) <= THETA_TOL and abs(g) <= 1e-11 * g_scale
-        theta = new
-        if done:
-            break
-    return float(theta)
+        step = g / -float(np.square(ratio).sum())
+        theta -= step
+        if abs(step) <= THETA_TOL and abs(g) <= 1e-11 * max(1.0, s0):
+            return theta
+    raise AssertionError("the oracle did not converge")
 
 
 # -- strategies ------------------------------------------------------------

@@ -165,7 +165,7 @@ class TestVolterraSolver:
         assert rel.max() <= 2e-2
 
     def test_residuals_within_advertised_tolerance(self):
-        from fpp_lab.phi_solver import STARTUP_SPAN_FACTOR
+        from fpp_lab.phi_solver import SOLVER_RTOL, STARTUP_SPAN_FACTOR
 
         kernel = KernelSpec.fractional(0.7)
         inten = IntensitySpec.constant(1.0)
@@ -174,7 +174,7 @@ class TestVolterraSolver:
         nodes = grid[grid >= STARTUP_SPAN_FACTOR * grid[0]]
         assert nodes.size > 200  # the advertised span covers nearly the whole grid
         resid = volterra_residuals(phi, kernel, inten, 1.0, nodes)
-        assert resid.max() <= 2.0 * phi.solver_rtol
+        assert resid.max() <= 2.0 * SOLVER_RTOL
 
     def test_residuals_shrink_under_refinement(self):
         inten = IntensitySpec.constant(1.0)
