@@ -127,6 +127,8 @@ class KernelSpec:
         arr = read_csv(path, "t,s,value")
         if not arr.size:
             raise ValidationError(f"empty tabulated kernel file {path}")
+        if not np.all(np.isfinite(arr[:, 2])):
+            raise ValidationError(f"tabulated kernel file {path} has a non-finite value")
         t_grid = np.unique(arr[:, 0])
         s_grid = np.unique(arr[:, 1])
         if arr.shape[0] != t_grid.size * s_grid.size:

@@ -6,29 +6,18 @@ bootstrap: both groups are resampled (values together with their weights)
 from the pooled collection, which imposes the null hypothesis that the two
 weighted samples describe the same law.
 
-Both functions share one rank-based core.  The pooled sample is ranked
-once with `np.unique`: rank r is the r-th smallest distinct value, so
-ranks preserve order and tied values (0.0 and -0.0 among them) share a
-rank.  Ranks are stored in the smallest unsigned type that holds the
-number k of distinct values; up to 65535 that is uint16, which numpy's
-stable argsort sorts by radix.  Each sample's weighted CDF, whether one of
-the statistic's samples or one half of a bootstrap resample, is then
-
-* the stable argsort of its integer ranks: the permutation a stable
-  argsort of its float values gives, since equal values have equal ranks;
-* `cumsum(w[order]) / w.sum()`, the same floating-point operations as
-  after sorting the values;
-* read at every tie-group end, `cumsum(bincount(rank, minlength=k))`,
-  which is the index `searchsorted(sorted values, v, side="right")` gives
-  for each distinct pooled value v.
-
-The statistic is max |Fa - Fb| over the k distinct pooled values.  At a
-value neither sample contains, both CDFs repeat their values at the
-nearest smaller value one of them contains (or are both 0), so the
-maximum is the same float as over the samples' own values.  The results
-are therefore bit-identical to sorting each sample's values and reading
-both CDFs with `searchsorted`, with no float sort per resample.  The
-bootstrap draws two `rng.integers` index vectors per resample.
+Both functions share one core.  The pooled sample is ranked once with
+`np.unique`: rank r is the r-th smallest of its k distinct values, so tied
+values (0.0 and -0.0 among them) share a rank.  A sample's weighted CDF at
+the k distinct pooled values, whether one of the statistic's samples or
+one half of a bootstrap resample, is its weight per rank summed up,
+`bincount(rank, weights=w, minlength=k).cumsum()`, over the last entry
+(its total).  The statistic is max |Fa - Fb| over those k values; at a
+value neither sample contains both CDFs repeat their previous values, so
+this is the sup over the whole line.  Sorting each sample's values and
+reading both CDFs with `searchsorted` gives the same value up to the order
+of the float additions.  The bootstrap draws two `rng.integers` index
+vectors per resample.
 """
 
 from __future__ import annotations
@@ -42,12 +31,10 @@ _WEIGHTS_MSG = "weights must be nonnegative with positive totals"
 
 def _cdf_at_ranks(rank: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     """Weighted ECDF of one sample at each of the k distinct pooled values."""
-    total = w.sum()
-    if total <= 0:
+    cdf = np.bincount(rank, weights=w, minlength=k).cumsum()
+    if cdf[-1] <= 0:
         raise ValidationError(_WEIGHTS_MSG)
-    order = np.argsort(rank, kind="stable")
-    cdf = np.concatenate(([0.0], np.cumsum(w[order]) / total))
-    return cdf[np.cumsum(np.bincount(rank, minlength=k))]
+    return cdf / cdf[-1]
 
 
 def _ks(ra: np.ndarray, wa: np.ndarray, rb: np.ndarray, wb: np.ndarray, k: int) -> float:
@@ -65,9 +52,8 @@ def _ranked_pool(x, wx, y, wy) -> tuple[np.ndarray, np.ndarray, int]:
         raise ValidationError("KS statistic needs non-empty samples")
     if np.any(wts < 0):
         raise ValidationError(_WEIGHTS_MSG)
-    distinct, inverse = np.unique(vals, return_inverse=True)
-    k = distinct.size
-    return inverse.astype(np.min_scalar_type(k)), wts, k
+    distinct, rank = np.unique(vals, return_inverse=True)
+    return rank, wts, distinct.size
 
 
 def weighted_ks_statistic(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray) -> float:
@@ -88,9 +74,11 @@ def ks_bootstrap_threshold(
 ) -> float:
     """(1 - level) quantile of the pooled-bootstrap null KS distribution.
 
-    Every resample must carry positive weight in both halves, else
-    ValidationError.
+    n_boot must be a positive integer, and every resample must carry
+    positive weight in both halves, else ValidationError.
     """
+    if not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
+        raise ValidationError(f"n_boot must be a positive integer, got {n_boot!r}")
     if not 0 < level < 1:
         raise ValidationError(f"level must be in (0, 1), got {level}")
     rank, wts, k = _ranked_pool(x, wx, y, wy)

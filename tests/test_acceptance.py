@@ -30,6 +30,7 @@ from fpp_lab import (
     kernel_eval,
     ln_gamma,
     log_density,
+    log_density_batch,
     mle_solve,
     monotonicity_violations,
     phi_fractional,
@@ -37,6 +38,7 @@ from fpp_lab import (
     power_grid,
     score,
     simulate,
+    simulate_replicas,
     solve_phi_volterra,
     trajectory,
     uniform_grid,
@@ -122,9 +124,10 @@ def test_criterion_4_doleans_unit_expectation():
         h = ShiftFunction.scaled_phi(0.5, phi_fractional(0.7, 1.0))
         T, reps = 5.0, 100_000
         log_weights = np.empty(reps)
-        for i in range(reps):
-            path = simulate(inten, marks, T, 100_000 + i)
-            log_weights[i] = log_density(path, h, inten, T)
+        for rows, batch in simulate_replicas(inten, marks, T, reps, 100_000):
+            log_weights[rows] = log_density_batch(batch, h, inten, T)
+        scalar = [log_density(simulate(inten, marks, T, 100_000 + i), h, inten, T) for i in range(1000)]
+        assert np.array_equal(log_weights[:1000], scalar)
         w = np.exp(log_weights)
         se = w.std(ddof=1) / math.sqrt(reps)
         assert abs(w.mean() - 1.0) <= 4.0 * se, f"mean weight {w.mean():.5f}, se {se:.5f}"

@@ -375,35 +375,37 @@ class TestRunExperiments:
         assert re.match(message, err["error"]["message"])
         assert not (out / "run_summary.json").exists()
 
-    def test_non_finite_phi_exits_2(self, tmp_path, capsys):
-        # K = e^-(t-s) below the diagonal with one infinite cell: the solve used to
-        # return phi = nan everywhere and the NaN residual passed the check
-        rows = ["t,s,value"]
-        for t in (0.5, 1.0, 2.0):
-            for s in (0.0, 0.5, 1.0, 2.0):
-                value = math.inf if (t, s) == (1.0, 0.5) else (math.exp(s - t) if s <= t else 0.0)
-                rows.append(f"{t},{s},{value}")
-        (tmp_path / "k.csv").write_text("\n".join(rows) + "\n")
-        out = tmp_path / "o"
-        cfg = write_config(
-            tmp_path,
-            "c.json",
-            {
-                "experiment": "solve-phi",
-                "kernel": {"kind": "tabulated", "path": str(tmp_path / "k.csv")},
-                "intensity": {"kind": "constant", "base_rate": 1.0},
-                "marks": {"kind": "unit"},
-                "grid": {"start": 0.5, "stop": 2.0, "count": 4},
-                "seed": 1,
-                "output_path": str(out),
-            },
-        )
-        with np.errstate(invalid="ignore"):
-            assert main(["run", str(cfg)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "NumericsError"
-        assert "not finite" in err["error"]["message"]
-        assert not (out / "run_summary.json").exists()
+    def test_non_finite_tabulated_cell_exits_1(self, tmp_path, capsys):
+        # K = e^-(t-s) below the diagonal with one non-finite cell, rejected
+        # when the table is loaded, so by `validate` too
+        for bad in (math.inf, math.nan):
+            rows = ["t,s,value"]
+            for t in (0.5, 1.0, 2.0):
+                for s in (0.0, 0.5, 1.0, 2.0):
+                    value = bad if (t, s) == (1.0, 0.5) else (math.exp(s - t) if s <= t else 0.0)
+                    rows.append(f"{t},{s},{value}")
+            table = tmp_path / "k.csv"
+            table.write_text("\n".join(rows) + "\n")
+            out = tmp_path / "o"
+            cfg = write_config(
+                tmp_path,
+                "c.json",
+                {
+                    "experiment": "solve-phi",
+                    "kernel": {"kind": "tabulated", "path": str(table)},
+                    "intensity": {"kind": "constant", "base_rate": 1.0},
+                    "marks": {"kind": "unit"},
+                    "grid": {"start": 0.5, "stop": 2.0, "count": 4},
+                    "seed": 1,
+                    "output_path": str(out),
+                },
+            )
+            for command in ("validate", "run"):
+                assert main([command, str(cfg)]) == 1
+                err = json.loads(capsys.readouterr().err)
+                assert err["error"]["type"] == "ValidationError"
+                assert f"{table} has a non-finite value" in err["error"]["message"]
+            assert not out.exists()
 
     def test_scaled_intensity_simulate(self, tmp_path):
         out = tmp_path / "o"

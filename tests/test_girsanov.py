@@ -163,6 +163,25 @@ class TestVerifyEqualityInLaw:
         with pytest.raises(ValidationError):
             verify_tilted_law(not_tiltable)
 
+    @pytest.mark.parametrize(
+        "ks",
+        [{"ks_bootstrap": 0}, {"ks_bootstrap": 2.5}, {"ks_level": 0.0}, {"ks_level": 1.5}],
+        ids=["bootstrap-0", "bootstrap-2.5", "level-0", "level-1.5"],
+    )
+    def test_ks_settings_rejected_at_construction(self, unit_rate, unit_marks, frac_kernel, ks):
+        # rejected at construction, before any replica is simulated
+        with pytest.raises(ValidationError, match="ks_"):
+            GirsanovCheckConfig(
+                kernel=frac_kernel,
+                h=ShiftFunction.constant(0.1),
+                intensity=unit_rate,
+                marks=unit_marks,
+                eval_times=(1.0, 2.0),
+                replicas=10,
+                seed=1,
+                **ks,
+            )
+
     def test_zero_shift_identical_samples(self, unit_rate, unit_marks, frac_kernel):
         cfg = GirsanovCheckConfig(
             kernel=frac_kernel,

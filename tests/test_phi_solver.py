@@ -220,6 +220,16 @@ class TestVolterraSolver:
         with pytest.raises(NumericsError):
             solve_phi_volterra(kernel, IntensitySpec.constant(1.0), 1.0, uniform_grid(0.1, 1.9, 60))
 
+    def test_non_finite_solution_detected(self):
+        # an infinite table cell, as `KernelSpec.tabulated` accepts, makes phi non-finite
+        tg = np.array([0.5, 1.0, 2.0])
+        sg = np.array([0.0, 0.5, 1.0, 2.0])
+        vals = np.where(sg[None, :] <= tg[:, None], np.exp(sg[None, :] - tg[:, None]), 0.0)
+        vals[1, 1] = np.inf
+        kernel = KernelSpec.tabulated(tg, sg, vals)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="not finite"):
+            solve_phi_volterra(kernel, IntensitySpec.constant(1.0), 1.0, uniform_grid(0.5, 2.0, 4))
+
     def test_grid_validation(self):
         k = KernelSpec.indicator()
         inten = IntensitySpec.constant(1.0)
