@@ -385,15 +385,21 @@ def _run_consistency(cfg: ResolvedConfig) -> dict:
 def _run_solve_phi(cfg: ResolvedConfig) -> dict:
     from .phi_solver import SOLVER_RTOL, STARTUP_SPAN_FACTOR
 
-    phi = solve_phi_volterra(cfg.kernel, cfg.intensity, cfg.marks.mean, cfg.grid)
-    phi.to_csv(cfg.output_path / "phi.csv")
-    # mandatory residual spot check on the advertised span; numerical
-    # failure aborts the pipeline
-    span = cfg.grid[cfg.grid >= STARTUP_SPAN_FACTOR * cfg.grid[0]]
-    if span.size == 0:
-        span = cfg.grid[-1:]
-    spots = span[np.unique(np.linspace(0, span.size - 1, min(12, span.size)).astype(int))]
-    resid = volterra_residuals(phi, cfg.kernel, cfg.intensity, cfg.marks.mean, spots)
+    # floating-point overflow in the solve or its check (say from extreme
+    # finite cells of a tabulated kernel) fails the run, not just warns
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            phi = solve_phi_volterra(cfg.kernel, cfg.intensity, cfg.marks.mean, cfg.grid)
+            phi.to_csv(cfg.output_path / "phi.csv")
+            # mandatory residual spot check on the advertised span; numerical
+            # failure aborts the pipeline
+            span = cfg.grid[cfg.grid >= STARTUP_SPAN_FACTOR * cfg.grid[0]]
+            if span.size == 0:
+                span = cfg.grid[-1:]
+            spots = span[np.unique(np.linspace(0, span.size - 1, min(12, span.size)).astype(int))]
+            resid = volterra_residuals(phi, cfg.kernel, cfg.intensity, cfg.marks.mean, spots)
+    except FloatingPointError as exc:
+        raise NumericsError(f"phi solve or residual check: {exc}") from exc
     max_resid = float(resid.max())
     if not max_resid <= 2.0 * SOLVER_RTOL:  # also fails a NaN residual
         raise NumericsError(

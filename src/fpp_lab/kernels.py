@@ -20,7 +20,12 @@ the origin singularity of exponent e.
 kernel, the calibration function phi and the rate: closed forms where they
 exist (among them int K_H = Gamma(3/2-H) t^(H+1/2) / (H+1/2) and, for the
 closed-form phi of the same H, int K_H phi = t / lam), otherwise one
-quadrature at one tolerance with one convergence check.
+quadrature at one tolerance with one convergence check.  That quadrature,
+`singular_quad_0_to_t`, is vectorized double-exponential (tanh-sinh)
+quadrature (Takahasi & Mori 1974) over the substituted variable: each
+refinement level is one call of the integrand on an array of abscissae, so
+a residual stub costs a handful of kernel calls, not hundreds of one-point
+calls.
 
 F = F(H-1/2, 1/2-H, H+1/2, z) of the fractional kind is
 `scipy.special.hyp2f1`.  Scalar fractional evaluation assembles the defining
@@ -30,7 +35,10 @@ lazily from one vectorized F call on its 4096 nodes; points beyond the table
 take one F call.  The spline reproduces F to better than 1e-11 relative
 (measured for H from 0.5001 to 0.99), far inside the 1e-8 kernel accuracy
 contract, and is faster than F itself on the thousands of points a
-calibration call evaluates.
+calibration call evaluates.  A row of points wholly below the diagonal and
+inside the table (every row of the Volterra solve) is evaluated on the
+input array itself, without the masked gather and scatter that the general
+case needs.
 
 scipy is imported inside the functions that use it, not at module level:
 importing `scipy.special`, `scipy.integrate` and `scipy.interpolate` takes
@@ -216,15 +224,21 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
 
     The fractional kind uses the spline table of F on x = ln(t/s); points
     beyond the table range (s/t < e^-32) take one direct F call, equal (==)
-    to `kernel_eval` point by point.  The tabulated kind interpolates all
-    points with s <= t in one bilinear call, equal (==) to `kernel_eval`
-    point by point.
+    to `kernel_eval` point by point.  When every point lies below the
+    diagonal and inside the table, the fractional kind works on `s` itself,
+    with no masked copies, and gives the same values (==).  The tabulated
+    kind interpolates all points with s <= t in one bilinear call, equal
+    (==) to `kernel_eval` point by point.
     """
     s = np.asarray(s, dtype=float)
     if not t > 0:
         raise ValidationError(f"kernel_eval_at requires t > 0, got t={t}")
     if np.any(s <= 0):
         raise ValidationError("kernel_eval_at requires s > 0")
+    if spec.kind == "fractional" and s.size and s.max() < t:
+        x = np.log(t / s)
+        if x.max() <= _F_TABLE_XMAX:
+            return _fractional_k(spec.H, t, s, _fractional_table(spec.H)(x))
     out = np.zeros(s.shape)
     below = s < t
     if spec.kind == "indicator":
@@ -265,29 +279,45 @@ def diagonal_class(spec: KernelSpec) -> str:
     return CONTINUOUS if np.all(diag == 0.0) else CADLAG
 
 
+#: absolute error floor of `singular_quad_0_to_t`, and of the convergence
+#: check that reads its error estimate: one number, so that an integral the
+#: rule reports converged also passes the check
+QUAD_ATOL = 1e-13
+
+#: relative tolerance of `singular_quad_0_to_t`
+QUAD_RTOL = 1e-9
+
+_TINY = np.finfo(float).tiny
+
+
 def singular_quad_0_to_t(f, t: float, origin_exponent: float) -> tuple[float, float]:
     """int_0^t f(s) ds where f(s) ~ s^(-origin_exponent) near 0.
 
+    `f` maps a 1-d array of s > 0 to an array of the same shape.
     Substitutes s = t v^p with p = 1/(1 - e), turning the origin
-    singularity into a bounded integrand; returns (value, error estimate)
-    of an adaptive quadrature at relative tolerance 1e-9.
+    singularity into a bounded integrand, and integrates over v in (0, 1)
+    by tanh-sinh quadrature at relative tolerance QUAD_RTOL and absolute
+    tolerance QUAD_ATOL.  Returns (value, error estimate); the error is inf
+    when the rule reports no convergence.  An abscissa whose s underflows
+    (below the smallest normal double, zero included) adds 0, unevaluated:
+    the substituted integrand is bounded near v = 0, so a point that close
+    to 0 carries no weight at double precision.
     """
-    from scipy.integrate import quad
+    from scipy.integrate import tanhsinh
 
     if origin_exponent >= 1.0:
         raise NumericsError(f"non-integrable origin exponent {origin_exponent}")
-    if origin_exponent > 0.0:
-        p = 1.0 / (1.0 - origin_exponent)
+    p = 1.0 / (1.0 - origin_exponent) if origin_exponent > 0.0 else 1.0
 
-        def g(v: float) -> float:
-            return f(t * v**p) * t * p * v ** (p - 1.0)
+    def g(v: np.ndarray) -> np.ndarray:
+        s = t * v**p
+        out = np.zeros(s.shape)
+        keep = s >= _TINY
+        out[keep] = f(s[keep]) * t * p * v[keep] ** (p - 1.0)
+        return out
 
-    else:
-
-        def g(v: float) -> float:
-            return f(t * v) * t
-
-    return quad(g, 0.0, 1.0, epsabs=1e-12, epsrel=1e-9, limit=200)
+    res = tanhsinh(g, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL)
+    return float(res.integral), float(res.error) if res.success else math.inf
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -303,9 +333,10 @@ def _checked_quad(
 ) -> float:
     """int_0^upper K(t,s) phi(s) lambda(s) ds by `singular_quad_0_to_t`.
 
-    K comes from `kernel_eval_at` on one point; the origin exponent is the
-    sum of the three factors' exponents.  Raises NumericsError when the
-    error estimate exceeds max(1e-8 |value|, 1e-13).
+    The integrand is one `kernel_eval_at`, one `phi` and one `rate_at` call
+    per array of abscissae; the origin exponent is the sum of the three
+    factors' exponents.  Raises NumericsError when the error estimate
+    exceeds max(1e-8 |value|, QUAD_ATOL).
     """
     e = intensity.origin_exponent
     if kernel is not None:
@@ -313,13 +344,13 @@ def _checked_quad(
     if phi is not None:
         e += phi.origin_exponent
 
-    def f(s: float) -> float:
-        k = 1.0 if kernel is None else kernel_eval_at(kernel, t, np.array([s]))[0]
-        p = 1.0 if phi is None else float(phi(s))
-        return k * p * float(intensity.rate_at(s))
+    def f(s: np.ndarray) -> np.ndarray:
+        k = 1.0 if kernel is None else kernel_eval_at(kernel, t, s)
+        p = 1.0 if phi is None else phi(s)
+        return k * p * np.asarray(intensity.rate_at(s))
 
     val, err = singular_quad_0_to_t(f, upper, e)
-    if err > max(1e-8 * abs(val), 1e-13):
+    if err > max(1e-8 * abs(val), QUAD_ATOL):
         raise NumericsError(
             f"quadrature of K phi lambda did not converge at t={t}: "
             f"value {val:.6e}, error estimate {err:.2e}"
@@ -332,7 +363,7 @@ def _grid_phi_integral(
 ) -> float:
     """int_0^t K(t,s) phi(s) lambda(s) ds for a grid phi.
 
-    The interpolant has kinks at its nodes, so adaptive quadrature on the
+    The interpolant has kinks at its nodes, so one quadrature over the
     whole interval is noisy; instead the stub from 0 to the first kink (a
     positive node where the slope of the clamped interpolant changes),
     where the kernel and the rate may be singular, goes through
@@ -391,8 +422,8 @@ def kernel_phi_lambda_integral(
     4. otherwise singularity-aware quadrature of the product, with the sum
        of the factors' origin exponents.
 
-    Every quadrature runs at relative tolerance 1e-9 and raises
-    NumericsError when its error estimate exceeds max(1e-8 |value|, 1e-13).
+    Every quadrature runs at relative tolerance QUAD_RTOL and raises
+    NumericsError when its error estimate exceeds max(1e-8 |value|, QUAD_ATOL).
     """
     if phi is not None and phi.kind == "grid" and kernel is not None:
         return _grid_phi_integral(t, intensity, kernel, phi)

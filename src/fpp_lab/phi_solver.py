@@ -225,11 +225,13 @@ def solve_phi_volterra(
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     widths = np.diff(bounds)
     rate_mids = np.asarray(intensity.rate_at(mids), dtype=float)
+    # (m1 * widths * rate_mids) * K is the row product's own left-to-right order
+    factors = m1 * widths * rate_mids
     n = grid.size
     phi = np.empty(n)
     for i in range(n):
         t = grid[i]
-        w = m1 * widths[: i + 1] * rate_mids[: i + 1] * kernel_eval_at(kernel, t, mids[: i + 1])
+        w = factors[: i + 1] * kernel_eval_at(kernel, t, mids[: i + 1])
         if w[i] < SINGULAR_WEIGHT_TOL:
             raise NumericsError(
                 f"singular Volterra system: diagonal weight {w[i]:.3e} at node {t} "

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,45 @@ class TestRunExperiments:
                 assert err["error"]["type"] == "ValidationError"
                 assert f"{table} has a non-finite value" in err["error"]["message"]
             assert not out.exists()
+
+    def test_extreme_finite_tabulated_cells_exit_through_contract(self, tmp_path, capsys):
+        # 1 to 3 cells of the lattice above set to huge, huge negative or
+        # subnormal values: every draw passes (0) or fails as a numerical
+        # failure (2) with one JSON record, and no overflow warning escapes
+        rng = np.random.default_rng(0)
+        cells = [(t, s) for t in (0.5, 1.0, 2.0) for s in (0.0, 0.5, 1.0, 2.0)]
+        extremes = (1e200, -1e200, 1e308, -1e308, 5e-324)
+        table = tmp_path / "k.csv"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "solve-phi",
+                "kernel": {"kind": "tabulated", "path": str(table)},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "grid": {"start": 0.5, "stop": 2.0, "count": 4},
+                "seed": 1,
+                "output_path": str(tmp_path / "o"),
+            },
+        )
+        codes = set()
+        for _ in range(400):
+            pick = rng.choice(len(cells), size=rng.integers(1, 4), replace=False)
+            bad = {cells[i]: extremes[rng.integers(len(extremes))] for i in pick}
+            rows = ["t,s,value"]
+            for t, s in cells:
+                rows.append(f"{t},{s},{bad.get((t, s), math.exp(s - t) if s <= t else 0.0)!r}")
+            table.write_text("\n".join(rows) + "\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["run", str(cfg)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2)
+            if err:
+                json.loads(err)
+            codes.add(code)
+        assert codes == {0, 2}
 
     def test_scaled_intensity_simulate(self, tmp_path):
         out = tmp_path / "o"

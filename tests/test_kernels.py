@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.integrate import IntegrationWarning
+from scipy.integrate import quad
 
 from fpp_lab import (
     Hyp2F1Params,
@@ -24,8 +24,11 @@ from fpp_lab import (
     kernel_lambda_integral,
     ln_gamma,
     phi_fractional,
+    power_grid,
+    uniform_grid,
 )
-from fpp_lab.kernels import kernel_phi_lambda_integral, singular_quad_0_to_t
+from fpp_lab.kernels import QUAD_ATOL, kernel_phi_lambda_integral, singular_quad_0_to_t
+from fpp_lab.phi_solver import STARTUP_SPAN_FACTOR
 
 # frozen oracle values (mpmath, cross-checked against the quadrature oracle)
 K_07_2_1 = 1.1196796529762092
@@ -164,6 +167,23 @@ class TestVectorizedEval:
             far = s < 1e-14
             assert np.array_equal(vec[far], [kernel_eval(spec, 1.0, si) for si in s[far]])
 
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_mask_free_row_equals_masked_row(self, H):
+        # a row wholly below the diagonal and inside the table (a Volterra
+        # solve row) is evaluated without masks; a point on the diagonal, one
+        # above it and one beyond the table send the same row through the
+        # masked path, which must give every shared point the same float
+        spec, t = KernelSpec.fractional(H), 3.7
+        grid = power_grid(t, 2000)
+        rng = np.random.default_rng(12)
+        row = np.concatenate([0.5 * (np.concatenate(([0.0], grid[:-1])) + grid), t * rng.uniform(1e-13, 1.0, 500)])
+        extra = np.array([t, 1.5 * t, t * math.exp(-33.0)])
+        free = kernel_eval_at(spec, t, row)
+        masked = kernel_eval_at(spec, t, np.concatenate([row, extra]))
+        assert np.array_equal(masked[: row.size], free)
+        assert masked[-3] == masked[-2] == 0.0
+        assert masked[-1] == kernel_eval(spec, t, extra[-1])
+
     def test_exp_and_indicator(self):
         s = np.array([0.5, 1.0, 2.0, 3.0])
         out = kernel_eval_at(KernelSpec.indicator(), 2.0, s)
@@ -206,10 +226,25 @@ class TestKernelLambdaIntegral:
             kernel_lambda_integral(KernelSpec.indicator(), IntensitySpec.constant(1.0), 0.0)
 
 
+def scalar_quad_0_to_t(f, t, origin_exponent):
+    """int_0^t f(s) ds for scalar f with f(s) ~ s^(-origin_exponent) near 0.
+
+    Adaptive `quad` over s = t v^p, p = 1/(1 - e), at relative tolerance
+    1e-9: the package's quadrature before it became vectorized tanh-sinh,
+    kept as an oracle that shares no code with it.
+    """
+    p = 1.0 / (1.0 - origin_exponent) if origin_exponent > 0.0 else 1.0
+
+    def g(v):
+        return f(t * v**p) * t * p * v ** (p - 1.0)
+
+    return quad(g, 0.0, 1.0, epsabs=1e-12, epsrel=1e-9, limit=200)
+
+
 def oracle_kernel_phi_lambda(kernel, intensity, t, phi=None):
     """int_0^t K(t,s) phi(s) lambda(s) ds by the quadrature the closed forms replace.
 
-    Scalar `kernel_eval` times phi and lambda through `singular_quad_0_to_t`
+    Scalar `kernel_eval` times phi and lambda through `scalar_quad_0_to_t`
     with the summed origin exponents, as `kernel_lambda_integral` and
     `kernel_shift_lambda_integral` computed every fractional-kernel integral
     before the closed forms.
@@ -222,7 +257,7 @@ def oracle_kernel_phi_lambda(kernel, intensity, t, phi=None):
         p = 1.0 if phi is None else float(phi(s))
         return kernel_eval(kernel, t, s) * p * float(intensity.rate_at(s))
 
-    val, err = singular_quad_0_to_t(f, t, e)
+    val, err = scalar_quad_0_to_t(f, t, e)
     assert err <= 1e-8 * abs(val)
     return val
 
@@ -260,13 +295,73 @@ class TestKernelPhiLambdaIntegral:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_non_converging_quadrature_raises(self):
-        # a rough grid phi scaling the rate: adaptive quadrature of phi * lambda
+        # a rough grid phi scaling the rate: quadrature of phi * lambda
         # cannot resolve thousands of kinks
         nodes = np.linspace(0.0, 2.0, 4001)
         values = np.random.default_rng(5).uniform(0.0, 1.0, nodes.size)
         phi = PhiFunction(kind="grid", nodes=nodes, values=values)
         inten = IntensitySpec.scaled_by_phi(1.0, 1.0, phi)
-        with pytest.warns(IntegrationWarning), pytest.raises(NumericsError):
+        with pytest.raises(NumericsError):
+            kernel_phi_lambda_integral(2.0, inten, phi=phi)
+
+
+def cli_spots(grid):
+    """The residual nodes `fpp-lab run` checks for a solve on `grid`."""
+    span = grid[grid >= STARTUP_SPAN_FACTOR * grid[0]]
+    return span[np.unique(np.linspace(0, span.size - 1, min(12, span.size)).astype(int))]
+
+
+class TestSingularQuad:
+    @pytest.mark.parametrize(
+        "H, grid",
+        [
+            (0.7, uniform_grid(0.00125, 5.0, 4000)),  # the phi-calibration solve
+            (0.55, power_grid(5.0, 400)),
+            (0.9, power_grid(5.0, 400)),
+        ],
+    )
+    def test_residual_stubs_match_scalar_quad(self, H, grid):
+        # the residual check's stub: int of K(t, .) from 0 to the first panel
+        # midpoint, at the nodes the CLI checks
+        kernel = KernelSpec.fractional(H)
+        stub, e = 0.5 * grid[0], kernel.origin_exponent
+        for t in cli_spots(grid):
+            got, err = singular_quad_0_to_t(lambda s: kernel_eval_at(kernel, t, s), stub, e)
+            want, _ = scalar_quad_0_to_t(lambda s: kernel_eval_at(kernel, t, np.array([s]))[0], stub, e)
+            assert err <= max(1e-8 * abs(got), QUAD_ATOL)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_underflowing_abscissae_add_zero(self):
+        # the rule places abscissae down to v ~ 4e-308, where s = t v^p is 0
+        # (p = 5) or subnormal (p ~ 1, t = 0.1); the integrand never sees
+        # such an s: the kernel rejects s = 0, and t / s overflows
+        seen = []
+
+        def f(s):
+            seen.append(s.min())
+            return s**-0.8
+
+        val, err = singular_quad_0_to_t(f, 1.0, 0.8)
+        assert val == pytest.approx(5.0, rel=1e-12) and err <= 1e-9 * val
+        kernel = KernelSpec.fractional(0.5001)
+
+        def k(s):
+            seen.append(s.min())
+            return kernel_eval_at(kernel, 1.0, s)
+
+        val, err = singular_quad_0_to_t(k, 0.1, kernel.origin_exponent)
+        assert val > 0 and err <= 1e-8 * val
+        assert min(seen) >= np.finfo(float).tiny
+
+    def test_non_converging_rule_reports_inf_error(self):
+        val, err = singular_quad_0_to_t(lambda s: np.sin(1e7 * s) ** 2, 1.0, 0.0)
+        assert math.isfinite(val) and err == math.inf
+        nodes = np.linspace(0.0, 2.0, 4001)
+        values = np.random.default_rng(5).uniform(0.0, 1.0, nodes.size)
+        phi = PhiFunction(kind="grid", nodes=nodes, values=values)
+        inten = IntensitySpec.scaled_by_phi(1.0, 1.0, phi)
+        message = r"did not converge at t=2\.0: value \d\.\d{6}e[+-]\d+, error estimate inf"
+        with pytest.raises(NumericsError, match=message):
             kernel_phi_lambda_integral(2.0, inten, phi=phi)
 
 

@@ -40,7 +40,7 @@ def oracle_residuals(phi, kernel, intensity, m1, nodes):
             v0 = float(phi.values[0])
 
             def f_stub(s, _t=t):
-                return kernel_eval_at(kernel, _t, np.array([s]))[0] * v0 * float(intensity.rate_at(s))
+                return kernel_eval_at(kernel, _t, s) * v0 * np.asarray(intensity.rate_at(s))
 
             val, _ = singular_quad_0_to_t(f_stub, stub, kernel.origin_exponent)
             total += val
@@ -175,6 +175,23 @@ class TestVolterraSolver:
         assert nodes.size > 200  # the advertised span covers nearly the whole grid
         resid = volterra_residuals(phi, kernel, inten, 1.0, nodes)
         assert resid.max() <= 2.0 * SOLVER_RTOL
+
+    @pytest.mark.parametrize(
+        "H, rate, stop",
+        [(0.55, 1.3, 0.1), (0.9, 0.1, 0.01), (0.9, 0.1, 0.1), (0.9, 1.3, 0.01), (0.9, 1.3, 0.1)],
+    )
+    def test_small_stub_integrals_pass_their_check(self, H, rate, stop):
+        # grids from 1e-6 put residual stub integrals near 1e-5, where an
+        # error estimate of a few 1e-13 is converged; the quadrature's
+        # absolute tolerance and its check's floor must be the same number
+        from fpp_lab.phi_solver import STARTUP_SPAN_FACTOR
+
+        kernel, inten = KernelSpec.fractional(H), IntensitySpec.constant(rate)
+        grid = uniform_grid(1e-6, stop, 1500)
+        phi = solve_phi_volterra(kernel, inten, 1.0, grid)
+        span = grid[grid >= STARTUP_SPAN_FACTOR * grid[0]]
+        spots = span[np.unique(np.linspace(0, span.size - 1, 12).astype(int))]
+        assert np.all(np.isfinite(volterra_residuals(phi, kernel, inten, 1.0, spots)))
 
     def test_residuals_shrink_under_refinement(self):
         inten = IntensitySpec.constant(1.0)
