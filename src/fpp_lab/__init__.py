@@ -10,34 +10,26 @@ from .estimator import (
     mle_solve,
     mle_solve_batch,
     monotonicity_violations,
-    score,
     trajectory,
 )
 from .filtered_process import (
-    PathOnGrid,
     eval_compensated,
     eval_compensated_batch,
     eval_filtered,
     eval_filtered_batch,
-    eval_filtered_on_grid,
-    eval_observed,
-    sample_on_grid,
 )
 from .girsanov import (
     GirsanovCheckConfig,
     LawComparisonReport,
     ShiftFunction,
-    density,
     kernel_shift_lambda_integral,
     log_density,
     log_density_batch,
-    shifted_compensated,
     verify_equality_in_law,
     verify_tilted_law,
 )
 from .kernels import (
     KernelSpec,
-    diagonal_class,
     kernel_eval,
     kernel_eval_at,
     kernel_lambda_integral,
@@ -48,7 +40,6 @@ from .phi_solver import (
     phi_lambda_integral,
     power_grid,
     solve_phi_volterra,
-    uniform_grid,
     volterra_residuals,
 )
 from .point_process import (
@@ -63,7 +54,6 @@ from .point_process import (
     simulate_batch,
     simulate_replicas,
 )
-from .special_functions import Hyp2F1Params, hyp2f1, ln_gamma
 from .weighted_ks import ks_bootstrap_threshold, weighted_ks_statistic
 
 __version__ = "0.1.0"
@@ -74,7 +64,6 @@ __all__ = [
     "EstimateTrace",
     "FppError",
     "GirsanovCheckConfig",
-    "Hyp2F1Params",
     "IntensitySpec",
     "KernelSpec",
     "LawComparisonReport",
@@ -82,29 +71,22 @@ __all__ = [
     "MarkedPath",
     "NumericsError",
     "PathBatch",
-    "PathOnGrid",
     "PhiFunction",
     "ShiftFunction",
     "ValidationError",
     "consistency_experiment",
-    "density",
-    "diagonal_class",
     "eval_compensated",
     "eval_compensated_batch",
     "eval_filtered",
     "eval_filtered_batch",
-    "eval_filtered_on_grid",
-    "eval_observed",
     "expected_jumps",
     "fractional_hypothesis_note",
-    "hyp2f1",
     "integrated_intensity",
     "kernel_eval",
     "kernel_eval_at",
     "kernel_lambda_integral",
     "kernel_shift_lambda_integral",
     "ks_bootstrap_threshold",
-    "ln_gamma",
     "log_density",
     "log_density_batch",
     "mle_solve",
@@ -114,15 +96,11 @@ __all__ = [
     "phi_lambda_integral",
     "power_grid",
     "replica_blocks",
-    "sample_on_grid",
-    "score",
-    "shifted_compensated",
     "simulate",
     "simulate_batch",
     "simulate_replicas",
     "solve_phi_volterra",
     "trajectory",
-    "uniform_grid",
     "verify_equality_in_law",
     "verify_tilted_law",
     "volterra_residuals",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,21 @@ def build_phi(
     raise ValidationError(f"unknown phi_source {source!r} (use closed_form or volterra)")
 
 
+@contextmanager
+def _fp_guard(stage: str):
+    """Raise NumericsError naming `stage` on floating-point overflow, division by zero or invalid operation.
+
+    Extreme finite cells of a tabulated kernel overflow in the phi solve and
+    its residual check; under this guard they exit 2 through the error
+    contract instead of printing numpy warnings.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericsError(f"{stage}: {exc}") from exc
+
+
 def parse_h_spec(obj: dict) -> tuple[float, str]:
     _check_keys(obj, {"scale", "phi_source"}, "h_spec")
     scale = _number(obj, "scale", "h_spec")
@@ -279,7 +295,8 @@ class ResolvedConfig:
 
     def phi(self) -> PhiFunction:
         horizon = self.horizon if self.horizon is not None else float(self.grid[-1])
-        return build_phi(self.phi_source, self.kernel, self.base_rate, self.marks.mean, horizon)
+        with _fp_guard("phi solve"):
+            return build_phi(self.phi_source, self.kernel, self.base_rate, self.marks.mean, horizon)
 
 
 def _summary(cfg: ResolvedConfig, artifacts: list[str], headline: dict, passed: bool) -> dict:
@@ -385,21 +402,16 @@ def _run_consistency(cfg: ResolvedConfig) -> dict:
 def _run_solve_phi(cfg: ResolvedConfig) -> dict:
     from .phi_solver import SOLVER_RTOL, STARTUP_SPAN_FACTOR
 
-    # floating-point overflow in the solve or its check (say from extreme
-    # finite cells of a tabulated kernel) fails the run, not just warns
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            phi = solve_phi_volterra(cfg.kernel, cfg.intensity, cfg.marks.mean, cfg.grid)
-            phi.to_csv(cfg.output_path / "phi.csv")
-            # mandatory residual spot check on the advertised span; numerical
-            # failure aborts the pipeline
-            span = cfg.grid[cfg.grid >= STARTUP_SPAN_FACTOR * cfg.grid[0]]
-            if span.size == 0:
-                span = cfg.grid[-1:]
-            spots = span[np.unique(np.linspace(0, span.size - 1, min(12, span.size)).astype(int))]
-            resid = volterra_residuals(phi, cfg.kernel, cfg.intensity, cfg.marks.mean, spots)
-    except FloatingPointError as exc:
-        raise NumericsError(f"phi solve or residual check: {exc}") from exc
+    with _fp_guard("phi solve or residual check"):
+        phi = solve_phi_volterra(cfg.kernel, cfg.intensity, cfg.marks.mean, cfg.grid)
+        phi.to_csv(cfg.output_path / "phi.csv")
+        # mandatory residual spot check on the advertised span; numerical
+        # failure aborts the pipeline
+        span = cfg.grid[cfg.grid >= STARTUP_SPAN_FACTOR * cfg.grid[0]]
+        if span.size == 0:
+            span = cfg.grid[-1:]
+        spots = span[np.unique(np.linspace(0, span.size - 1, min(12, span.size)).astype(int))]
+        resid = volterra_residuals(phi, cfg.kernel, cfg.intensity, cfg.marks.mean, spots)
     max_resid = float(resid.max())
     if not max_resid <= 2.0 * SOLVER_RTOL:  # also fails a NaN residual
         raise NumericsError(

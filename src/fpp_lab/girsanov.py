@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .filtered_process import eval_compensated, eval_compensated_batch
+from .filtered_process import eval_compensated_batch
 from .kernels import KernelSpec, kernel_phi_lambda_integral
 from .point_process import (
     IntensitySpec,
@@ -56,15 +56,11 @@ class ShiftFunction:
     """h(s) = scale * phi(s), with phi >= 0 supplying the time profile.
 
     Admissibility (1 + h > 0 at every jump) holds automatically for
-    scale >= 0 and is re-checked pointwise by `log_density` otherwise.
+    scale >= 0 and is re-checked pointwise by `log_density_batch` otherwise.
     """
 
     phi: PhiFunction
     scale: float
-
-    @classmethod
-    def constant(cls, value: float) -> "ShiftFunction":
-        return cls(phi=PhiFunction.constant(1.0), scale=float(value))
 
     @classmethod
     def scaled_phi(cls, scale: float, phi: PhiFunction) -> "ShiftFunction":
@@ -76,20 +72,6 @@ class ShiftFunction:
     def lambda_integral(self, intensity: IntensitySpec, t: float) -> float:
         """int_0^t h(s) lambda(s) ds."""
         return self.scale * phi_lambda_integral(self.phi, intensity, t)
-
-    def witness(self, intensity: IntensitySpec, horizon: float) -> tuple[str, float]:
-        """Integrability witness: ('closed_form'|'numeric_check', int |h| lambda).
-
-        Also checks admissibility 1 + h > 0 on the horizon; a negative
-        scale with unbounded phi always fails it.
-        """
-        if self.scale < 0.0 and self.scale * self.phi.sup_on(0.0, horizon) <= -1.0:
-            raise ValidationError("shift function reaches -1 on the horizon; density undefined")
-        value = abs(self.scale) * phi_lambda_integral(self.phi, intensity, horizon)
-        if not np.isfinite(value):
-            raise ValidationError("shift function is not integrable against the intensity")
-        closed = self.phi.kind == "closed_form_fractional" and intensity.kind == "constant"
-        return ("closed_form" if closed else "numeric_check", value)
 
 
 def log_density_batch(batch: PathBatch, h: ShiftFunction, intensity: IntensitySpec, t: float) -> np.ndarray:
@@ -121,11 +103,6 @@ def log_density(path: MarkedPath, h: ShiftFunction, intensity: IntensitySpec, t:
     return float(log_density_batch(PathBatch.from_path(path), h, intensity, t)[0])
 
 
-def density(path: MarkedPath, h: ShiftFunction, intensity: IntensitySpec, t: float) -> float:
-    """The density itself; strictly positive for admissible h."""
-    return float(np.exp(log_density(path, h, intensity, t)))
-
-
 def kernel_shift_lambda_integral(
     kernel: KernelSpec, h: ShiftFunction, intensity: IntensitySpec, t: float
 ) -> float:
@@ -133,21 +110,6 @@ def kernel_shift_lambda_integral(
     if not t > 0:
         raise ValidationError(f"t must be positive, got {t}")
     return h.scale * kernel_phi_lambda_integral(t, intensity, kernel, h.phi) if h.scale else 0.0
-
-
-def shifted_compensated(
-    path: MarkedPath,
-    kernel: KernelSpec,
-    h: ShiftFunction,
-    intensity: IntensitySpec,
-    m1: float,
-    t: float,
-) -> float:
-    """N^{h,K}_t: the compensated process minus the deterministic h-shift."""
-    base = eval_compensated(path, kernel, intensity, m1, t)
-    if t == 0:
-        return base
-    return base - m1 * kernel_shift_lambda_integral(kernel, h, intensity, t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,7 +58,6 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .point_process import IntensitySpec, integrated_intensity
 from .serialize import read_csv
-from .special_functions import ln_gamma
 
 if TYPE_CHECKING:  # pragma: no cover
     from scipy.interpolate import CubicSpline
@@ -66,10 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .phi_solver import PhiFunction
 
 KERNEL_KINDS = ("indicator", "exp_shot_noise", "fractional", "tabulated")
-
-CONTINUOUS = "continuous_paths"
-CADLAG = "cadlag_paths"
-IRREGULAR = "irregular"
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +185,26 @@ def _fractional_k(H: float, t: float, s: np.ndarray, f: np.ndarray) -> np.ndarra
     The scalar path passes one-point arrays: numpy's SIMD power can differ
     from Python's ** in the last bit, and both paths must agree exactly.
     """
-    return (t - s) ** (H - 0.5) * f / math.exp(ln_gamma(H + 0.5))
+    return (t - s) ** (H - 0.5) * f / math.exp(math.lgamma(H + 0.5))
+
+
+def _fractional_k_far(H: float, t: float, s: np.ndarray) -> np.ndarray:
+    """K_H(t, s) where t / s overflows, without forming t / s.
+
+    With w = 1/z = s / (s - t) below 1e-308 in magnitude, the 1/z
+    connection formula of F(a, b; c; z) leaves two powers of -z = t/s - 1
+    times F-factors that equal 1 + O(w), and t - s rounds to t, so
+
+        K = Gamma(1-2H)/Gamma(1/2-H) s^(H-1/2)
+            + Gamma(2H-1)/(Gamma(H-1/2) Gamma(2H)) t^(2H-1) s^(1/2-H)
+
+    to double precision; both terms are positive, and near H = 1/2 both
+    count.  (The Pfaff form F(H-1/2, 2H; H+1/2; 1 - s/t) does not help
+    here: 1 - s/t rounds to 1, where that F diverges.)
+    """
+    a = math.gamma(1.0 - 2.0 * H) / math.gamma(0.5 - H)
+    b = math.gamma(2.0 * H - 1.0) / (math.gamma(H - 0.5) * math.gamma(2.0 * H))
+    return a * s ** (H - 0.5) + b * t ** (2.0 * H - 1.0) * s ** (0.5 - H)
 
 
 def _fractional_table(H: float) -> CubicSpline:
@@ -214,7 +228,7 @@ def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
     if not s > 0:
         raise ValidationError(f"kernel_eval requires s > 0, got s={s}")
     point = np.array([s])
-    if spec.kind == "fractional" and s < t:
+    if spec.kind == "fractional" and s < t and float(t) / float(s) < math.inf:
         return float(_fractional_k(spec.H, t, point, _fractional_f(spec.H, 1.0 - t / point))[0])
     return float(kernel_eval_at(spec, t, point)[0])
 
@@ -224,11 +238,12 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
 
     The fractional kind uses the spline table of F on x = ln(t/s); points
     beyond the table range (s/t < e^-32) take one direct F call, equal (==)
-    to `kernel_eval` point by point.  When every point lies below the
-    diagonal and inside the table, the fractional kind works on `s` itself,
-    with no masked copies, and gives the same values (==).  The tabulated
-    kind interpolates all points with s <= t in one bilinear call, equal
-    (==) to `kernel_eval` point by point.
+    to `kernel_eval` point by point, and points so far below the diagonal
+    that t / s overflows take `_fractional_k_far`, as in `kernel_eval`.
+    When every point lies below the diagonal and inside the table, the
+    fractional kind works on `s` itself, with no masked copies, and gives
+    the same values (==).  The tabulated kind interpolates all points with
+    s <= t in one bilinear call, equal (==) to `kernel_eval` point by point.
     """
     s = np.asarray(s, dtype=float)
     if not t > 0:
@@ -236,7 +251,8 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
     if np.any(s <= 0):
         raise ValidationError("kernel_eval_at requires s > 0")
     if spec.kind == "fractional" and s.size and s.max() < t:
-        x = np.log(t / s)
+        with np.errstate(over="ignore"):  # an overflowed t / s leaves the table
+            x = np.log(t / s)
         if x.max() <= _F_TABLE_XMAX:
             return _fractional_k(spec.H, t, s, _fractional_table(spec.H)(x))
     out = np.zeros(s.shape)
@@ -254,29 +270,18 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
         return out
     # fractional
     sb = s[below]
-    x = np.log(t / sb)
-    f = np.empty(sb.shape)
+    with np.errstate(over="ignore"):
+        x = np.log(t / sb)
+    far = np.isinf(x)
     in_table = x <= _F_TABLE_XMAX
+    beyond = ~in_table & ~far
+    f = np.zeros(sb.shape)
     f[in_table] = _fractional_table(spec.H)(x[in_table])
-    f[~in_table] = _fractional_f(spec.H, 1.0 - t / sb[~in_table])
-    out[below] = _fractional_k(spec.H, t, sb, f)
+    f[beyond] = _fractional_f(spec.H, 1.0 - t / sb[beyond])
+    k = _fractional_k(spec.H, t, sb, f)
+    k[far] = _fractional_k_far(spec.H, t, sb[far])
+    out[below] = k
     return out
-
-
-def diagonal_class(spec: KernelSpec) -> str:
-    """Sample-path regularity class implied by K(t, t).
-
-    K(t,t) = 0 everywhere gives continuous paths; finite nonzero diagonal
-    gives cadlag paths; anything non-finite is irregular.
-    """
-    if spec.kind == "fractional":
-        return CONTINUOUS
-    if spec.kind in ("indicator", "exp_shot_noise"):
-        return CADLAG
-    if not np.all(np.isfinite(spec.table_values)):
-        return IRREGULAR
-    diag = _bilinear(spec.table_t, spec.table_s, spec.table_values, spec.table_t, spec.table_t)
-    return CONTINUOUS if np.all(diag == 0.0) else CADLAG
 
 
 #: absolute error floor of `singular_quad_0_to_t`, and of the convergence

@@ -32,8 +32,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .kernels import KernelSpec, kernel_eval_at, kernel_phi_lambda_integral
 from .point_process import IntensitySpec
-from .serialize import read_csv, write_csv
-from .special_functions import ln_gamma
+from .serialize import write_csv
 
 #: diagonal product weights below this abort the forward substitution
 SINGULAR_WEIGHT_TOL = 1e-14
@@ -92,7 +91,7 @@ class PhiFunction:
     @cached_property
     def coefficient(self) -> float:
         """Gamma(3/2 - H) / Gamma(2 - 2H) for the closed fractional form."""
-        return math.exp(ln_gamma(1.5 - self.H) - ln_gamma(2.0 - 2.0 * self.H))
+        return math.exp(math.lgamma(1.5 - self.H) - math.lgamma(2.0 - 2.0 * self.H))
 
     @property
     def origin_exponent(self) -> float:
@@ -152,11 +151,6 @@ class PhiFunction:
             raise ValidationError("only grid phi functions serialize to CSV")
         write_csv(path, "s,phi", zip(self.nodes, self.values))
 
-    @classmethod
-    def from_csv(cls, path) -> "PhiFunction":
-        arr = read_csv(path, "s,phi")
-        return cls(kind="grid", nodes=arr[:, 0], values=arr[:, 1])
-
 
 def phi_fractional(H: float, lam: float) -> PhiFunction:
     """Closed-form phi for the fractional kernel under constant rate lam."""
@@ -167,21 +161,15 @@ def phi_fractional(H: float, lam: float) -> PhiFunction:
     return PhiFunction(kind="closed_form_fractional", H=H, lam=lam)
 
 
-def uniform_grid(start: float, stop: float, count: int) -> np.ndarray:
-    if not (0 < start < stop) or count < 2:
-        raise ValidationError("grid needs 0 < start < stop and count >= 2")
-    return np.linspace(start, stop, count)
-
-
-def power_grid(stop: float, count: int, power: float = 2.0) -> np.ndarray:
-    """Graded mesh stop * (k/n)^power, k = 1..n; denser toward the origin.
+def power_grid(stop: float, count: int) -> np.ndarray:
+    """Graded mesh stop * (k/n)^2, k = 1..n; denser toward the origin.
 
     The gentle panel-growth ratio keeps the product-midpoint scheme stable
     for diagonal-degenerate kernels while resolving singular phi near 0.
     """
-    if not stop > 0 or count < 2 or power < 1.0:
-        raise ValidationError("power_grid needs stop > 0, count >= 2, power >= 1")
-    return stop * (np.arange(1, count + 1) / count) ** power
+    if not stop > 0 or count < 2:
+        raise ValidationError("power_grid needs stop > 0 and count >= 2")
+    return stop * (np.arange(1, count + 1) / count) ** 2.0
 
 
 def solve_phi_volterra(

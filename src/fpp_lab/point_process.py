@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .serialize import read_csv, write_csv
+from .serialize import write_csv
 
 if TYPE_CHECKING:  # pragma: no cover
     from .phi_solver import PhiFunction
@@ -142,8 +142,9 @@ class IntensitySpec:
 class MarkedPath:
     """One realization: sorted jump times with marks, on [0, horizon].
 
-    The arrays are validated unless ``check`` is false, which the
-    constructors whose input is valid by construction pass.
+    The arrays are validated, as the one-row `PathBatch` of the path, unless
+    ``check`` is false, which the constructors whose input is valid by
+    construction pass.
     """
 
     jump_times: np.ndarray
@@ -156,19 +157,8 @@ class MarkedPath:
         z = np.asarray(self.marks, dtype=float)
         object.__setattr__(self, "jump_times", t)
         object.__setattr__(self, "marks", z)
-        if not check:
-            return
-        if t.shape != z.shape or t.ndim != 1:
-            raise ValidationError("jump_times and marks must be 1-d arrays of equal length")
-        if not self.horizon > 0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        if t.size:
-            if not (t[0] > 0 and t[-1] <= self.horizon):
-                raise ValidationError("jump times must lie in (0, horizon]")
-            if not np.all(np.diff(t) > 0):
-                raise ValidationError("jump times must be strictly increasing")
-            if not np.all(z > 0):
-                raise ValidationError("marks must be positive")
+        if check:
+            PathBatch(t, z, [0, t.size], self.horizon)
 
     @property
     def count(self) -> int:
@@ -176,11 +166,6 @@ class MarkedPath:
 
     def to_csv(self, path) -> None:
         write_csv(path, "t,z", zip(self.jump_times, self.marks))
-
-    @classmethod
-    def from_csv(cls, path, horizon: float) -> "MarkedPath":
-        arr = read_csv(path, "t,z")
-        return cls(arr[:, 0], arr[:, 1], horizon)
 
 
 @dataclass(frozen=True)
@@ -190,8 +175,9 @@ class PathBatch:
     Row i holds ``jump_times[offsets[i]:offsets[i + 1]]`` with the marks at
     the same positions.  ``seeds`` (if known) gives each row's seed and
     ``first_replica`` the replica number of row 0, so errors can name the
-    replica that reproduces them.  The arrays are validated like a
-    `MarkedPath`'s unless ``check`` is false.
+    replica that reproduces them.  The arrays are validated unless
+    ``check`` is false; this is the one validation of path arrays, which
+    `MarkedPath` runs on its one-row batch.
     """
 
     jump_times: np.ndarray
@@ -300,7 +286,8 @@ def expected_jumps(intensity: IntensitySpec, horizon: float) -> float:
     Raises ValidationError when it is not finite or beyond the largest mean
     `Generator.poisson` accepts, where thinning could not draw it.
     """
-    mass = integrated_intensity(intensity, horizon)
+    with np.errstate(over="ignore"):  # an overflowed mass is rejected below
+        mass = integrated_intensity(intensity, horizon)
     if not mass <= POISSON_MEAN_MAX:
         raise ValidationError(
             f"expected jump count {mass:.6g} on [0, {horizon}] is beyond what a Poisson "

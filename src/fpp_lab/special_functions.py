@@ -1,4 +1,10 @@
-"""Gamma and Gauss hypergeometric functions for the fractional kernel.
+"""The Gauss hypergeometric function F(a, b, c, z), kept as a benchmark target.
+
+Nothing in the package calls `hyp2f1`: the fractional kernel calls
+`scipy.special.hyp2f1` directly (`kernels._fractional_f`), and the Gamma
+factors are `math.lgamma` and `math.gamma`.  The module stays because the
+benchmark tracer (`bench/tracing.py`) wraps `hyp2f1` by name; it is not
+exported from `fpp_lab`.
 
 F(a, b, c, z) is `scipy.special.hyp2f1`.  `hyp2f1` accepts the domain of
 the Euler representation
@@ -19,21 +25,9 @@ about 1e-15 measured).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
-
-    Backed by the platform lgamma (a standard minimax implementation),
-    which exceeds the 1e-12 relative-accuracy contract on [0.05, 50].
-    """
-    if not x > 0:
-        raise ValidationError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 @dataclass(frozen=True)

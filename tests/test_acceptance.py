@@ -18,17 +18,13 @@ import pytest
 from fpp_lab import (
     ConsistencyConfig,
     GirsanovCheckConfig,
-    Hyp2F1Params,
     IntensitySpec,
     KernelSpec,
     MarkDistributionSpec,
     PhiFunction,
     ShiftFunction,
     consistency_experiment,
-    density,
-    hyp2f1,
     kernel_eval,
-    ln_gamma,
     log_density,
     log_density_batch,
     mle_solve,
@@ -36,15 +32,16 @@ from fpp_lab import (
     phi_fractional,
     phi_lambda_integral,
     power_grid,
-    score,
     simulate,
     simulate_replicas,
     solve_phi_volterra,
     trajectory,
-    uniform_grid,
     verify_tilted_law,
 )
 from fpp_lab.cli import main as cli_main
+from fpp_lab.special_functions import Hyp2F1Params, hyp2f1
+
+from oracles import density, ln_gamma, score, uniform_grid
 
 
 @contextmanager

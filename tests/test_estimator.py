@@ -20,11 +20,12 @@ from fpp_lab import (
     mle_solve_batch,
     monotonicity_violations,
     phi_lambda_integral,
-    score,
     simulate,
     trajectory,
 )
 from fpp_lab import estimator
+
+from oracles import score
 
 PHI_ONE = PhiFunction.constant(1.0)
 

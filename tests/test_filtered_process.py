@@ -10,17 +10,15 @@ from fpp_lab import (
     KernelSpec,
     MarkDistributionSpec,
     MarkedPath,
-    PathOnGrid,
     ShiftFunction,
     ValidationError,
     eval_compensated,
     eval_filtered,
-    eval_filtered_on_grid,
-    eval_observed,
     phi_fractional,
-    shifted_compensated,
     simulate,
 )
+
+from oracles import PathOnGrid, eval_filtered_on_grid, eval_observed, sample_on_grid, shifted_compensated
 
 
 def small_path():
@@ -154,8 +152,6 @@ class TestObserved:
 
 class TestSampleOnGrid:
     def test_raw_and_compensated_meta(self, unit_rate):
-        from fpp_lab import sample_on_grid
-
         path = small_path()
         k = KernelSpec.exp_shot_noise(1.0)
         grid = np.linspace(0.5, 4.0, 8)
@@ -169,8 +165,6 @@ class TestSampleOnGrid:
             )
 
     def test_drift_without_intensity_rejected(self):
-        from fpp_lab import sample_on_grid
-
         with pytest.raises(ValidationError):
             sample_on_grid(small_path(), KernelSpec.indicator(), np.array([1.0]), theta=1.0)
 

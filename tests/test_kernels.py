@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,24 +12,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fpp_lab import (
-    Hyp2F1Params,
     IntensitySpec,
     KernelSpec,
     NumericsError,
     PhiFunction,
     ValidationError,
-    diagonal_class,
-    hyp2f1,
     kernel_eval,
     kernel_eval_at,
     kernel_lambda_integral,
-    ln_gamma,
     phi_fractional,
     power_grid,
-    uniform_grid,
 )
 from fpp_lab.kernels import QUAD_ATOL, kernel_phi_lambda_integral, singular_quad_0_to_t
 from fpp_lab.phi_solver import STARTUP_SPAN_FACTOR
+from fpp_lab.special_functions import Hyp2F1Params, hyp2f1
+
+from oracles import diagonal_class, ln_gamma, uniform_grid
 
 # frozen oracle values (mpmath, cross-checked against the quadrature oracle)
 K_07_2_1 = 1.1196796529762092
@@ -133,6 +132,27 @@ class TestEval:
                 want = (1 - mpmath.mpf(s)) ** (H - 0.5) * f / mpmath.gamma(H + 0.5)
                 worst = max(worst, float(abs(kernel_eval(spec, 1.0, float(s)) / want - 1)))
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_fractional_where_t_over_s_overflows(self, H):
+        # s so far below t = 5 that t / s overflows: K is finite (about
+        # s^(1/2-H)), comes without a warning, and is within 1e-12 of 30
+        # digits; in a row with such points the others keep their values
+        spec = KernelSpec.fractional(H)
+        s = np.array([1e-320, 1e-310])
+        others = np.array([1e-20, 1.0, 6.0])  # beyond the table, inside it, above the diagonal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = [kernel_eval(spec, 5.0, float(v)) for v in s]
+            row = kernel_eval_at(spec, 5.0, np.concatenate([s, others]))
+            alone = [kernel_eval_at(spec, 5.0, [v])[0] for v in others]
+        with mpmath.workdps(30):
+            for v, got in zip(s, points):
+                sv = mpmath.mpf(float(v))
+                f = mpmath.hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1 - 5 / sv)
+                want = (5 - sv) ** (H - 0.5) * f / mpmath.gamma(H + 0.5)
+                assert float(abs(got / want - 1)) <= 1e-12
+        np.testing.assert_array_equal(row, points + alone)
 
     @given(st.floats(min_value=0.01, max_value=10.0), st.floats(min_value=1.01, max_value=5.0))
     @settings(max_examples=50, deadline=None)

