@@ -295,7 +295,7 @@ QUAD_RTOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
-def singular_quad_0_to_t(f, t: float, origin_exponent: float) -> tuple[float, float]:
+def singular_quad_0_to_t(f, t: float, origin_exponent: float, breaks=()) -> tuple[float, float]:
     """int_0^t f(s) ds where f(s) ~ s^(-origin_exponent) near 0.
 
     `f` maps a 1-d array of s > 0 to an array of the same shape.
@@ -307,6 +307,12 @@ def singular_quad_0_to_t(f, t: float, origin_exponent: float) -> tuple[float, fl
     (below the smallest normal double, zero included) adds 0, unevaluated:
     the substituted integrand is bounded near v = 0, so a point that close
     to 0 carries no weight at double precision.
+
+    `breaks`, increasing kinks of f inside (0, t), split the interval (a
+    rule across a kink converges slowly or not at all) into pieces that one
+    vectorized tanh-sinh call integrates, their limits passed as array
+    arguments and the substitution applied on the first piece only; value
+    and error estimate are the pieces' sums.
     """
     from scipy.integrate import tanhsinh
 
@@ -314,15 +320,29 @@ def singular_quad_0_to_t(f, t: float, origin_exponent: float) -> tuple[float, fl
         raise NumericsError(f"non-integrable origin exponent {origin_exponent}")
     p = 1.0 / (1.0 - origin_exponent) if origin_exponent > 0.0 else 1.0
 
-    def g(v: np.ndarray) -> np.ndarray:
-        s = t * v**p
+    if not len(breaks):  # one piece: the split form below would move its value in the last digits
+
+        def g(v: np.ndarray) -> np.ndarray:
+            s = t * v**p
+            out = np.zeros(s.shape)
+            keep = s >= _TINY
+            out[keep] = f(s[keep]) * t * p * v[keep] ** (p - 1.0)
+            return out
+
+        res = tanhsinh(g, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL)
+        return float(res.integral), float(res.error) if res.success else math.inf
+
+    def pieces(v: np.ndarray, lo: np.ndarray, width: np.ndarray, power: np.ndarray) -> np.ndarray:
+        s = lo + width * v**power
         out = np.zeros(s.shape)
         keep = s >= _TINY
-        out[keep] = f(s[keep]) * t * p * v[keep] ** (p - 1.0)
+        out[keep] = f(s[keep]) * (width * power * v ** (power - 1.0))[keep]
         return out
 
-    res = tanhsinh(g, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL)
-    return float(res.integral), float(res.error) if res.success else math.inf
+    edges = np.concatenate(([0.0], breaks, [t]))
+    power = np.concatenate(([p], np.ones(len(breaks))))
+    res = tanhsinh(pieces, 0.0, 1.0, args=(edges[:-1], np.diff(edges), power), atol=QUAD_ATOL, rtol=QUAD_RTOL)
+    return float(res.integral.sum()), float(res.error.sum()) if res.success.all() else math.inf
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -344,17 +364,23 @@ def _checked_quad(
     exceeds max(1e-8 |value|, QUAD_ATOL).
     """
     e = intensity.origin_exponent
+    kinks = [intensity.phi_ref.kinks] if intensity.kind == "scaled-by-phi" else []
     if kernel is not None:
         e += kernel.origin_exponent
+        if kernel.kind == "tabulated":
+            kinks.append(kernel.table_s)  # bilinear in s, so K(t, .) has a kink at each s-node
     if phi is not None:
         e += phi.origin_exponent
+        kinks.append(phi.kinks)
+    kinks = np.concatenate([np.empty(0), *kinks])
+    breaks = np.unique(kinks[(kinks > 0.0) & (kinks < upper)])
 
     def f(s: np.ndarray) -> np.ndarray:
         k = 1.0 if kernel is None else kernel_eval_at(kernel, t, s)
         p = 1.0 if phi is None else phi(s)
         return k * p * np.asarray(intensity.rate_at(s))
 
-    val, err = singular_quad_0_to_t(f, upper, e)
+    val, err = singular_quad_0_to_t(f, upper, e, breaks)
     if err > max(1e-8 * abs(val), QUAD_ATOL):
         raise NumericsError(
             f"quadrature of K phi lambda did not converge at t={t}: "
@@ -388,9 +414,7 @@ def _grid_phi_integral(
     total carried from block to block.  A row-wise sum or einsum would
     reassociate and move the result in the last digits.
     """
-    slopes = np.concatenate(([0.0], np.diff(phi.values) / np.diff(phi.nodes), [0.0]))
-    kinks = phi.nodes[(np.diff(slopes) != 0.0) & (phi.nodes > 0.0)]
-    stub = min(t, kinks[0]) if kinks.size else t
+    stub = min(t, phi.kinks[0]) if phi.kinks.size else t
     total = _checked_quad(t, stub, intensity, kernel, phi)
     if stub == t:
         return total

@@ -14,9 +14,10 @@ lower-triangular system is solved by forward substitution.
 First-kind equations are ill-posed; no regularization is applied, so grid
 choice matters.  For diagonal-degenerate kernels a power-graded mesh
 (`power_grid`) keeps the scheme stable and resolves the origin
-singularity; the mandatory residual check (`volterra_residuals`) guards
-every downstream use.  Near the origin the first panel's unknown is a
-kernel-weighted panel average, so for singular phi the returned values
+singularity.  The residual check (`volterra_residuals`) runs after the
+`solve-phi` experiment's solve; the Volterra phi of the other CLI
+experiments is not checked.  Near the origin the first panel's unknown is
+a kernel-weighted panel average, so for singular phi the returned values
 carry an O(1) relative startup error below the first grid node; accuracy
 on the grid span is what the solver advertises (see `SOLVER_RTOL`).
 """
@@ -93,6 +94,14 @@ class PhiFunction:
         """Gamma(3/2 - H) / Gamma(2 - 2H) for the closed fractional form."""
         return math.exp(math.lgamma(1.5 - self.H) - math.lgamma(2.0 - 2.0 * self.H))
 
+    @cached_property
+    def kinks(self) -> np.ndarray:
+        """Positive nodes where the clamped interpolant's slope changes; none for the closed form."""
+        if self.kind != "grid":
+            return np.empty(0)
+        slopes = np.concatenate(([0.0], np.diff(self.values) / np.diff(self.nodes), [0.0]))
+        return self.nodes[(np.diff(slopes) != 0.0) & (self.nodes > 0.0)]
+
     @property
     def origin_exponent(self) -> float:
         """e with phi(s) ~ s^(-e) near 0; 0 for bounded grid functions."""
@@ -153,11 +162,7 @@ class PhiFunction:
 
 
 def phi_fractional(H: float, lam: float) -> PhiFunction:
-    """Closed-form phi for the fractional kernel under constant rate lam."""
-    if not 0.5 < H < 1.0:
-        raise ValidationError(f"H must lie in (1/2, 1), got {H}")
-    if not lam > 0:
-        raise ValidationError(f"lambda must be positive, got {lam}")
+    """Closed-form phi for the fractional kernel under constant rate lam (checked by `PhiFunction`)."""
     return PhiFunction(kind="closed_form_fractional", H=H, lam=lam)
 
 
@@ -253,7 +258,7 @@ def volterra_residuals(
     """Relative residuals |m1 int_0^t K(t,s) phi(s) lambda(s) ds - t| / t.
 
     Recomputed by `kernel_phi_lambda_integral`, independent of the solver's
-    product rule; the mandatory post-solve check compares these against
+    product rule; `solve-phi`'s post-solve check compares these against
     2x SOLVER_RTOL.
     Raises ValidationError unless every node is finite and > 0.
     """

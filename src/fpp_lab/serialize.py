@@ -1,8 +1,10 @@
 """Deterministic serialization helpers.
 
 All artifacts are written through these functions so that two runs with the
-same config and seed produce byte-identical files.  Floats are rendered with
-17 significant digits, which round-trips IEEE doubles exactly.
+same config and seed produce byte-identical files.  Floats are written as
+their shortest round-trip `repr`, which reads back to the same double; a
+non-finite JSON value is `NaN`, `Infinity` or `-Infinity`, as Python's
+`json` module reads and writes it.
 """
 
 from __future__ import annotations
@@ -15,55 +17,16 @@ import numpy as np
 from .errors import ValidationError
 
 
-def fmt_float(x: float) -> str:
-    """Render a float with 17 significant digits (exact double round-trip)."""
-    if x != x:
-        return "nan"
-    if x in (float("inf"), float("-inf")):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
-
-
-def _encode(obj: Any, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise ValidationError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{pad_in}{json.dumps(key)}: {_encode(obj[key], indent, level + 1)}")
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{pad_in}{_encode(v, indent, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    # numpy scalars and arrays come through here
-    if hasattr(obj, "item") and not hasattr(obj, "__len__"):
-        return _encode(obj.item(), indent, level)
-    if hasattr(obj, "tolist"):
-        return _encode(obj.tolist(), indent, level)
+def _plain(obj: Any) -> Any:
+    """numpy scalars and arrays as Python values; anything else is an error."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
-    """Canonical JSON: sorted keys, 17-significant-digit floats, trailing newline."""
-    return _encode(obj, indent, 0) + "\n"
+def dumps_json(obj: Any) -> str:
+    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False, default=_plain) + "\n"
 
 
 def write_json(path, obj: Any) -> None:
@@ -72,11 +35,11 @@ def write_json(path, obj: Any) -> None:
 
 
 def write_csv(path, header: str, rows: Iterable[tuple]) -> None:
-    """Write rows of floats under a one-line header, 17 significant digits."""
+    """Write rows under a one-line header; floats as their round-trip `repr`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(fmt_float(v) if isinstance(v, float) else str(v) for v in row))
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
             fh.write("\n")
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpp_lab import cli, estimator
+from fpp_lab import IntensitySpec, KernelSpec, cli, estimator, volterra_residuals
 from fpp_lab.cli import main
 
 
@@ -114,6 +114,18 @@ class TestRunSimulate:
         assert summary["passed"] is True
 
 
+@pytest.mark.parametrize("b, m1", [(1.0, 1.0), (2.5, 1.3)])
+@pytest.mark.parametrize(
+    "kernel",
+    [KernelSpec.exp_shot_noise(0.8), KernelSpec.indicator(), KernelSpec.fractional(0.7)],
+    ids=["exp_shot_noise", "indicator", "fractional"],
+)
+def test_closed_form_phi_solves_the_calibration_equation(kernel, b, m1):
+    phi = cli.build_phi("closed_form", kernel, b, m1, 5.0)
+    times = [0.01, 0.5, 1.0, 3.0, 5.0]
+    assert volterra_residuals(phi, kernel, IntensitySpec.constant(b), m1, times).max() <= 1e-10
+
+
 class TestRunExperiments:
     def test_estimate(self, tmp_path):
         out = tmp_path / "o"
@@ -137,6 +149,28 @@ class TestRunExperiments:
         summary = json.loads((out / "run_summary.json").read_text())
         assert abs(summary["headline"]["mean_theta_hat"] - 1.0) < 0.3
         assert (out / "estimates.csv").exists()
+
+    def test_estimate_exp_shot_noise_closed_form(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "estimate",
+                "kernel": {"kind": "exp_shot_noise", "a": 0.5},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "horizon": 50.0,
+                "theta_true": 1.0,
+                "h_spec": {"scale": 1.0, "phi_source": "closed_form"},
+                "replicas": 10,
+                "seed": 3,
+                "output_path": str(out),
+            },
+        )
+        assert main(["run", str(cfg)]) == 0
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert abs(summary["headline"]["mean_theta_hat"] - 1.0) < 0.3
 
     def test_trajectory(self, tmp_path):
         out = tmp_path / "o"

@@ -23,6 +23,7 @@ from fpp_lab import (
     phi_fractional,
     power_grid,
 )
+from fpp_lab import kernels
 from fpp_lab.kernels import QUAD_ATOL, kernel_phi_lambda_integral, singular_quad_0_to_t
 from fpp_lab.phi_solver import STARTUP_SPAN_FACTOR
 from fpp_lab.special_functions import Hyp2F1Params, hyp2f1
@@ -314,15 +315,48 @@ class TestKernelPhiLambdaIntegral:
             want = 0.4 * kernel_phi_lambda_integral(t, inten, kernel)
             assert got == pytest.approx(want, rel=1e-10)
 
-    def test_non_converging_quadrature_raises(self):
-        # a rough grid phi scaling the rate: quadrature of phi * lambda
-        # cannot resolve thousands of kinks
-        nodes = np.linspace(0.0, 2.0, 4001)
-        values = np.random.default_rng(5).uniform(0.0, 1.0, nodes.size)
-        phi = PhiFunction(kind="grid", nodes=nodes, values=values)
-        inten = IntensitySpec.scaled_by_phi(1.0, 1.0, phi)
+    def test_non_converging_quadrature_raises(self, monkeypatch):
+        real = kernels.singular_quad_0_to_t
+        monkeypatch.setattr(kernels, "singular_quad_0_to_t", lambda *args: (real(*args)[0], math.inf))
+        phi, inten = rough_phi_rate()
         with pytest.raises(NumericsError):
             kernel_phi_lambda_integral(2.0, inten, phi=phi)
+
+    def test_rough_grid_phi_in_the_rate_matches_per_piece_oracle(self):
+        # thousands of kinks, one vectorized rule over the pieces between them;
+        # phi (1 + phi) is quadratic on each piece, so 3-point Gauss is exact there
+        phi, inten = rough_phi_rate()
+        x, w = np.polynomial.legendre.leggauss(3)
+        a, b = phi.nodes[:-1, None], phi.nodes[1:, None]
+        s = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
+        want = np.sum(0.5 * (b - a) * w * (phi(s) * (1.0 + phi(s))).reshape(a.size, 3))
+        assert kernel_phi_lambda_integral(2.0, inten, phi=phi) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kernel", [KernelSpec.exp_shot_noise(0.8), KernelSpec.fractional(0.7)], ids=["exp_shot_noise", "fractional"]
+    )
+    def test_kink_of_the_rate_phi_inside_the_interval(self, kernel):
+        # an affine grid phi clamps at its last node, s = 10: a kink of the
+        # rate that one rule over [0, t] failed to converge across
+        affine = PhiFunction(kind="grid", nodes=np.array([0.0, 10.0]), values=np.array([0.5, 2.0]))
+        inten = IntensitySpec.scaled_by_phi(1.0, 1.0, affine)
+        for t in np.linspace(9.0, 12.0, 61):
+            got = kernel_lambda_integral(kernel, inten, float(t))
+
+            def f(s):
+                return kernel_eval(kernel, t, s) * float(inten.rate_at(s))
+
+            pieces = [(0.0, t)] if t <= 10.0 else [(0.0, 10.0), (10.0, t)]
+            want = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0] for lo, hi in pieces)
+            assert got == pytest.approx(want, rel=1e-9), t
+
+
+def rough_phi_rate() -> tuple[PhiFunction, IntensitySpec]:
+    """A grid phi on 4001 random nodes, and the rate it scales."""
+    nodes = np.linspace(0.0, 2.0, 4001)
+    values = np.random.default_rng(5).uniform(0.0, 1.0, nodes.size)
+    phi = PhiFunction(kind="grid", nodes=nodes, values=values)
+    return phi, IntensitySpec.scaled_by_phi(1.0, 1.0, phi)
 
 
 def cli_spots(grid):
@@ -373,13 +407,13 @@ class TestSingularQuad:
         assert val > 0 and err <= 1e-8 * val
         assert min(seen) >= np.finfo(float).tiny
 
-    def test_non_converging_rule_reports_inf_error(self):
+    def test_non_converging_rule_reports_inf_error(self, monkeypatch):
+        real = kernels.singular_quad_0_to_t
         val, err = singular_quad_0_to_t(lambda s: np.sin(1e7 * s) ** 2, 1.0, 0.0)
         assert math.isfinite(val) and err == math.inf
-        nodes = np.linspace(0.0, 2.0, 4001)
-        values = np.random.default_rng(5).uniform(0.0, 1.0, nodes.size)
-        phi = PhiFunction(kind="grid", nodes=nodes, values=values)
-        inten = IntensitySpec.scaled_by_phi(1.0, 1.0, phi)
+        # the check names t, the value and the error estimate
+        monkeypatch.setattr(kernels, "singular_quad_0_to_t", lambda *args: (real(*args)[0], math.inf))
+        phi, inten = rough_phi_rate()
         message = r"did not converge at t=2\.0: value \d\.\d{6}e[+-]\d+, error estimate inf"
         with pytest.raises(NumericsError, match=message):
             kernel_phi_lambda_integral(2.0, inten, phi=phi)
@@ -394,6 +428,16 @@ class TestTabulated:
             t = rng.uniform(0.2, 3.8)
             s = rng.uniform(0.05, t)
             assert kernel_eval(k, t, s) == pytest.approx(kernel_eval(exact, t, s), abs=5e-4)
+
+    def test_lambda_integral_exact_between_s_nodes(self):
+        # at fixed t the table is linear in s between its s-nodes and clamped
+        # below the first, so the trapezoid rule on the nodes is exact
+        k, inten = exp_table_kernel(), IntensitySpec.constant(1.5)
+        for t in (0.7, 2.3, 3.95):
+            s = np.concatenate((k.table_s[k.table_s < t], [t]))
+            ks = kernel_eval_at(k, t, s)
+            want = 1.5 * (s[0] * ks[0] + np.sum(np.diff(s) * 0.5 * (ks[1:] + ks[:-1])))
+            assert kernel_lambda_integral(k, inten, t) == pytest.approx(want, rel=1e-12)
 
     def test_zero_above_diagonal(self):
         k = exp_table_kernel()

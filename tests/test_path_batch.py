@@ -14,7 +14,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpp_lab import (
@@ -265,6 +265,18 @@ class TestSimulateReplicas:
 class TestBatchedLayers:
     @settings(max_examples=40, deadline=None)
     @given(paths, st.sampled_from(["fractional", "exp_shot_noise", "indicator"]))
+    @example(  # the compensator's rule once failed across the affine phi's kink at s = 10
+        {
+            "kind": "grid-phi",
+            "rate": 0.001,
+            "theta": 1.0,
+            "marks": "exponential",
+            "horizon": 10.4765625,
+            "replicas": 1,
+            "seed": 0,
+        },
+        "exp_shot_noise",
+    )
     def test_compensated_values(self, p, kernel_kind):
         kernel = {
             "fractional": KernelSpec.fractional(0.7),

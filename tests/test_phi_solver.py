@@ -30,8 +30,8 @@ def oracle_residuals(phi, kernel, intensity, m1, nodes):
     """Grid-phi residuals with one kernel call per Gauss panel.
 
     The reference `volterra_residuals` must equal (==): the same stub
-    quadrature and 12-point Gauss panels, each panel evaluated and added on
-    its own.
+    quadrature, split at a tabulated kernel's s-nodes, and 12-point Gauss
+    panels, each panel evaluated and added on its own.
     """
     out = []
     for t in nodes:
@@ -43,7 +43,10 @@ def oracle_residuals(phi, kernel, intensity, m1, nodes):
             def f_stub(s, _t=t):
                 return kernel_eval_at(kernel, _t, s) * v0 * np.asarray(intensity.rate_at(s))
 
-            val, _ = singular_quad_0_to_t(f_stub, stub, kernel.origin_exponent)
+            # a tabulated kernel's s-nodes are kinks, where the stub is split
+            sn = kernel.table_s if kernel.kind == "tabulated" else np.empty(0)
+            breaks = sn[(sn > 0.0) & (sn < stub)]
+            val, _ = singular_quad_0_to_t(f_stub, stub, kernel.origin_exponent, breaks)
             total += val
         if t > phi.nodes[0]:
             bounds = np.unique(np.clip(phi.nodes, 0.0, t))
