@@ -3,8 +3,8 @@
 A config is one JSON document describing one experiment.  Unknown keys are
 rejected anywhere in the document.  Every run writes a `run_summary.json`
 embedding the fully resolved config and seed next to the data artifacts,
-and serialization is canonical (sorted keys, 17-significant-digit floats),
-so identical configs produce byte-identical outputs.
+and serialization is canonical (sorted keys, floats as their shortest
+round-trip `repr`), so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
 3 statistical-test failure.  Failures emit a JSON error record on stderr.
@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,7 +30,15 @@ from .estimator import (
 )
 from .girsanov import GirsanovCheckConfig, ShiftFunction, verify_equality_in_law
 from .kernels import KernelSpec
-from .phi_solver import PhiFunction, phi_fractional, power_grid, solve_phi_volterra, volterra_residuals
+from .phi_solver import (
+    SOLVER_RTOL,
+    STARTUP_SPAN_FACTOR,
+    PhiFunction,
+    phi_fractional,
+    power_grid,
+    solve_phi_volterra,
+    volterra_residuals,
+)
 from .point_process import IntensitySpec, MarkDistributionSpec, simulate, simulate_replicas
 from .serialize import dumps_json, write_csv, write_json
 
@@ -42,8 +51,6 @@ from .serialize import dumps_json, write_csv, write_json
 MAX_REPLICA_JUMPS = 1e9
 #: cap on the grid count squared: the Volterra solve is O(n^2) in the nodes
 MAX_GRID_NODES_SQUARED = 1e10
-
-EXPERIMENTS = ("simulate", "estimate", "trajectory", "verify-girsanov", "consistency", "solve-phi")
 
 _TOP_KEYS = {
     "experiment",
@@ -216,7 +223,7 @@ class ResolvedConfig:
         _check_keys(raw, _TOP_KEYS, "config")
         self.experiment = _require(raw, "experiment")
         if self.experiment not in EXPERIMENTS:
-            raise ValidationError(f"unknown experiment {self.experiment!r}; one of {EXPERIMENTS}")
+            raise ValidationError(f"unknown experiment {self.experiment!r}; one of {tuple(EXPERIMENTS)}")
         self.seed = _integer(raw, "seed", "config") if seed_override is None else int(seed_override)
         if self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
@@ -229,14 +236,7 @@ class ResolvedConfig:
         self.raw["output_path"] = str(out)
 
         exp = self.experiment
-        need = {
-            "simulate": ["intensity", "marks", "horizon"],
-            "estimate": ["kernel", "intensity", "marks", "horizon", "theta_true", "replicas"],
-            "trajectory": ["kernel", "intensity", "marks", "horizon", "grid", "theta_true"],
-            "verify-girsanov": ["kernel", "intensity", "marks", "horizon", "grid", "h_spec", "replicas"],
-            "consistency": ["kernel", "intensity", "marks", "horizon", "grid", "theta_true", "replicas"],
-            "solve-phi": ["kernel", "intensity", "marks", "grid"],
-        }[exp]
+        _, need = EXPERIMENTS[exp]
         for key in need:
             _require(raw, key)
 
@@ -400,8 +400,6 @@ def _run_consistency(cfg: ResolvedConfig) -> dict:
 
 
 def _run_solve_phi(cfg: ResolvedConfig) -> dict:
-    from .phi_solver import SOLVER_RTOL, STARTUP_SPAN_FACTOR
-
     with _fp_guard("phi solve or residual check"):
         phi = solve_phi_volterra(cfg.kernel, cfg.intensity, cfg.marks.mean, cfg.grid)
         phi.to_csv(cfg.output_path / "phi.csv")
@@ -422,19 +420,24 @@ def _run_solve_phi(cfg: ResolvedConfig) -> dict:
     return _summary(cfg, ["phi.csv"], headline, True)
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "estimate": _run_estimate,
-    "trajectory": _run_trajectory,
-    "verify-girsanov": _run_verify_girsanov,
-    "consistency": _run_consistency,
-    "solve-phi": _run_solve_phi,
+#: experiment name -> (runner, the config keys it requires)
+EXPERIMENTS = {
+    "simulate": (_run_simulate, ("intensity", "marks", "horizon")),
+    "estimate": (_run_estimate, ("kernel", "intensity", "marks", "horizon", "theta_true", "replicas")),
+    "trajectory": (_run_trajectory, ("kernel", "intensity", "marks", "horizon", "grid", "theta_true")),
+    "verify-girsanov": (
+        _run_verify_girsanov,
+        ("kernel", "intensity", "marks", "horizon", "grid", "h_spec", "replicas"),
+    ),
+    "consistency": (
+        _run_consistency,
+        ("kernel", "intensity", "marks", "horizon", "grid", "theta_true", "replicas"),
+    ),
+    "solve-phi": (_run_solve_phi, ("kernel", "intensity", "marks", "grid")),
 }
 
 
 def _load_config(path: str) -> dict:
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -456,7 +459,7 @@ def run_command(config_path: str, seed: int | None, out: str | None) -> int:
     try:
         cfg = ResolvedConfig(_load_config(config_path), seed, out)
         cfg.output_path.mkdir(parents=True, exist_ok=True)
-        summary = _RUNNERS[cfg.experiment](cfg)
+        summary = EXPERIMENTS[cfg.experiment][0](cfg)
     except ValidationError as exc:
         sys.stderr.write(_error_record(exc))
         return 1
@@ -464,10 +467,7 @@ def run_command(config_path: str, seed: int | None, out: str | None) -> int:
         record = ValidationError(f"the run needs more memory than is available: {exc}")
         sys.stderr.write(_error_record(record))
         return 1
-    except NumericsError as exc:
-        sys.stderr.write(_error_record(exc))
-        return 2
-    except FppError as exc:  # pragma: no cover - defensive
+    except FppError as exc:  # NumericsError, or any other error of the package
         sys.stderr.write(_error_record(exc))
         return 2
     write_json(cfg.output_path / "run_summary.json", summary)

@@ -20,12 +20,14 @@ the origin singularity of exponent e.
 kernel, the calibration function phi and the rate: closed forms where they
 exist (among them int K_H = Gamma(3/2-H) t^(H+1/2) / (H+1/2) and, for the
 closed-form phi of the same H, int K_H phi = t / lam), otherwise one
-quadrature at one tolerance with one convergence check.  That quadrature,
-`singular_quad_0_to_t`, is vectorized double-exponential (tanh-sinh)
-quadrature (Takahasi & Mori 1974) over the substituted variable: each
-refinement level is one call of the integrand on an array of abscissae, so
-a residual stub costs a handful of kernel calls, not hundreds of one-point
-calls.
+quadrature, `singular_quad_0_to_t`, at one tolerance with one convergence
+check.  It splits [0, t] at the integrand's kinks (the nodes of a grid phi
+in the integrand or in a phi-scaled rate, a tabulated kernel's s-nodes) and
+integrates the pieces next to the singularities at 0 and t by vectorized
+double-exponential (tanh-sinh) quadrature (Takahasi & Mori 1974), the
+others by 12-point Gauss-Legendre rules; each tanh-sinh refinement level
+and each block of Gauss pieces is one call of the integrand on an array of
+abscissae.
 
 F = F(H-1/2, 1/2-H, H+1/2, z) of the fractional kind is
 `scipy.special.hyp2f1`.  Scalar fractional evaluation assembles the defining
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -77,7 +80,6 @@ class KernelSpec:
     table_t: np.ndarray | None = None
     table_s: np.ndarray | None = None
     table_values: np.ndarray | None = None
-    diagonal_degenerate: bool = False
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -86,10 +88,6 @@ class KernelSpec:
             raise ValidationError("exp_shot_noise kernel requires decay rate a > 0")
         if self.kind == "fractional" and not (self.H is not None and 0.5 < self.H < 1.0):
             raise ValidationError(f"fractional kernel requires H in (1/2, 1), got {self.H}")
-        if self.kind in ("indicator", "exp_shot_noise") and self.diagonal_degenerate:
-            raise ValidationError(f"{self.kind} kernel has K(t,t) = 1, not degenerate")
-        if self.kind == "fractional" and not self.diagonal_degenerate:
-            raise ValidationError("fractional kernel with H > 1/2 is diagonal-degenerate")
 
     @classmethod
     def indicator(cls) -> "KernelSpec":
@@ -101,7 +99,7 @@ class KernelSpec:
 
     @classmethod
     def fractional(cls, H: float) -> "KernelSpec":
-        return cls(kind="fractional", H=float(H), diagonal_degenerate=True)
+        return cls(kind="fractional", H=float(H))
 
     @classmethod
     def tabulated(cls, t_grid, s_grid, values) -> "KernelSpec":
@@ -112,17 +110,7 @@ class KernelSpec:
             raise ValidationError("tabulated kernel needs values shaped (len(t), len(s))")
         if not (np.all(np.diff(t_grid) > 0) and np.all(np.diff(s_grid) > 0)):
             raise ValidationError("tabulated kernel grids must be strictly increasing")
-        if np.all(np.isfinite(values)):
-            degenerate = bool(np.all(_bilinear(t_grid, s_grid, values, t_grid, t_grid) == 0.0))
-        else:
-            degenerate = False  # non-finite tables are classified irregular
-        return cls(
-            kind="tabulated",
-            table_t=t_grid,
-            table_s=s_grid,
-            table_values=values,
-            diagonal_degenerate=degenerate,
-        )
+        return cls(kind="tabulated", table_t=t_grid, table_s=s_grid, table_values=values)
 
     @classmethod
     def tabulated_from_csv(cls, path) -> "KernelSpec":
@@ -143,6 +131,16 @@ class KernelSpec:
         if np.any(np.isnan(values)):
             raise ValidationError("tabulated kernel CSV has duplicate or missing lattice points")
         return cls.tabulated(t_grid, s_grid, values)
+
+    @cached_property
+    def diagonal_degenerate(self) -> bool:
+        """K(t, t) = 0 for every t: the fractional kind, and a finite table that is 0 on its diagonal."""
+        if self.kind != "tabulated":
+            return self.kind == "fractional"
+        tg, values = self.table_t, self.table_values
+        if not np.all(np.isfinite(values)):
+            return False  # non-finite tables are classified irregular
+        return bool(np.all(_bilinear(tg, self.table_s, values, tg, tg) == 0.0))
 
     @property
     def origin_exponent(self) -> float:
@@ -295,42 +293,49 @@ QUAD_RTOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+#: Gauss pieces evaluated per integrand call; fixed so that the (pieces x 12)
+#: temporaries, and with them peak memory, stay small however many kinks
+PANEL_BLOCK = 256
+
+
 def singular_quad_0_to_t(f, t: float, origin_exponent: float, breaks=()) -> tuple[float, float]:
     """int_0^t f(s) ds where f(s) ~ s^(-origin_exponent) near 0.
 
-    `f` maps a 1-d array of s > 0 to an array of the same shape.
-    Substitutes s = t v^p with p = 1/(1 - e), turning the origin
-    singularity into a bounded integrand, and integrates over v in (0, 1)
-    by tanh-sinh quadrature at relative tolerance QUAD_RTOL and absolute
-    tolerance QUAD_ATOL.  Returns (value, error estimate); the error is inf
-    when the rule reports no convergence.  An abscissa whose s underflows
-    (below the smallest normal double, zero included) adds 0, unevaluated:
-    the substituted integrand is bounded near v = 0, so a point that close
-    to 0 carries no weight at double precision.
+    `f` maps a 1-d array of s > 0 to an array of the same shape.  `breaks`,
+    increasing kinks of f inside (0, t), split the interval into pieces (a
+    rule across a kink converges slowly or not at all).  f may be singular
+    only at 0 and at t, and each piece takes one of two rules:
 
-    `breaks`, increasing kinks of f inside (0, t), split the interval (a
-    rule across a kink converges slowly or not at all) into pieces that one
-    vectorized tanh-sinh call integrates, their limits passed as array
-    arguments and the substitution applied on the first piece only; value
-    and error estimate are the pieces' sums.
+    * a piece [lo, hi] that starts at 0 or lies closer to 0 or t than its
+      own width, min(lo, t - hi) < hi - lo: tanh-sinh quadrature at
+      relative tolerance QUAD_RTOL and absolute tolerance QUAD_ATOL, all
+      such pieces in one vectorized `scipy.integrate.tanhsinh` call with
+      their limits as array arguments.  The first piece [0, w] substitutes
+      s = w v^p with p = 1/(1 - e), which turns the origin singularity
+      into a bounded integrand.  An abscissa whose s underflows (below the
+      smallest normal double, zero included) adds 0, unevaluated: the
+      substituted integrand is bounded near v = 0, so a point that close
+      to 0 carries no weight.
+    * every other piece: 12-point Gauss-Legendre, PANEL_BLOCK pieces per
+      call of f, with no error estimate.  Its nearest singularity lies at
+      least one width away, so f is analytic inside the Bernstein ellipse
+      of parameter rho >= 3 + 2 sqrt(2), and 12 points err by about
+      rho^-24 ~ 1e-18 relative (Trefethen, SIAM Review 2008).
+
+    Returns (value, error estimate), both sums over the pieces; the error
+    is inf when the tanh-sinh rule reports no convergence on some piece.
     """
     from scipy.integrate import tanhsinh
 
     if origin_exponent >= 1.0:
         raise NumericsError(f"non-integrable origin exponent {origin_exponent}")
     p = 1.0 / (1.0 - origin_exponent) if origin_exponent > 0.0 else 1.0
-
-    if not len(breaks):  # one piece: the split form below would move its value in the last digits
-
-        def g(v: np.ndarray) -> np.ndarray:
-            s = t * v**p
-            out = np.zeros(s.shape)
-            keep = s >= _TINY
-            out[keep] = f(s[keep]) * t * p * v[keep] ** (p - 1.0)
-            return out
-
-        res = tanhsinh(g, 0.0, 1.0, atol=QUAD_ATOL, rtol=QUAD_RTOL)
-        return float(res.integral), float(res.error) if res.success else math.inf
+    edges = np.concatenate(([0.0], breaks, [t]))
+    lo, hi = edges[:-1], edges[1:]
+    near = np.minimum(lo, t - hi) < hi - lo
+    power = np.concatenate(([p], np.ones(len(breaks))))
 
     def pieces(v: np.ndarray, lo: np.ndarray, width: np.ndarray, power: np.ndarray) -> np.ndarray:
         s = lo + width * v**power
@@ -339,29 +344,30 @@ def singular_quad_0_to_t(f, t: float, origin_exponent: float, breaks=()) -> tupl
         out[keep] = f(s[keep]) * (width * power * v ** (power - 1.0))[keep]
         return out
 
-    edges = np.concatenate(([0.0], breaks, [t]))
-    power = np.concatenate(([p], np.ones(len(breaks))))
-    res = tanhsinh(pieces, 0.0, 1.0, args=(edges[:-1], np.diff(edges), power), atol=QUAD_ATOL, rtol=QUAD_RTOL)
-    return float(res.integral.sum()), float(res.error.sum()) if res.success.all() else math.inf
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-#: Gauss panels evaluated per kernel call for a grid phi; fixed so that the
-#: (panels x 12) temporaries, and with them peak memory, stay small however
-#: fine the grid
-PANEL_BLOCK = 256
+    args = (lo[near], (hi - lo)[near], power[near])
+    res = tanhsinh(pieces, 0.0, 1.0, args=args, atol=QUAD_ATOL, rtol=QUAD_RTOL)
+    total = float(res.integral.sum())
+    err = float(res.error.sum()) if res.success.all() else math.inf
+    far_lo, far_hi = lo[~near, None], hi[~near, None]
+    for i in range(0, far_lo.size, PANEL_BLOCK):
+        a, b = far_lo[i : i + PANEL_BLOCK], far_hi[i : i + PANEL_BLOCK]
+        half = 0.5 * (b - a)
+        s = half * _GL_NODES + (a + half)
+        total += float(np.sum(half * _GL_WEIGHTS * f(s.ravel()).reshape(s.shape)))
+    return total, err
 
 
 def _checked_quad(
-    t: float, upper: float, intensity: IntensitySpec, kernel: KernelSpec | None, phi: PhiFunction | None
+    t: float, intensity: IntensitySpec, kernel: KernelSpec | None, phi: PhiFunction | None
 ) -> float:
-    """int_0^upper K(t,s) phi(s) lambda(s) ds by `singular_quad_0_to_t`.
+    """int_0^t K(t,s) phi(s) lambda(s) ds by `singular_quad_0_to_t`.
 
     The integrand is one `kernel_eval_at`, one `phi` and one `rate_at` call
     per array of abscissae; the origin exponent is the sum of the three
-    factors' exponents.  Raises NumericsError when the error estimate
-    exceeds max(1e-8 |value|, QUAD_ATOL).
+    factors' exponents, and the breaks are the kinks of a grid phi in the
+    integrand or in a phi-scaled rate and a tabulated kernel's s-nodes.
+    Raises NumericsError when the error estimate exceeds
+    max(1e-8 |value|, QUAD_ATOL).
     """
     e = intensity.origin_exponent
     kinks = [intensity.phi_ref.kinks] if intensity.kind == "scaled-by-phi" else []
@@ -373,61 +379,20 @@ def _checked_quad(
         e += phi.origin_exponent
         kinks.append(phi.kinks)
     kinks = np.concatenate([np.empty(0), *kinks])
-    breaks = np.unique(kinks[(kinks > 0.0) & (kinks < upper)])
+    breaks = np.unique(kinks[(kinks > 0.0) & (kinks < t)])
 
     def f(s: np.ndarray) -> np.ndarray:
         k = 1.0 if kernel is None else kernel_eval_at(kernel, t, s)
         p = 1.0 if phi is None else phi(s)
         return k * p * np.asarray(intensity.rate_at(s))
 
-    val, err = singular_quad_0_to_t(f, upper, e, breaks)
+    val, err = singular_quad_0_to_t(f, t, e, breaks)
     if err > max(1e-8 * abs(val), QUAD_ATOL):
         raise NumericsError(
             f"quadrature of K phi lambda did not converge at t={t}: "
             f"value {val:.6e}, error estimate {err:.2e}"
         )
     return val
-
-
-def _grid_phi_integral(
-    t: float, intensity: IntensitySpec, kernel: KernelSpec, phi: PhiFunction
-) -> float:
-    """int_0^t K(t,s) phi(s) lambda(s) ds for a grid phi.
-
-    The interpolant has kinks at its nodes, so one quadrature over the
-    whole interval is noisy; instead the stub from 0 to the first kink (a
-    positive node where the slope of the clamped interpolant changes),
-    where the kernel and the rate may be singular, goes through
-    `_checked_quad`, and each later inter-node panel (smooth) gets a fixed
-    12-point Gauss rule.  Without a kink below t the whole integral is the
-    stub, which keeps a constant or affine phi as accurate as the
-    quadrature (a Gauss rule on one wide panel would miss the kernel's
-    (t - s)^(H - 1/2) behaviour at the diagonal).
-
-    The panels are evaluated in blocks of PANEL_BLOCK: one `kernel_eval_at`,
-    `phi` and `rate_at` call on the block's flattened Gauss points, all three
-    elementwise, so every point gets the value a per-panel call would give.
-    The sum keeps the per-panel arithmetic so the result stays bit-identical
-    to adding the panels one at a time: each panel is its own `np.dot` of
-    weights and values, and the panel values are added left to right from
-    the stub value by `np.cumsum` (sequential, unlike `np.sum`), the running
-    total carried from block to block.  A row-wise sum or einsum would
-    reassociate and move the result in the last digits.
-    """
-    stub = min(t, phi.kinks[0]) if phi.kinks.size else t
-    total = _checked_quad(t, stub, intensity, kernel, phi)
-    if stub == t:
-        return total
-    edges = np.unique(np.concatenate([np.clip(phi.nodes, stub, t), [t]]))
-    for lo in range(0, edges.size - 1, PANEL_BLOCK):
-        block = edges[lo : lo + PANEL_BLOCK + 1]
-        a, b = block[:-1, None], block[1:, None]
-        s = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        w = 0.5 * (b - a) * _GL_WEIGHTS
-        flat = s.ravel()
-        vals = kernel_eval_at(kernel, t, flat) * phi(flat) * np.asarray(intensity.rate_at(flat))
-        total = np.cumsum([total, *map(np.dot, w, vals.reshape(s.shape))])[-1]
-    return float(total)
 
 
 def kernel_phi_lambda_integral(
@@ -438,24 +403,19 @@ def kernel_phi_lambda_integral(
     The one routine that integrates against the kernel, the calibration
     function (a `PhiFunction`) and the rate.  The first matching case wins:
 
-    1. grid phi with a kernel: quadrature on the stub below the first kink
-       of the interpolant plus blocked 12-point Gauss panels between the
-       later nodes (`_grid_phi_integral`);
-    2. no phi, and no kernel or the indicator kernel: `integrated_intensity`;
-    3. constant rate b, closed forms:
+    1. no phi, and no kernel or the indicator kernel: `integrated_intensity`;
+    2. constant rate b, closed forms:
        no kernel: b int_0^t phi;
        exponential kernel, no phi: b (1 - e^(-a t)) / a;
        fractional kernel, no phi: b Gamma(3/2 - H) t^(H+1/2) / (H + 1/2);
        fractional kernel with the closed-form phi of the same H:
        b t / phi.lam (the calibration identity);
-    4. otherwise singularity-aware quadrature of the product, with the sum
-       of the factors' origin exponents.
+    3. otherwise `singular_quad_0_to_t` of the product (`_checked_quad`),
+       with the sum of the factors' origin exponents, split at the kinks.
 
-    Every quadrature runs at relative tolerance QUAD_RTOL and raises
-    NumericsError when its error estimate exceeds max(1e-8 |value|, QUAD_ATOL).
+    The quadrature raises NumericsError when its error estimate exceeds
+    max(1e-8 |value|, QUAD_ATOL).
     """
-    if phi is not None and phi.kind == "grid" and kernel is not None:
-        return _grid_phi_integral(t, intensity, kernel, phi)
     if phi is None and (kernel is None or kernel.kind == "indicator"):
         return integrated_intensity(intensity, t)
     if intensity.kind == "constant":
@@ -470,7 +430,7 @@ def kernel_phi_lambda_integral(
                 return b * math.gamma(1.5 - H) * t ** (H + 0.5) / (H + 0.5)
             if phi.kind == "closed_form_fractional" and phi.H == H:
                 return b * t / phi.lam
-    return _checked_quad(t, t, intensity, kernel, phi)
+    return _checked_quad(t, intensity, kernel, phi)
 
 
 def kernel_lambda_integral(spec: KernelSpec, intensity: IntensitySpec, t: float) -> float:

@@ -59,11 +59,18 @@ class TestConstruction:
         assert KernelSpec.fractional(0.7).diagonal_degenerate
         assert not KernelSpec.indicator().diagonal_degenerate
         assert not KernelSpec.exp_shot_noise(1.0).diagonal_degenerate
+        tg = np.linspace(0.1, 2.0, 20)
+        assert KernelSpec.tabulated(tg, tg, np.tril(np.ones((20, 20)), -1)).diagonal_degenerate
+        assert not exp_table_kernel().diagonal_degenerate
+        vals = np.zeros((20, 20))
+        vals[3, 5] = np.inf  # non-finite tables are irregular, not degenerate
+        assert not KernelSpec.tabulated(tg, tg, vals).diagonal_degenerate
 
     def test_inconsistent_flags_rejected(self):
-        with pytest.raises(ValidationError):
+        # the flag is derived from the kind (and a table), so no spec can contradict it
+        with pytest.raises(TypeError):
             KernelSpec(kind="indicator", diagonal_degenerate=True)
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError):
             KernelSpec(kind="fractional", H=0.7, diagonal_degenerate=False)
 
 
@@ -307,13 +314,39 @@ class TestKernelPhiLambdaIntegral:
             assert got == pytest.approx(oracle_kernel_phi_lambda(kernel, inten, t), rel=1e-8)
 
     def test_coarse_grid_phi_matches_closed_form(self):
-        # a constant grid phi has no kink, so no Gauss panel meets the
-        # kernel's (t - s)^(H - 1/2) behaviour at the diagonal
+        # a constant grid phi has no kink: one tanh-sinh piece over [0, t]
         kernel, inten = KernelSpec.fractional(0.7), IntensitySpec.constant(2.5)
         for t in (0.5, 2.0, 5.0):
             got = kernel_phi_lambda_integral(t, inten, kernel, PhiFunction.constant(0.4))
             want = 0.4 * kernel_phi_lambda_integral(t, inten, kernel)
             assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    @pytest.mark.parametrize(
+        "nodes",
+        [[0.0, 1.0, 10.0], [0.0, 2.0, 4.0, 10.0], [0.0, 1.0, 2.0, 3.0, 4.0, 4.999, 10.0], [0.001, 0.002, 1.0, 10.0]],
+        ids=["one-kink", "two-kinks", "kink-just-before-t", "kinks-near-0"],
+    )
+    def test_grid_phi_with_interior_kinks_matches_mpmath(self, nodes, H):
+        # a kink piece that holds the diagonal singularity (t - s)^(H - 1/2),
+        # or lies next to it or to the origin, against 25 digits split at the kinks
+        nodes = np.array(nodes)
+        values = 1.0 + 0.5 * np.sin(3.0 * np.arange(nodes.size))  # a kink at every node
+        phi, kernel, b = PhiFunction(kind="grid", nodes=nodes, values=values), KernelSpec.fractional(H), 1.3
+        with mpmath.workdps(25):
+            h = mpmath.mpf(H)
+
+            def integrand(s):
+                k = (t - s) ** (h - 0.5) * mpmath.hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1 - t / s) / mpmath.gamma(h + 0.5)
+                i = min(max(int(np.searchsorted(nodes, float(s))) - 1, 0), nodes.size - 2)
+                lo, hi, v0, v1 = (mpmath.mpf(x) for x in (nodes[i], nodes[i + 1], values[i], values[i + 1]))
+                w = min(max((s - lo) / (hi - lo), 0), 1)  # clamped outside the nodes
+                return k * (v0 + (v1 - v0) * w)
+
+            for t in (1.5, 4.5, 5.0):
+                want = b * mpmath.quad(integrand, [0.0, *nodes[(nodes > 0.0) & (nodes < t)], t])
+                got = kernel_phi_lambda_integral(t, IntensitySpec.constant(b), kernel, phi)
+                assert abs(got / want - 1) <= 1e-8, t
 
     def test_non_converging_quadrature_raises(self, monkeypatch):
         real = kernels.singular_quad_0_to_t

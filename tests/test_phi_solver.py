@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fpp_lab import (
     IntensitySpec,
@@ -17,7 +18,7 @@ from fpp_lab import (
     solve_phi_volterra,
     volterra_residuals,
 )
-from fpp_lab.kernels import _GL_NODES, _GL_WEIGHTS, PANEL_BLOCK, kernel_eval_at, singular_quad_0_to_t
+from fpp_lab.kernels import PANEL_BLOCK, kernel_eval, kernel_phi_lambda_integral
 
 from oracles import phi_from_csv, uniform_grid
 
@@ -26,37 +27,22 @@ PHI_1_H07_LAM2 = 0.3908930209156764
 RATIO_4_TO_1 = 0.75785828325519904  # 4^(-1/5)
 
 
-def oracle_residuals(phi, kernel, intensity, m1, nodes):
-    """Grid-phi residuals with one kernel call per Gauss panel.
+def oracle_integrals(phi, kernel, intensity, nodes):
+    """int_0^t K(t,s) phi(s) lambda(s) ds at each node t by adaptive `quad`.
 
-    The reference `volterra_residuals` must equal (==): the same stub
-    quadrature, split at a tabulated kernel's s-nodes, and 12-point Gauss
-    panels, each panel evaluated and added on its own.
+    Scalar `kernel_eval` times phi and lambda, split at every phi node and a
+    tabulated kernel's s-nodes (the kinks) and integrated piece by piece at
+    relative tolerance 1e-13; shares no code with the package's quadrature.
     """
+    cuts = np.concatenate([phi.nodes, kernel.table_s if kernel.kind == "tabulated" else []])
     out = []
     for t in nodes:
-        total = 0.0
-        stub = min(t, phi.nodes[0])
-        if stub > 0:
-            v0 = float(phi.values[0])
+        edges = np.unique(np.concatenate([[0.0, t], cuts[(cuts > 0.0) & (cuts < t)]]))
 
-            def f_stub(s, _t=t):
-                return kernel_eval_at(kernel, _t, s) * v0 * np.asarray(intensity.rate_at(s))
+        def f(s, t=t):
+            return kernel_eval(kernel, t, s) * phi(s) * float(intensity.rate_at(s))
 
-            # a tabulated kernel's s-nodes are kinks, where the stub is split
-            sn = kernel.table_s if kernel.kind == "tabulated" else np.empty(0)
-            breaks = sn[(sn > 0.0) & (sn < stub)]
-            val, _ = singular_quad_0_to_t(f_stub, stub, kernel.origin_exponent, breaks)
-            total += val
-        if t > phi.nodes[0]:
-            bounds = np.unique(np.clip(phi.nodes, 0.0, t))
-            edges = np.unique(np.concatenate([bounds, [t]]))
-            for a, b in zip(edges[:-1], edges[1:]):
-                s = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-                w = 0.5 * (b - a) * _GL_WEIGHTS
-                vals = kernel_eval_at(kernel, t, s) * phi(s) * np.asarray(intensity.rate_at(s))
-                total += float(np.dot(w, vals))
-        out.append(abs(m1 * total - t) / t)
+        out.append(sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])))
     return np.array(out)
 
 
@@ -269,8 +255,7 @@ def _tabulated_exp_kernel():
 
 
 class TestBlockedResiduals:
-    # every grid has more panels than one block, and a panel count that is
-    # not a multiple of the block size
+    # every grid's pieces span several blocks of Gauss pieces
     @pytest.mark.parametrize(
         "kernel, grid",
         [
@@ -293,8 +278,9 @@ class TestBlockedResiduals:
             phi.nodes[-1],
             1.25 * phi.nodes[-1],  # clamped extension
         ])
-        got = volterra_residuals(phi, kernel, inten, m1, nodes)
-        assert np.array_equal(got, oracle_residuals(phi, kernel, inten, m1, nodes))
+        got = np.array([kernel_phi_lambda_integral(float(t), inten, kernel, phi) for t in nodes])
+        np.testing.assert_allclose(got, oracle_integrals(phi, kernel, inten, nodes), rtol=1e-10, atol=0.0)
+        assert np.array_equal(volterra_residuals(phi, kernel, inten, m1, nodes), np.abs(m1 * got - nodes) / nodes)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_nodes_rejected(self, bad):
