@@ -1,4 +1,5 @@
-"""Cold start: importing the package and a drift-MLE run load no scipy submodule.
+"""Cold start: importing the package, a drift-MLE run, the fractional kernel's
+F table and a closed-form-phi verify-girsanov run load no scipy submodule.
 
 The check runs in a fresh interpreter: pytest's `filterwarnings` setting
 imports `scipy.integrate` when the test session starts.
@@ -74,3 +75,58 @@ def test_scipy_loads_on_first_use():
     scope: dict = {}
     exec(PROBES, scope)
     assert result["values"] == repr(scope["values"])
+
+
+FRACTIONAL_SCRIPT = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+import numpy as np
+
+SCIPY = ("scipy.special", "scipy.integrate", "scipy.interpolate")
+loaded = {}
+import fpp_lab
+import fpp_lab.cli
+from fpp_lab import KernelSpec, kernel_eval_at
+
+spec = KernelSpec.fractional(0.7)
+kernel_eval_at(spec, 1.0, np.array([0.5]))
+kernel_eval_at(spec, 2.0, np.linspace(1e-3, 1.99, 500))
+loaded["in-table row"] = [m for m in SCIPY if m in sys.modules]
+kernel_eval_at(spec, 2.0, np.array([1e-3, 0.5, 1.9, 2.5]))
+loaded["masked row"] = [m for m in SCIPY if m in sys.modules]
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "c.json"
+    cfg.write_text(json.dumps({
+        "experiment": "verify-girsanov",
+        "kernel": {"kind": "fractional", "H": 0.7},
+        "intensity": {"kind": "constant", "base_rate": 1.0},
+        "marks": {"kind": "unit"},
+        "horizon": 3.0,
+        "grid": {"start": 1.0, "stop": 3.0, "count": 2},
+        "h_spec": {"scale": 0.3, "phi_source": "closed_form"},
+        "replicas": 400,
+        "seed": 5,
+        "output_path": str(Path(tmp) / "out"),
+    }))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fpp_lab.cli.main(["run", str(cfg)])
+    loaded["verify-girsanov run"] = [m for m in SCIPY if m in sys.modules]
+    assert (Path(tmp) / "out" / "law_report.json").exists(), code
+print(json.dumps(loaded))
+"""
+
+
+def test_fractional_table_and_closed_form_law_check_load_no_scipy():
+    # the Hermite table is numpy only: an in-table row, a masked row with a
+    # point above the diagonal and a closed-form-phi verify-girsanov run
+    # (whose integrals are closed forms) never reach for scipy
+    src = str(Path(fpp_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRACTIONAL_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "in-table row": [], "masked row": [], "verify-girsanov run": []
+    }

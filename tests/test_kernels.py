@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.special
 from scipy.integrate import quad
 
 from fpp_lab import (
@@ -220,6 +221,45 @@ class TestVectorizedEval:
         assert out[3] == 0.0 and out[1] == pytest.approx(math.exp(-1.0))
 
 
+TABLE_HS = [0.5001, 0.55, 0.7, 0.9, 0.99]
+
+
+class TestFractionalTable:
+    @pytest.mark.parametrize("H", TABLE_HS)
+    def test_midpoints_match_scalar_path(self, H):
+        # a cubic Hermite interpolant errs most halfway between its nodes
+        spec, t = KernelSpec.fractional(H), 2.0
+        x = (np.arange(kernels._F_TABLE_NODES - 1) + 0.5) / kernels._F_TABLE_INV_H
+        s = t * np.exp(-x)
+        vec = kernel_eval_at(spec, t, s)
+        ref = np.array([kernel_eval(spec, t, si) for si in s])
+        assert np.abs(vec / ref - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("H", TABLE_HS)
+    def test_series_nodes_match_hyp2f1(self, H):
+        x = np.arange(kernels._F_TABLE_NODES) / kernels._F_TABLE_INV_H
+        f, _ = kernels._fractional_f_series(H, x)
+        ref = scipy.special.hyp2f1(H - 0.5, 0.5 - H, H + 0.5, -np.expm1(x))
+        assert np.abs(f / ref - 1.0).max() <= 1e-14
+        # both table ends are valid indices and return the node values
+        ends = kernels._fractional_table_f(H, np.array([0.0, kernels._F_TABLE_XMAX]))
+        assert np.array_equal(ends, f[[0, -1]])
+
+    @pytest.mark.parametrize("H", [0.55, 0.99])
+    def test_series_derivative_matches_mpmath(self, H):
+        # both sides of the switch between the two series at x = ln 2
+        ln2 = math.log(2.0)
+        x = np.array([0.0, 0.3, ln2, np.nextafter(ln2, 1.0), 0.7, 5.0, 32.0])
+        _, df = kernels._fractional_f_series(H, x)
+
+        def f(v):
+            return mpmath.hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1 - mpmath.exp(v))
+
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.diff(f, mpmath.mpf(float(v)))) for v in x])
+        np.testing.assert_allclose(df, want, rtol=1e-13)
+
+
 class TestDiagonalClass:
     def test_analytic_kinds(self):
         assert diagonal_class(KernelSpec.fractional(0.7)) == "continuous_paths"
@@ -305,8 +345,20 @@ class TestKernelPhiLambdaIntegral:
         got = kernel_phi_lambda_integral(1.0, IntensitySpec.constant(1.0), KernelSpec.fractional(0.7))
         assert got == pytest.approx(INT_K07_T1, rel=1e-15)
 
+    def test_indicator_kernel_with_phi_is_the_phi_integral(self):
+        # K = 1 below the diagonal: the closed form b int_0^t phi, no quadrature
+        kernel, inten = KernelSpec.indicator(), IntensitySpec.constant(1.3)
+        rng = np.random.default_rng(4)
+        nodes = np.linspace(0.0, 3.0, 300)
+        grid = PhiFunction(kind="grid", nodes=nodes, values=rng.uniform(0.5, 2.0, nodes.size))
+        for phi in (grid, phi_fractional(0.7, 1.7)):
+            for t in (0.4, 1.9, 3.0, 4.5):
+                want = kernels._checked_quad(t, inten, kernel, phi)
+                assert kernel_phi_lambda_integral(t, inten, kernel, phi) == pytest.approx(want, rel=1e-12)
+                assert kernel_phi_lambda_integral(t, inten, kernel, phi) == 1.3 * phi.integral(t)
+
     def test_phi_scaled_rate_matches_quadrature(self):
-        # spline kernel values and the rate's own origin exponent
+        # table kernel values and the rate's own origin exponent
         kernel = KernelSpec.fractional(0.7)
         inten = IntensitySpec.scaled_by_phi(1.5, 0.5, phi_fractional(0.7, 1.5))
         for t in (0.5, 2.0, 5.0):
