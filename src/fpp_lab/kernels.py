@@ -24,39 +24,41 @@ quadrature, `singular_quad_0_to_t`, at one tolerance with one convergence
 check.  It splits [0, t] at the integrand's kinks (the nodes of a grid phi
 in the integrand or in a phi-scaled rate, a tabulated kernel's s-nodes) and
 integrates the pieces next to the singularities at 0 and t by vectorized
-double-exponential (tanh-sinh) quadrature (Takahasi & Mori 1974), the
+double-exponential (tanh-sinh) quadrature (Takahasi & Mori 1974) in numpy,
+with scipy.integrate.tanhsinh's step, levels and error estimate, the
 others by 12-point Gauss-Legendre rules; each tanh-sinh refinement level
 and each block of Gauss pieces is one call of the integrand on an array of
 abscissae.
 
 F = F(H-1/2, 1/2-H, H+1/2, z) of the fractional kind is
-`scipy.special.hyp2f1` on the scalar path: `kernel_eval` assembles the
-defining formula from one F value.  Vectorized evaluation goes through a
-per-H cubic Hermite table of x -> F(1 - e^x) on 4096 uniform nodes of
-x = ln(t/s) in [0, 32], built lazily in numpy (a few ms): node values and
-exact x-derivatives come from two power series of ratio <= 1/2
-(`_fractional_f_series`), and a point is one index split, four coefficient
-gathers and a Horner step.  Points beyond the table take one F call.  The
-nodes are within 1e-14 relative of `hyp2f1` and the table within 1e-12
-between them (measured for H from 0.5001 to 0.99; 7.6e-13 at H = 0.9999,
-where Gamma(-2a) nears its pole), far inside the 1e-8 kernel accuracy
-contract.  A row of points wholly below the diagonal and inside the table
-(every row of the Volterra solve) is evaluated on the input array itself,
-without the masked gather and scatter that the general case needs.
+`scipy.special.hyp2f1` on the scalar path inside the table range:
+`kernel_eval` assembles the defining formula from one F value.  Vectorized
+evaluation goes through a per-H cubic Hermite table of x -> F(1 - e^x) on
+4096 uniform nodes of x = ln(t/s) in [0, 32], built lazily in numpy (a few
+ms): node values and exact x-derivatives come from two power series of
+ratio <= 1/2 (`_fractional_f_series`), and a point is one index split,
+four coefficient gathers and a Horner step.  Points beyond the table take
+the series itself, on both paths, within 2.2e-16 of 30-digit mpmath up to
+x = 700.  The nodes are within 1e-14 relative of `hyp2f1` and the table
+within 1e-12 between them (measured for H from 0.5001 to 0.99; 7.6e-13 at
+H = 0.9999, where Gamma(-2a) nears its pole), far inside the 1e-8 kernel
+accuracy contract.  A row of points wholly below the diagonal and inside
+the table (every row of the Volterra solve) is evaluated on the input
+array itself, without the masked gather and scatter that the general case
+needs.
 
-scipy is imported inside the functions that use it, not at module level:
-importing `scipy.special` or `scipy.integrate` takes longer than a
-drift-consistency run, which needs neither.  The table needs no scipy, so a
-run loads `scipy.special` only when it evaluates the fractional kernel on
-the scalar path or beyond the table (or calls `special_functions.hyp2f1`),
-and `scipy.integrate` only when it first runs a quadrature.
+No code path of an experiment imports scipy: importing `scipy.special`
+or `scipy.integrate` takes longer than most runs.  `scipy.special` serves
+only the scalar `kernel_eval` of the fractional kernel inside the table
+range (and `special_functions.hyp2f1`), imported inside the function that
+uses it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -237,10 +239,26 @@ def _fractional_f_series(H: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     d = np.cumprod(np.concatenate(([1.0], (n - a) / (n + 1.0 - 2.0 * a))))
     s, ds = poly.polyval(q, d), poly.polyval(q, poly.polyder(d))
     e = np.exp(a * xf)
+    # past the table a x reaches 355 and its rounding alone would put F up to
+    # 3e-14 off (under 2e-15 inside it, where the nodes stay as they were)
+    past = xf > _F_TABLE_XMAX
+    e[past] *= 1.0 + _product_rounding(a, xf[past])
     tail = math.gamma(1.0 + a) * math.gamma(-2.0 * a) / math.gamma(-a) / e * (1.0 - q) ** -a
     f[~near] = 0.5 * e * s + tail
     df[~near] = 0.5 * e * (a * s - q * ds) - a * tail / (1.0 - q)
     return f, df
+
+
+def _product_rounding(a: float, x: np.ndarray) -> np.ndarray:
+    """a x - fl(a x), exactly: Dekker's product (1971) on Veltkamp's 26-bit halves."""
+
+    def halves(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p, (ah, al), (xh, xl) = a * x, halves(a), halves(x)
+    return ((ah * xh - p) + ah * xl + al * xh) + al * xl
 
 
 def _fractional_table(H: float) -> tuple[np.ndarray, ...]:
@@ -288,7 +306,12 @@ def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
         raise ValidationError(f"kernel_eval requires s > 0, got s={s}")
     point = np.array([s])
     if spec.kind == "fractional" and s < t and float(t) / float(s) < math.inf:
-        return float(_fractional_k(spec.H, t, point, _fractional_f(spec.H, 1.0 - t / point))[0])
+        x = np.log(t / point)
+        if x[0] > _F_TABLE_XMAX:
+            f = _fractional_f_series(spec.H, x)[0]
+        else:
+            f = _fractional_f(spec.H, 1.0 - t / point)
+        return float(_fractional_k(spec.H, t, point, f)[0])
     return float(kernel_eval_at(spec, t, point)[0])
 
 
@@ -337,7 +360,7 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
     f = np.zeros(sb.shape)
     f[in_table] = _fractional_table_f(spec.H, x[in_table])
     if beyond.any():
-        f[beyond] = _fractional_f(spec.H, 1.0 - t / sb[beyond])
+        f[beyond] = _fractional_f_series(spec.H, x[beyond])[0]
     k = _fractional_k(spec.H, t, sb, f)
     k[far] = _fractional_k_far(spec.H, t, sb[far])
     out[below] = k
@@ -353,6 +376,94 @@ QUAD_ATOL = 1e-13
 QUAD_RTOL = 1e-9
 
 _TINY = np.finfo(float).tiny
+
+#: tanh-sinh levels and base step, scipy.integrate.tanhsinh's defaults: level k
+#: has step _TS_H0 / 2^k, and the base step is tmax / 8, where tmax is the
+#: largest j h whose abscissa complement stays above 4 x the smallest normal double
+_TS_MINLEVEL, _TS_MAXLEVEL = 2, 10
+_TS_H0 = math.asinh(math.log(2.0 / (4.0 * _TINY) - 1.0) / math.pi) / 8
+
+
+@cache
+def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complements xc = 1 - tanh(pi/2 sinh(j h)) and weights of level k.
+
+    Level 0 holds j = 0..8 (j = 0 at half weight), level k > 0 the odd j
+    below 8 * 2^k: each level halves the step and adds the new points only.
+    """
+    h = _TS_H0 / 2**k
+    j = np.arange(8 * 2**k + 1) if k == 0 else np.arange(1, 8 * 2**k + 1, 2)
+    u1, u2 = math.pi / 2 * np.cosh(j * h), math.pi / 2 * np.sinh(j * h)
+    w = u1 / np.cosh(u2) ** 2
+    if k == 0:
+        w[0] /= 2
+    return 1 / (np.exp(u2) * np.cosh(u2)), w
+
+
+def _tanh_sinh(g, args: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^1 g(v, *args) dv per row of args, by tanh-sinh quadrature.
+
+    g maps a 1-d array of abscissae v and columns of args to an array of
+    shape (rows, v.size).  The abscissae are 1 - xc/2 and xc/2, so both
+    ends of [0, 1] keep their accuracy.  Levels run from _TS_MINLEVEL (all
+    points of levels 0 to _TS_MINLEVEL) to _TS_MAXLEVEL, one call of g per
+    level on the rows still active; a row leaves once Bailey's error
+    estimate (Bailey, Jeyabalan & Li 2005, section 5) is below QUAD_ATOL
+    or QUAD_RTOL relative.  A non-finite value of g (a singularity at an
+    end point that an abscissa rounded onto) counts as the value at the
+    outermost finite abscissa on its side.  Returns (integrals, errors);
+    the error is inf for a row that has not converged by _TS_MAXLEVEL or
+    whose sum is not finite.
+    """
+    value, error = np.zeros(args[0].size), np.full(args[0].size, math.inf)
+    rows, args = np.arange(value.size), [a[:, None] for a in args]
+    # per row and side (1 - xc/2, then xc/2): the outermost valid abscissa so
+    # far, signed to grow outward, and its value and weight (Bailey's d4 term)
+    edge_x, edge_f, edge_w = (np.full((rows.size, 2), fill) for fill in (-math.inf, math.nan, 0.0))
+    levels = [_tanh_sinh_level(k) for k in range(_TS_MINLEVEL + 1)]
+    xc, w = (np.concatenate(z) for z in zip(*levels))
+    for n in range(_TS_MINLEVEL, _TS_MAXLEVEL + 1):
+        if n > _TS_MINLEVEL:
+            xc, w = _tanh_sinh_level(n)
+        m, h = xc.size, _TS_H0 / 2**n
+        v = np.concatenate((1.0 - 0.5 * xc, 0.5 * xc))
+        wv = np.concatenate((0.5 * w, 0.5 * w))
+        wv[v >= 1.0] = 0.0  # 1 - xc/2 rounded to the end point
+        fj = g(v, *args)
+        r = np.arange(rows.size)
+        for j, (side, sign) in enumerate(((slice(None, m), 1.0), (slice(m, None), -1.0))):
+            fs, ws = fj[:, side], wv[side]  # fs is a view: the replacement below edits fj
+            bad = ~np.isfinite(fs) | (ws == 0.0)
+            out = np.where(bad, -math.inf, sign * v[side])
+            i = np.argmax(out, axis=1)
+            up = out[r, i] > edge_x[:, j]
+            edge_x[up, j], edge_f[up, j], edge_w[up, j] = out[r, i][up], fs[r, i][up], ws[i][up]
+            fs[bad] = np.broadcast_to(edge_f[:, j, None], fs.shape)[bad]
+        fw = fj * wv
+        sn = np.sum(fw, axis=-1) * h
+        if n == _TS_MINLEVEL:  # the estimates of the two coarser levels, from the same values
+            c0 = levels[0][0].size
+            c1 = c0 + levels[1][0].size
+            snm1 = np.sum(np.concatenate((fw[:, :c1], fw[:, m : m + c1]), axis=1), axis=-1) * (2 * h)
+            snm2 = np.sum(np.concatenate((fw[:, :c0], fw[:, m : m + c0]), axis=1), axis=-1) * (4 * h)
+        else:
+            sn = snm1 / 2 + sn
+        d1, d2 = np.abs(sn - snm1), np.abs(sn - snm2)
+        d3 = np.finfo(float).eps * np.max(np.abs(fw), axis=-1)
+        d4 = np.max(np.abs(edge_f * edge_w), axis=1)
+        d = np.max([np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0), d1**2, d3, d4], axis=0)
+        err = np.clip(d, np.finfo(float).eps * np.abs(sn), d1)
+        finite = np.isfinite(sn)
+        done = (err / np.abs(sn) < QUAD_RTOL) | (err < QUAD_ATOL) | ~finite
+        value[rows] = sn
+        error[rows[done]] = np.where(finite, err, math.inf)[done]
+        keep = ~done
+        rows, args = rows[keep], [a[keep] for a in args]
+        snm2, snm1 = snm1[keep], sn[keep]
+        edge_x, edge_f, edge_w = edge_x[keep], edge_f[keep], edge_w[keep]
+        if not rows.size:
+            break
+    return value, error
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -371,15 +482,15 @@ def singular_quad_0_to_t(f, t: float, origin_exponent: float, breaks=()) -> tupl
     only at 0 and at t, and each piece takes one of two rules:
 
     * a piece [lo, hi] that starts at 0 or lies closer to 0 or t than its
-      own width, min(lo, t - hi) < hi - lo: tanh-sinh quadrature at
-      relative tolerance QUAD_RTOL and absolute tolerance QUAD_ATOL, all
-      such pieces in one vectorized `scipy.integrate.tanhsinh` call with
-      their limits as array arguments.  The first piece [0, w] substitutes
-      s = w v^p with p = 1/(1 - e), which turns the origin singularity
-      into a bounded integrand.  An abscissa whose s underflows (below the
-      smallest normal double, zero included) adds 0, unevaluated: the
-      substituted integrand is bounded near v = 0, so a point that close
-      to 0 carries no weight.
+      own width, min(lo, t - hi) < hi - lo: tanh-sinh quadrature
+      (`_tanh_sinh`, Takahasi & Mori 1974) at relative tolerance QUAD_RTOL
+      and absolute tolerance QUAD_ATOL, all such pieces in one vectorized
+      rule, one call of f per refinement level.  The first piece [0, w]
+      substitutes s = w v^p with p = 1/(1 - e), which turns the origin
+      singularity into a bounded integrand.  An abscissa whose s
+      underflows (below the smallest normal double, zero included) adds 0,
+      unevaluated: the substituted integrand is bounded near v = 0, so a
+      point that close to 0 carries no weight.
     * every other piece: 12-point Gauss-Legendre, PANEL_BLOCK pieces per
       call of f, with no error estimate.  Its nearest singularity lies at
       least one width away, so f is analytic inside the Bernstein ellipse
@@ -387,10 +498,8 @@ def singular_quad_0_to_t(f, t: float, origin_exponent: float, breaks=()) -> tupl
       rho^-24 ~ 1e-18 relative (Trefethen, SIAM Review 2008).
 
     Returns (value, error estimate), both sums over the pieces; the error
-    is inf when the tanh-sinh rule reports no convergence on some piece.
+    is inf when the tanh-sinh rule has not converged on some piece.
     """
-    from scipy.integrate import tanhsinh
-
     if origin_exponent >= 1.0:
         raise NumericsError(f"non-integrable origin exponent {origin_exponent}")
     p = 1.0 / (1.0 - origin_exponent) if origin_exponent > 0.0 else 1.0
@@ -406,10 +515,10 @@ def singular_quad_0_to_t(f, t: float, origin_exponent: float, breaks=()) -> tupl
         out[keep] = f(s[keep]) * (width * power * v ** (power - 1.0))[keep]
         return out
 
-    args = (lo[near], (hi - lo)[near], power[near])
-    res = tanhsinh(pieces, 0.0, 1.0, args=args, atol=QUAD_ATOL, rtol=QUAD_RTOL)
-    total = float(res.integral.sum())
-    err = float(res.error.sum()) if res.success.all() else math.inf
+    # as inside scipy's rule: an end-point singularity and log(0) in the error estimate are expected
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, error = _tanh_sinh(pieces, (lo[near], (hi - lo)[near], power[near]))
+    total, err = float(value.sum()), float(error.sum())
     far_lo, far_hi = lo[~near, None], hi[~near, None]
     for i in range(0, far_lo.size, PANEL_BLOCK):
         a, b = far_lo[i : i + PANEL_BLOCK], far_hi[i : i + PANEL_BLOCK]

@@ -1,7 +1,8 @@
 """The Gauss hypergeometric function F(a, b, c, z), kept as a benchmark target.
 
-Nothing in the package calls `hyp2f1`: the fractional kernel calls
-`scipy.special.hyp2f1` directly (`kernels._fractional_f`), and the Gamma
+Nothing in the package calls `hyp2f1`: the fractional kernel's scalar
+path calls `scipy.special.hyp2f1` directly inside its table range
+(`kernels._fractional_f`), and the Gamma
 factors are `math.lgamma` and `math.gamma`.  The module stays because the
 benchmark tracer (`bench/tracing.py`) wraps `hyp2f1` by name; it is not
 exported from `fpp_lab`.

@@ -1,8 +1,9 @@
 """Reference code that only the tests call.
 
 Per-grid and one-point forms of the package's batched functions, the score
-of the drift likelihood, path and phi CSV readers, and grid builders and
-classifiers that no experiment uses; the tests use them as oracles and
+of the drift likelihood, path and phi CSV readers, grid builders and
+classifiers that no experiment uses, and the scipy tanh-sinh quadrature
+that the package's numpy rule replaced; the tests use them as oracles and
 fixtures.  `fpp_lab` keeps one path per concept and does not ship them.
 """
 
@@ -27,7 +28,7 @@ from fpp_lab import (
     log_density,
     phi_lambda_integral,
 )
-from fpp_lab.kernels import _bilinear
+from fpp_lab.kernels import _GL_NODES, _GL_WEIGHTS, _TINY, PANEL_BLOCK, QUAD_ATOL, QUAD_RTOL, _bilinear
 from fpp_lab.serialize import read_csv, write_csv
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,40 @@ def diagonal_class(spec: KernelSpec) -> str:
         return IRREGULAR
     diag = _bilinear(spec.table_t, spec.table_s, spec.table_values, spec.table_t, spec.table_t)
     return CONTINUOUS if np.all(diag == 0.0) else CADLAG
+
+
+def scipy_quad_0_to_t(f, t: float, origin_exponent: float, breaks=()) -> tuple[float, float]:
+    """`kernels.singular_quad_0_to_t` with its tanh-sinh pieces in one `scipy.integrate.tanhsinh` call.
+
+    The same pieces, substitution and Gauss-Legendre rule; scipy's
+    tanh-sinh (base step tmax / 8, levels 2 to 10, Bailey's error estimate)
+    is the rule the package's numpy `_tanh_sinh` reproduces.
+    """
+    from scipy.integrate import tanhsinh
+
+    p = 1.0 / (1.0 - origin_exponent) if origin_exponent > 0.0 else 1.0
+    edges = np.concatenate(([0.0], breaks, [t]))
+    lo, hi = edges[:-1], edges[1:]
+    near = np.minimum(lo, t - hi) < hi - lo
+    power = np.concatenate(([p], np.ones(len(breaks))))
+
+    def pieces(v, lo, width, power):
+        s = lo + width * v**power
+        out = np.zeros(s.shape)
+        keep = s >= _TINY
+        out[keep] = f(s[keep]) * (width * power * v ** (power - 1.0))[keep]
+        return out
+
+    res = tanhsinh(pieces, 0.0, 1.0, args=(lo[near], (hi - lo)[near], power[near]), atol=QUAD_ATOL, rtol=QUAD_RTOL)
+    total = float(res.integral.sum())
+    err = float(res.error.sum()) if res.success.all() else math.inf
+    far_lo, far_hi = lo[~near, None], hi[~near, None]
+    for i in range(0, far_lo.size, PANEL_BLOCK):
+        a, b = far_lo[i : i + PANEL_BLOCK], far_hi[i : i + PANEL_BLOCK]
+        half = 0.5 * (b - a)
+        s = half * _GL_NODES + (a + half)
+        total += float(np.sum(half * _GL_WEIGHTS * f(s.ravel()).reshape(s.shape)))
+    return total, err
 
 
 def uniform_grid(start: float, stop: float, count: int) -> np.ndarray:

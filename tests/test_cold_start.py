@@ -1,5 +1,7 @@
 """Cold start: importing the package, a drift-MLE run, the fractional kernel's
-F table and a closed-form-phi verify-girsanov run load no scipy submodule.
+F table, a closed-form-phi verify-girsanov run, and the solve-phi, estimate
+and verify-girsanov runs that solve for a Volterra phi (and integrate
+against it) load no scipy submodule.
 
 The check runs in a fresh interpreter: pytest's `filterwarnings` setting
 imports `scipy.integrate` when the test session starts.
@@ -12,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fpp_lab
 
@@ -61,15 +65,18 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
-def test_scipy_loads_on_first_use():
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` with `args` in a fresh interpreter that imports `fpp_lab` from this checkout."""
     src = str(Path(fpp_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    tail = "print(json.dumps({'loaded': loaded, 'values': repr(values)}))"
-    proc = subprocess.run(
-        [sys.executable, "-c", "\n".join([SCRIPT, PROBES, tail])],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_scipy_loads_on_first_use():
+    tail = "print(json.dumps({'loaded': loaded, 'values': repr(values)}))"
+    proc = run_fresh("\n".join([SCRIPT, PROBES, tail]))
     result = json.loads(proc.stdout)
     assert result["loaded"] == {"import fpp_lab": [], "import fpp_lab.cli": [], "consistency run": []}
     scope: dict = {}
@@ -121,12 +128,61 @@ def test_fractional_table_and_closed_form_law_check_load_no_scipy():
     # the Hermite table is numpy only: an in-table row, a masked row with a
     # point above the diagonal and a closed-form-phi verify-girsanov run
     # (whose integrals are closed forms) never reach for scipy
-    src = str(Path(fpp_lab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", FRACTIONAL_SCRIPT], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = run_fresh(FRACTIONAL_SCRIPT)
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "in-table row": [], "masked row": [], "verify-girsanov run": []
     }
+
+
+QUADRATURE_CONFIGS = {
+    "solve-phi": {"grid": {"start": 0.01, "stop": 2.0, "count": 200}},
+    "estimate": {
+        "horizon": 5.0,
+        "theta_true": 1.0,
+        "replicas": 20,
+        "h_spec": {"scale": 1.0, "phi_source": "volterra"},
+    },
+    "verify-girsanov": {
+        "horizon": 3.0,
+        "grid": {"start": 1.0, "stop": 3.0, "count": 2},
+        "replicas": 400,
+        "h_spec": {"scale": 0.3, "phi_source": "volterra"},
+    },
+}
+
+QUADRATURE_SCRIPT = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+SCIPY = ("scipy.special", "scipy.integrate", "scipy.interpolate")
+import fpp_lab.cli
+
+cfg = dict(json.loads(sys.argv[1]), **{
+    "kernel": {"kind": "fractional", "H": 0.7},
+    "intensity": {"kind": "constant", "base_rate": 1.0},
+    "marks": {"kind": "unit"},
+    "seed": 3,
+})
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "c.json"
+    path.write_text(json.dumps(dict(cfg, output_path=str(Path(tmp) / "out"))))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fpp_lab.cli.main(["run", str(path)])
+    artifacts = sorted(p.name for p in (Path(tmp) / "out").iterdir())
+print(json.dumps({"code": code, "loaded": [m for m in SCIPY if m in sys.modules], "artifacts": artifacts}))
+"""
+
+
+@pytest.mark.parametrize(
+    "experiment, artifact",
+    [("solve-phi", "phi.csv"), ("estimate", "estimates.csv"), ("verify-girsanov", "law_report.json")],
+)
+def test_volterra_phi_runs_load_no_scipy(experiment, artifact):
+    # solve-phi's residual check and the shift of a Volterra-phi
+    # verify-girsanov run are quadratures of K phi lambda; the estimate run
+    # solves for phi too.  Each runs in its own fresh interpreter.
+    cfg = json.dumps(dict(QUADRATURE_CONFIGS[experiment], experiment=experiment))
+    result = json.loads(run_fresh(QUADRATURE_SCRIPT, cfg).stdout.splitlines()[-1])
+    assert result["code"] in (0, 3)  # 3: the deterministic-shift comparison is red for h != 0
+    assert result["loaded"] == []
+    assert artifact in result["artifacts"]

@@ -25,11 +25,11 @@ from fpp_lab import (
     power_grid,
 )
 from fpp_lab import kernels
-from fpp_lab.kernels import QUAD_ATOL, kernel_phi_lambda_integral, singular_quad_0_to_t
+from fpp_lab.kernels import QUAD_ATOL, QUAD_RTOL, kernel_phi_lambda_integral, singular_quad_0_to_t
 from fpp_lab.phi_solver import STARTUP_SPAN_FACTOR
 from fpp_lab.special_functions import Hyp2F1Params, hyp2f1
 
-from oracles import diagonal_class, ln_gamma, uniform_grid
+from oracles import diagonal_class, ln_gamma, scipy_quad_0_to_t, uniform_grid
 
 # frozen oracle values (mpmath, cross-checked against the quadrature oracle)
 K_07_2_1 = 1.1196796529762092
@@ -258,6 +258,17 @@ class TestFractionalTable:
         with mpmath.workdps(30):
             want = np.array([float(mpmath.diff(f, mpmath.mpf(float(v)))) for v in x])
         np.testing.assert_allclose(df, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("H", TABLE_HS)
+    def test_series_past_the_table_matches_mpmath(self, H):
+        # points beyond the table (x = ln(t/s) > 32) take the series itself,
+        # up to x = 700, just below where t / s overflows
+        x = np.array([33.0, 40.0, 100.0, 300.0, 700.0])
+        f, _ = kernels._fractional_f_series(H, x)
+        with mpmath.workdps(30):
+            want = [mpmath.hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1 - mpmath.exp(mpmath.mpf(float(v)))) for v in x]
+            worst = max(float(abs(got / w - 1)) for got, w in zip(f, want))
+        assert worst <= 1e-14
 
 
 class TestDiagonalClass:
@@ -502,6 +513,63 @@ class TestSingularQuad:
         message = r"did not converge at t=2\.0: value \d\.\d{6}e[+-]\d+, error estimate inf"
         with pytest.raises(NumericsError, match=message):
             kernel_phi_lambda_integral(2.0, inten, phi=phi)
+
+
+def quad_cases() -> dict:
+    """Integrands (f, t, origin exponent, breaks) for the tanh-sinh oracle comparison."""
+    k55, k5001 = KernelSpec.fractional(0.55), KernelSpec.fractional(0.5001)
+    cases = {f"s^-{e}": (lambda s, e=e: s**-e, 1.5, e, ()) for e in (0.2, 0.45, 0.9)}
+    # the last piece touches t, where K(t, .) has a (t - s)^0.05 cusp, or f diverges
+    cases["kernel-piece-at-t"] = (lambda s: kernel_eval_at(k55, 2.0, s), 2.0, 0.05, (1.0, 1.9))
+    cases["singular-at-t"] = (lambda s: (1.5 - s) ** -0.3, 1.5, 0.0, (1.4,))
+    # five tanh-sinh pieces and one Gauss piece [0.5, 0.6]; kinks at 0.5, 0.6 and 1.2
+    breaks = (0.001, 0.5, 0.6, 1.2, 1.49)
+    cases["several-pieces"] = (
+        lambda s: s**-0.45 * (1.0 + np.abs(s - 0.5)) + np.abs(s - 0.6) * np.abs(s - 1.2), 1.5, 0.45, breaks
+    )
+    # abscissae down to v ~ 4e-308, where s = v^5 underflows, and s subnormal at p ~ 1
+    cases["underflow-p5"] = (lambda s: s**-0.8, 1.0, 0.8, ())
+    cases["underflow-subnormal"] = (lambda s: kernel_eval_at(k5001, 1.0, s), 0.1, k5001.origin_exponent, ())
+    return cases
+
+
+class TestTanhSinhRule:
+    @pytest.mark.parametrize("case", list(quad_cases()))
+    def test_matches_scipy_tanhsinh(self, case):
+        f, t, e, breaks = quad_cases()[case]
+        got, err = singular_quad_0_to_t(f, t, e, np.array(breaks))
+        want, want_err = scipy_quad_0_to_t(f, t, e, np.array(breaks))
+        bound = max(QUAD_ATOL, QUAD_RTOL * abs(want))
+        assert abs(got - want) <= bound
+        assert err <= bound and want_err <= bound
+        # the same error estimate: its outermost-term part (Bailey's d4) dominates in every case
+        assert err == pytest.approx(want_err, rel=1e-6, abs=0.0)
+
+    def test_non_converging_integrand_reports_inf(self):
+        calls = []
+
+        def f(s):
+            calls.append(s.size)
+            return np.sin(1e7 * s) ** 2
+
+        val, err = singular_quad_0_to_t(f, 1.0, 0.0)
+        assert math.isfinite(val) and err == math.inf
+        # one integrand call per level, levels 2 to 10, and no other
+        assert len(calls) == 9
+        assert scipy_quad_0_to_t(f, 1.0, 0.0)[1] == math.inf
+
+    @pytest.mark.parametrize("case", list(quad_cases()))
+    def test_integrand_called_at_most_once_per_level(self, case):
+        f, t, e, breaks = quad_cases()[case]
+        calls = []
+
+        def counted(s):
+            calls.append(s.size)
+            return f(s)
+
+        singular_quad_0_to_t(counted, t, e, np.array(breaks))
+        gauss_blocks = 1 if case == "several-pieces" else 0
+        assert len(calls) <= 9 + gauss_blocks
 
 
 class TestTabulated:
