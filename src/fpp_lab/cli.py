@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .estimator import (
     monotonicity_violations,
     trajectory,
 )
-from .girsanov import GirsanovCheckConfig, ShiftFunction, verify_equality_in_law
+from .girsanov import MIN_EFFECTIVE_SAMPLE, GirsanovCheckConfig, ShiftFunction, verify_equality_in_law
 from .kernels import KernelSpec
 from .phi_solver import (
     SOLVER_RTOL,
@@ -51,21 +52,6 @@ from .serialize import dumps_json, write_csv, write_json
 MAX_REPLICA_JUMPS = 1e9
 #: cap on the grid count squared: the Volterra solve is O(n^2) in the nodes
 MAX_GRID_NODES_SQUARED = 1e10
-
-_TOP_KEYS = {
-    "experiment",
-    "kernel",
-    "intensity",
-    "marks",
-    "horizon",
-    "grid",
-    "theta_true",
-    "h_spec",
-    "replicas",
-    "seed",
-    "output_path",
-}
-
 
 def _require(cfg: dict, key: str):
     if key not in cfg:
@@ -270,7 +256,12 @@ class ResolvedConfig:
                 raise ValidationError(f"intensity theta must be >= 0, got {self.intensity_theta}")
         elif self.intensity_kind != "constant":
             raise ValidationError(f"unknown intensity kind {self.intensity_kind!r}")
-        self._intensity: IntensitySpec | None = None  # built on first use; phi solves can be heavy
+        # the ESS is at most the replica count, and equals it only when every weight agrees (h = 0)
+        if exp == "verify-girsanov" and self.replicas < MIN_EFFECTIVE_SAMPLE + (self.h_scale != 0):
+            raise ValidationError(
+                f"{self.replicas} replicas with h_spec.scale {self.h_scale:g} cannot reach the "
+                f"effective sample size floor MIN_EFFECTIVE_SAMPLE = {MIN_EFFECTIVE_SAMPLE:g}"
+            )
 
         if self.grid is not None and self.horizon is not None and self.grid[-1] > self.horizon:
             raise ValidationError("grid extends beyond the horizon")
@@ -282,16 +273,13 @@ class ResolvedConfig:
                 f"the pre-flight cap {MAX_REPLICA_JUMPS:.3g}"
             )
 
-    @property
+    @cached_property
     def intensity(self) -> IntensitySpec:
-        if self._intensity is None:
-            if self.intensity_kind == "constant":
-                self._intensity = IntensitySpec.constant(self.base_rate)
-            else:
-                self._intensity = IntensitySpec.scaled_by_phi(
-                    self.base_rate, self.intensity_theta, self.phi()
-                )
-        return self._intensity
+        """The config's intensity, built on first use: a phi solve can be heavy."""
+        base = IntensitySpec.constant(self.base_rate)
+        if self.intensity_kind == "constant":
+            return base
+        return base.tilted(self.intensity_theta, self.phi())
 
     def phi(self) -> PhiFunction:
         horizon = self.horizon if self.horizon is not None else float(self.grid[-1])
@@ -325,11 +313,10 @@ def _run_simulate(cfg: ResolvedConfig) -> dict:
 
 def _run_estimate(cfg: ResolvedConfig) -> dict:
     phi = cfg.phi()
-    base = IntensitySpec.constant(cfg.base_rate)
-    perturbed = IntensitySpec.scaled_by_phi(cfg.base_rate, cfg.theta_true, phi)
+    perturbed = cfg.intensity.tilted(cfg.theta_true, phi)
     est = np.empty(cfg.replicas)
     for rows, batch in simulate_replicas(perturbed, cfg.marks, cfg.horizon, cfg.replicas, cfg.seed):
-        est[rows] = mle_solve_batch(batch, phi, base, cfg.horizon)[:, 0]
+        est[rows] = mle_solve_batch(batch, phi, cfg.intensity, cfg.horizon)[:, 0]
         del batch  # before the next block is simulated: one block in memory at a time
     write_csv(cfg.output_path / "estimates.csv", "replica,theta_hat", enumerate(est))
     headline = {
@@ -342,10 +329,8 @@ def _run_estimate(cfg: ResolvedConfig) -> dict:
 
 def _run_trajectory(cfg: ResolvedConfig) -> dict:
     phi = cfg.phi()
-    base = IntensitySpec.constant(cfg.base_rate)
-    perturbed = IntensitySpec.scaled_by_phi(cfg.base_rate, cfg.theta_true, phi)
-    path = simulate(perturbed, cfg.marks, cfg.horizon, cfg.seed)
-    trace = trajectory(path, phi, base, cfg.grid)
+    path = simulate(cfg.intensity.tilted(cfg.theta_true, phi), cfg.marks, cfg.horizon, cfg.seed)
+    trace = trajectory(path, phi, cfg.intensity, cfg.grid)
     trace.to_csv(cfg.output_path / "trace.csv")
     headline = {
         "final_theta_hat": float(trace.theta_hat[-1]),
@@ -360,7 +345,7 @@ def _run_verify_girsanov(cfg: ResolvedConfig) -> dict:
     check = GirsanovCheckConfig(
         kernel=cfg.kernel,
         h=h,
-        intensity=IntensitySpec.constant(cfg.base_rate),
+        intensity=cfg.intensity,
         marks=cfg.marks,
         eval_times=tuple(float(t) for t in cfg.grid),
         replicas=cfg.replicas,
@@ -380,7 +365,7 @@ def _run_consistency(cfg: ResolvedConfig) -> dict:
     phi = cfg.phi()
     report = consistency_experiment(
         ConsistencyConfig(
-            intensity=IntensitySpec.constant(cfg.base_rate),
+            intensity=cfg.intensity,
             phi=phi,
             theta_true=cfg.theta_true,
             horizons=tuple(float(t) for t in cfg.grid),
@@ -435,6 +420,9 @@ EXPERIMENTS = {
     ),
     "solve-phi": (_run_solve_phi, ("kernel", "intensity", "marks", "grid")),
 }
+
+#: the keys a config may carry: the run's own, and every key an experiment requires
+_TOP_KEYS = {"experiment", "seed", "output_path"}.union(*(need for _, need in EXPERIMENTS.values()))
 
 
 def _load_config(path: str) -> dict:

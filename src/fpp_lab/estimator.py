@@ -283,13 +283,11 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
 
     Jump times are simulated with rate lambda(s) (1 + theta phi(s)) -- the
     compensator of the observed process under the perturbed measure --
-    while the estimator itself is always fed the base intensity.  Passes
-    when the RMSE decreases strictly across horizons and the final RMSE is
+    while the estimator is fed the constant base intensity.  Passes when
+    the RMSE decreases strictly across horizons and the final RMSE is
     below the configured threshold.
     """
-    if cfg.intensity.kind != "constant":
-        raise ValidationError("consistency experiment expects a constant base intensity")
-    perturbed = IntensitySpec.scaled_by_phi(cfg.intensity.base_rate, cfg.theta_true, cfg.phi)
+    perturbed = cfg.intensity.tilted(cfg.theta_true, cfg.phi)
     t_max = cfg.horizons[-1]
     est = np.empty((cfg.replicas, len(cfg.horizons)))
     for rows, batch in simulate_replicas(perturbed, cfg.marks, t_max, cfg.replicas, cfg.seed):
@@ -302,7 +300,7 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
     mae = tuple(float(v) for v in np.abs(err).mean(axis=0))
     rmse = tuple(float(v) for v in np.sqrt(np.square(err).mean(axis=0)))
     frac = float(np.mean(np.abs(err[:, -1]) < np.abs(err[:, 0])))
-    if cfg.phi.kind == "closed_form_fractional" and cfg.intensity.kind == "constant":
+    if cfg.phi.kind == "closed_form_fractional":
         note = fractional_hypothesis_note(cfg.phi.H)
     else:
         note = {"analytic_exponents": "not applicable to this phi/intensity pair"}

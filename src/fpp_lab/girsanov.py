@@ -285,8 +285,8 @@ def verify_tilted_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
     Sample A is replica i simulated under lambda with seed `seed + i` and
     weighted by the density; sample B (the `*_shifted` report fields) is
     replica i simulated under the tilted intensity with seed
-    `seed + replicas + i` and unit weight.  The tilted intensity must
-    be an `IntensitySpec`, which requires a constant base intensity and
+    `seed + replicas + i` and unit weight.  The tilted intensity is
+    `IntensitySpec.tilted`, which requires a constant base intensity and
     h.scale >= 0; any other config raises ValidationError.
 
     The report's standard errors pair the samples by index.  For two
@@ -294,12 +294,7 @@ def verify_tilted_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
     cross-covariance in expectation, so their variance is the sum of the
     two samples' variances and the same formula applies.
     """
-    if cfg.intensity.kind != "constant":
-        raise ValidationError(
-            "the intensity tilt requires a constant base intensity; "
-            f"got kind {cfg.intensity.kind!r}"
-        )
-    tilted = IntensitySpec.scaled_by_phi(cfg.intensity.base_rate, cfg.h.scale, cfg.h.phi)
+    tilted = cfg.intensity.tilted(cfg.h.scale, cfg.h.phi)
     horizon = max(cfg.eval_times)
     logw, x = _weighted_sample(cfg)
     y = np.empty_like(x)

@@ -31,27 +31,26 @@ and each block of Gauss pieces is one call of the integrand on an array of
 abscissae.
 
 F = F(H-1/2, 1/2-H, H+1/2, z) of the fractional kind is
-`scipy.special.hyp2f1` on the scalar path inside the table range:
-`kernel_eval` assembles the defining formula from one F value.  Vectorized
-evaluation goes through a per-H cubic Hermite table of x -> F(1 - e^x) on
-4096 uniform nodes of x = ln(t/s) in [0, 32], built lazily in numpy (a few
-ms): node values and exact x-derivatives come from two power series of
-ratio <= 1/2 (`_fractional_f_series`), and a point is one index split,
-four coefficient gathers and a Horner step.  Points beyond the table take
-the series itself, on both paths, within 2.2e-16 of 30-digit mpmath up to
-x = 700.  The nodes are within 1e-14 relative of `hyp2f1` and the table
-within 1e-12 between them (measured for H from 0.5001 to 0.99; 7.6e-13 at
-H = 0.9999, where Gamma(-2a) nears its pole), far inside the 1e-8 kernel
-accuracy contract.  A row of points wholly below the diagonal and inside
-the table (every row of the Volterra solve) is evaluated on the input
-array itself, without the masked gather and scatter that the general case
-needs.
+`special_functions.hyp2f1` on the scalar path inside the table range:
+`kernel_eval` assembles the defining formula from one F value and sends
+every other point to `kernel_eval_at`.  Vectorized evaluation goes through
+a per-H cubic Hermite table of x -> F(1 - e^x) on 4096 uniform nodes of
+x = ln(t/s) in [0, 32], built lazily in numpy (a few ms): node values and
+exact x-derivatives come from two power series of ratio <= 1/2
+(`_fractional_f_series`), and a point is one index split, four coefficient
+gathers and a Horner step.  Points beyond the table take the series
+itself, within 2.2e-16 of 30-digit mpmath up to x = 700.
+The nodes are within 1e-14 relative of `hyp2f1` and the table within 1e-12
+between them (measured for H from 0.5001 to 0.99; 7.6e-13 at H = 0.9999,
+where Gamma(-2a) nears its pole), far inside the 1e-8 kernel accuracy
+contract.  A row of points wholly below the diagonal and inside the table
+(every row of the Volterra solve) is evaluated on the input array itself,
+without the masked gather and scatter that the general case needs.
 
 No code path of an experiment imports scipy: importing `scipy.special`
-or `scipy.integrate` takes longer than most runs.  `scipy.special` serves
-only the scalar `kernel_eval` of the fractional kernel inside the table
-range (and `special_functions.hyp2f1`), imported inside the function that
-uses it.
+or `scipy.integrate` takes longer than most runs.  Only
+`special_functions.hyp2f1`, which the scalar `kernel_eval` calls inside
+the table range, imports `scipy.special`, inside the function.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .point_process import IntensitySpec, integrated_intensity
 from .serialize import read_csv
+from .special_functions import Hyp2F1Params, hyp2f1
 
 if TYPE_CHECKING:  # pragma: no cover
     from .phi_solver import PhiFunction
@@ -174,13 +174,6 @@ _F_TABLE_NODES = 4096
 _F_TABLE_INV_H = (_F_TABLE_NODES - 1) / _F_TABLE_XMAX
 _SERIES_TERMS = 64
 _f_tables: dict[float, tuple[np.ndarray, ...]] = {}
-
-
-def _fractional_f(H: float, z: np.ndarray) -> np.ndarray:
-    """F(H-1/2, 1/2-H, H+1/2, z), elementwise."""
-    import scipy.special
-
-    return scipy.special.hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
 
 
 def _fractional_k(H: float, t: float, s: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -297,21 +290,21 @@ def _fractional_table_f(H: float, x: np.ndarray) -> np.ndarray:
 def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
     """K(t, s), exactly 0 for s > t; scalar, full-accuracy path.
 
-    The fractional kind assembles the defining formula from one F value;
-    every other kind is `kernel_eval_at` on one point.
+    Inside the F table the fractional kind is the defining formula with one
+    `special_functions.hyp2f1` value; all else is `kernel_eval_at` on one point.
     """
     if not t > 0:
         raise ValidationError(f"kernel_eval requires t > 0, got t={t}")
     if not s > 0:
         raise ValidationError(f"kernel_eval requires s > 0, got s={s}")
     point = np.array([s])
-    if spec.kind == "fractional" and s < t and float(t) / float(s) < math.inf:
-        x = np.log(t / point)
-        if x[0] > _F_TABLE_XMAX:
-            f = _fractional_f_series(spec.H, x)[0]
-        else:
-            f = _fractional_f(spec.H, 1.0 - t / point)
-        return float(_fractional_k(spec.H, t, point, f)[0])
+    if spec.kind == "fractional" and s < t:
+        with np.errstate(over="ignore"):  # an overflowed t / s leaves the table
+            inside = np.log(t / point)[0] <= _F_TABLE_XMAX
+        if inside:
+            H = spec.H
+            f = hyp2f1(Hyp2F1Params(H - 0.5, 0.5 - H, H + 0.5, float(1.0 - t / point[0])))
+            return float(_fractional_k(H, t, point, f)[0])
     return float(kernel_eval_at(spec, t, point)[0])
 
 
@@ -319,9 +312,10 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
     """Vectorized K(t, s_array) for fixed t.
 
     The fractional kind uses the Hermite table of F on x = ln(t/s); points
-    beyond the table range (s/t < e^-32) take one direct F call, equal (==)
-    to `kernel_eval` point by point, and points so far below the diagonal
-    that t / s overflows take `_fractional_k_far`, as in `kernel_eval`.
+    beyond the table range (s/t < e^-32) take the series of F
+    (`_fractional_f_series`), and points so far below the diagonal that
+    t / s overflows take `_fractional_k_far`; `kernel_eval` sends those
+    points here.
     When every point lies below the diagonal and inside the table, the
     fractional kind works on `s` itself, with no masked copies, and gives
     the same values (==).  The tabulated kind interpolates all points with
@@ -338,19 +332,16 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
         if x.max() <= _F_TABLE_XMAX:
             return _fractional_k(spec.H, t, s, _fractional_table_f(spec.H, x))
     out = np.zeros(s.shape)
+    if spec.kind != "fractional":
+        sel = s <= t
+        if spec.kind == "indicator":
+            out[sel] = 1.0
+        elif spec.kind == "exp_shot_noise":
+            out[sel] = np.exp(-spec.a * (t - s[sel]))
+        else:
+            out[sel] = _bilinear(spec.table_t, spec.table_s, spec.table_values, t, s[sel])
+        return out
     below = s < t
-    if spec.kind == "indicator":
-        out[s <= t] = 1.0
-        return out
-    if spec.kind == "exp_shot_noise":
-        sel = s <= t
-        out[sel] = np.exp(-spec.a * (t - s[sel]))
-        return out
-    if spec.kind == "tabulated":
-        sel = s <= t
-        out[sel] = _bilinear(spec.table_t, spec.table_s, spec.table_values, t, s[sel])
-        return out
-    # fractional
     sb = s[below]
     with np.errstate(over="ignore"):
         x = np.log(t / sb)

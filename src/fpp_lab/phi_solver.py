@@ -1,14 +1,16 @@
 """The calibration function phi and the first-kind Volterra solver.
 
 phi is the unique function with m1 * int_0^t K(t,s) phi(s) lambda(s) ds = t.
-For the fractional kernel with constant rate lambda it has the closed form
+It involves phi only through psi = phi lambda, which solves
+m1 * int_0^t K(t,s) psi(s) ds = t whatever the rate; phi = psi / lambda.
+For the fractional kernel psi has the closed form
 
-    phi(s) = Gamma(3/2 - H) / Gamma(2 - 2H) * s^(1/2 - H) / lambda,
+    psi(s) = Gamma(3/2 - H) / Gamma(2 - 2H) * s^(1/2 - H) / m1,
 
-which is in L1 for H in (1/2, 1).  For other kernels the equation is
-discretized by the product-midpoint rule: panels [0, g_0], [g_0, g_1], ...
-between the supplied grid nodes (plus the initial panel down to 0), one
-unknown phi_j per panel midpoint, one equation per grid node, and the
+which is in L1 for H in (1/2, 1).  For other kernels the equation for psi
+is discretized by the product-midpoint rule: panels [0, g_0], [g_0, g_1],
+... between the supplied grid nodes (plus the initial panel down to 0),
+one unknown psi_j per panel midpoint, one equation per grid node, and the
 lower-triangular system is solved by forward substitution.
 
 First-kind equations are ill-posed; no regularization is applied, so grid
@@ -185,14 +187,15 @@ def solve_phi_volterra(
 ) -> PhiFunction:
     """Solve m1 int_0^t K(t,s) phi(s) lambda(s) ds = t on the given grid.
 
-    Product-midpoint discretization: the j-th unknown is phi at the
-    midpoint of panel j (the first panel runs from 0 to the first grid
-    node), the i-th equation collocates the integral at grid node i, and
-    the resulting lower-triangular system is solved by forward
-    substitution.  Raises NumericsError when a diagonal weight falls below
-    1e-14 (kernel too degenerate near the diagonal for the chosen grid), or
-    when the computed phi is not finite (say from an infinite tabulated
-    kernel value) or violates nonnegativity.
+    Product-midpoint discretization of the rate-free equation for psi =
+    phi lambda: the j-th unknown is psi at the midpoint of panel j (the
+    first panel runs from 0 to the first grid node), the i-th equation
+    collocates the integral at grid node i, the lower-triangular system is
+    solved by forward substitution, and phi = psi / lambda.  Raises
+    NumericsError when a diagonal weight falls below 1e-14 (kernel too
+    degenerate near the diagonal for the chosen grid), or when the computed
+    phi is not finite (say from an infinite tabulated kernel value) or
+    violates nonnegativity.
 
     For kernels singular at s = 0 the unknown on the initial panel is a
     kernel-weighted panel average, which mismatches a diverging phi by an
@@ -216,12 +219,10 @@ def solve_phi_volterra(
 
     bounds = np.concatenate(([0.0], grid))
     mids = 0.5 * (bounds[:-1] + bounds[1:])
-    widths = np.diff(bounds)
-    rate_mids = np.asarray(intensity.rate_at(mids), dtype=float)
-    # (m1 * widths * rate_mids) * K is the row product's own left-to-right order
-    factors = m1 * widths * rate_mids
+    # (m1 * widths) * K is the row product's own left-to-right order
+    factors = m1 * np.diff(bounds)
     n = grid.size
-    phi = np.empty(n)
+    psi = np.empty(n)
     for i in range(n):
         t = grid[i]
         w = factors[: i + 1] * kernel_eval_at(kernel, t, mids[: i + 1])
@@ -230,7 +231,8 @@ def solve_phi_volterra(
                 f"singular Volterra system: diagonal weight {w[i]:.3e} at node {t} "
                 "(kernel too degenerate near the diagonal for this grid)"
             )
-        phi[i] = (t - w[:i] @ phi[:i]) / w[i]
+        psi[i] = (t - w[:i] @ psi[:i]) / w[i]
+    phi = psi / intensity.rate_at(mids)
     if not np.isfinite(phi).all():
         raise NumericsError(f"Volterra solution is not finite at node {grid[~np.isfinite(phi)][0]}")
     if np.any(phi < 0):

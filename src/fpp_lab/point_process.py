@@ -116,6 +116,12 @@ class IntensitySpec:
     def scaled_by_phi(cls, base_rate: float, theta: float, phi: "PhiFunction") -> "IntensitySpec":
         return cls(kind="scaled-by-phi", base_rate=float(base_rate), theta=float(theta), phi_ref=phi)
 
+    def tilted(self, theta: float, phi: "PhiFunction") -> "IntensitySpec":
+        """(1 + theta phi) lambda, the one constructor of a tilt; only a constant base has one."""
+        if self.kind != "constant":
+            raise ValidationError(f"the intensity tilt requires a constant base intensity; got kind {self.kind!r}")
+        return IntensitySpec.scaled_by_phi(self.base_rate, theta, phi)
+
     @property
     def origin_exponent(self) -> float:
         """e with lambda(s) = O(s^(-e)) near 0: phi_ref's exponent for phi-scaled rates."""

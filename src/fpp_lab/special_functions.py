@@ -1,11 +1,11 @@
-"""The Gauss hypergeometric function F(a, b, c, z), kept as a benchmark target.
+"""The Gauss hypergeometric function F(a, b, c, z).
 
-Nothing in the package calls `hyp2f1`: the fractional kernel's scalar
-path calls `scipy.special.hyp2f1` directly inside its table range
-(`kernels._fractional_f`), and the Gamma
-factors are `math.lgamma` and `math.gamma`.  The module stays because the
-benchmark tracer (`bench/tracing.py`) wraps `hyp2f1` by name; it is not
-exported from `fpp_lab`.
+`hyp2f1` is the package's one use of scipy: the scalar `kernels.kernel_eval`
+of the fractional kernel takes F from it inside the F table's range, and it
+imports `scipy.special` inside the function, so that no run that does not
+call it loads scipy.  The Gamma factors are `math.lgamma` and `math.gamma`.
+The module is not exported from `fpp_lab`; the benchmark tracer
+(`bench/tracing.py`) wraps `hyp2f1` by name.
 
 F(a, b, c, z) is `scipy.special.hyp2f1`.  `hyp2f1` accepts the domain of
 the Euler representation

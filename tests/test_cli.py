@@ -615,6 +615,42 @@ class TestBadInputExitsThroughContract:
         assert "pre-flight cap" in err["error"]["message"]
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def law_config(out: Path, replicas: int, scale: float) -> dict:
+        return {
+            "experiment": "verify-girsanov",
+            "kernel": {"kind": "fractional", "H": 0.7},
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "horizon": 3.0,
+            "grid": {"start": 1.0, "stop": 3.0, "count": 2},
+            "h_spec": {"scale": scale, "phi_source": "volterra"},
+            "replicas": replicas,
+            "seed": 3,
+            "output_path": str(out),
+        }
+
+    @pytest.mark.parametrize(("replicas", "scale"), [(100, 0.3), (99, 0.0), (1, 0.3)])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_replicas_below_effective_sample_floor(self, tmp_path, capsys, command, replicas, scale):
+        # the effective sample size is at most the replica count, and equals it only
+        # when every weight agrees: 100 replicas with h != 0 used to simulate and exit 2
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "c.json", self.law_config(out, replicas, scale))
+        assert main([command, str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert "effective sample size floor MIN_EFFECTIVE_SAMPLE = 100" in err["error"]["message"]
+        assert not out.exists()
+
+    def test_effective_sample_floor_admits_equal_weights(self, tmp_path):
+        # h = 0: every weight is 1 and the effective sample size is the replica count
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "c.json", self.law_config(out, 100, 0.0))
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["run", str(cfg)]) == 0
+        assert json.loads((out / "law_report.json").read_text())["effective_sample_size"] == 100.0
+
     @pytest.mark.parametrize(
         "raw",
         [

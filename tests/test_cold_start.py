@@ -4,11 +4,14 @@ and verify-girsanov runs that solve for a Volterra phi (and integrate
 against it) load no scipy submodule.
 
 The check runs in a fresh interpreter: pytest's `filterwarnings` setting
-imports `scipy.integrate` when the test session starts.
+imports `scipy.integrate` when the test session starts.  A scan of the
+package's syntax tree checks that `special_functions.hyp2f1` is the one
+function that imports scipy.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -186,3 +189,27 @@ def test_volterra_phi_runs_load_no_scipy(experiment, artifact):
     assert result["code"] in (0, 3)  # 3: the deterministic-shift comparison is red for h != 0
     assert result["loaded"] == []
     assert artifact in result["artifacts"]
+
+
+def scipy_imports() -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every import of scipy in the package source."""
+    found = set()
+    for path in sorted(Path(fpp_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk is breadth-first, so an inner function's name overwrites an outer one's
+        scope = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.add((path.stem, scope.get(node, "<module>")))
+    return found
+
+
+def test_only_hyp2f1_imports_scipy():
+    # read from the syntax tree, so an import on a path no test runs counts too
+    assert scipy_imports() == {("special_functions", "hyp2f1")}

@@ -248,6 +248,37 @@ class TestVolterraSolver:
             solve_phi_volterra(k, inten, 0.0, np.array([0.5, 1.0]))  # bad m1
 
 
+class TestRateFreeSolve:
+    """The solve finds psi = phi lambda, which does not depend on the rate, and returns psi / lambda."""
+
+    def test_tilted_solve_is_the_rate_one_solve_over_the_rate(self):
+        kernel, grid = KernelSpec.fractional(0.7), power_grid(5.0, 400)
+        tilted = IntensitySpec.scaled_by_phi(1.0, 2.0, phi_fractional(0.7, 1.0))
+        psi = solve_phi_volterra(kernel, IntensitySpec.constant(1.0), 1.0, grid)
+        phi = solve_phi_volterra(kernel, tilted, 1.0, grid)
+        assert np.array_equal(phi.nodes, psi.nodes)
+        assert np.array_equal(phi.values, psi.values / tilted.rate_at(psi.nodes))
+
+    def test_closed_form_over_the_rate_met_to_the_constant_rate_error(self):
+        # psi = Gamma(3/2 - H) / Gamma(2 - 2H) s^(1/2 - H) / m1 under every rate;
+        # on the benchmark's grid, over the span the solver advertises
+        from fpp_lab.phi_solver import STARTUP_SPAN_FACTOR
+
+        H, m1 = 0.7, 1.0
+        kernel, grid = KernelSpec.fractional(H), np.linspace(0.00125, 5.0, 4000)
+        psi = phi_fractional(H, m1)
+
+        def error(intensity):
+            phi = solve_phi_volterra(kernel, intensity, m1, grid)
+            s = phi.nodes[phi.nodes >= STARTUP_SPAN_FACTOR * grid[0]]
+            exact = psi(s) / intensity.rate_at(s)
+            return np.abs(phi.values[-s.size :] / exact - 1.0).max()
+
+        constant = error(IntensitySpec.constant(1.0))
+        assert constant == pytest.approx(1.285e-3, abs=5e-7)
+        assert error(IntensitySpec.scaled_by_phi(1.0, 2.0, psi)) == pytest.approx(constant, rel=1e-9)
+
+
 def _tabulated_exp_kernel():
     tg = np.linspace(0.005, 2.0, 400)
     sg = np.linspace(0.0025, 2.0, 400)
