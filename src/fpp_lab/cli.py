@@ -40,7 +40,7 @@ from .phi_solver import (
     solve_phi_volterra,
     volterra_residuals,
 )
-from .point_process import IntensitySpec, MarkDistributionSpec, simulate, simulate_replicas
+from .point_process import IntensitySpec, MarkDistributionSpec, simulate_replicas
 from .serialize import dumps_json, write_csv, write_json
 
 # Pre-flight cost caps, checked before anything is allocated; each is more than
@@ -136,16 +136,12 @@ def parse_grid(obj: dict) -> np.ndarray:
     start = _number(obj, "start", "grid")
     stop = _number(obj, "stop", "grid")
     count = _integer(obj, "count", "grid")
-    if not (0 < start <= stop) or count < 1:
-        raise ValidationError("grid requires 0 < start <= stop and count >= 1")
+    if not (0 < start <= stop) or count < 1 or (count == 1) != (start == stop):
+        raise ValidationError("grid requires 0 < start <= stop, count >= 1, and start == stop iff count == 1")
     if count**2 > MAX_GRID_NODES_SQUARED:
         raise ValidationError(
             f"grid.count {count} exceeds the pre-flight cap: count^2 must be <= {MAX_GRID_NODES_SQUARED:.3g}"
         )
-    if count == 1:
-        if start != stop:
-            raise ValidationError("grid with count=1 requires start == stop")
-        return np.array([start])
     return np.linspace(start, stop, count)
 
 
@@ -240,9 +236,7 @@ class ResolvedConfig:
 
         intensity_obj = _require(raw, "intensity")
         _check_keys(intensity_obj, {"kind", "base_rate", "theta"}, "intensity")
-        self.base_rate = _number(intensity_obj, "base_rate", "intensity")
-        if not self.base_rate > 0:
-            raise ValidationError(f"base_rate must be positive, got {self.base_rate}")
+        self.base_intensity = IntensitySpec.constant(_number(intensity_obj, "base_rate", "intensity"))
         self.intensity_kind = intensity_obj.get("kind", "constant")
         self.intensity_theta = _number(intensity_obj, "theta", "intensity", required=False)
         if self.intensity_kind == "scaled-by-phi":
@@ -262,10 +256,29 @@ class ResolvedConfig:
                 f"{self.replicas} replicas with h_spec.scale {self.h_scale:g} cannot reach the "
                 f"effective sample size floor MIN_EFFECTIVE_SAMPLE = {MIN_EFFECTIVE_SAMPLE:g}"
             )
+        # what the library rejects only once phi is built or paths are drawn, in the library's words
+        builds_phi = exp not in ("simulate", "solve-phi") or self.intensity_kind == "scaled-by-phi"
+        if builds_phi and self.phi_source == "closed_form" and self.kernel.kind == "tabulated":
+            raise ValidationError("no closed-form phi for kernel kind 'tabulated'")
+        if exp == "verify-girsanov" and not self.kernel.diagonal_degenerate:
+            needs = "equality in law requires a diagonal-degenerate kernel (K(t,t) = 0)"
+            raise ValidationError(f"{needs}; got kind {self.kernel.kind!r}")
+        if exp in ("estimate", "trajectory") and self.theta_true < 0:
+            raise ValidationError(f"theta must be >= 0, got {self.theta_true}")
+        if exp == "consistency" and not self.theta_true > 0:
+            raise ValidationError(f"theta_true must be positive, got {self.theta_true}")
+        if exp == "consistency" and self.grid.size < 2:
+            raise ValidationError("horizons must be >= 2 strictly increasing positives")
+        if exp == "consistency" and self.replicas < 2:
+            raise ValidationError("need at least 2 replicas")
+        if exp == "solve-phi" and self.grid.size < 2:
+            raise ValidationError("grid must be a 1-d array with at least 2 nodes")
 
         if self.grid is not None and self.horizon is not None and self.grid[-1] > self.horizon:
             raise ValidationError("grid extends beyond the horizon")
-        jumps = 1.0 if self.horizon is None else max(self.base_rate * self.horizon, 1.0)
+        if self.horizon is not None and not self.horizon > 0:
+            raise ValidationError(f"horizon must be positive, got {self.horizon}")
+        jumps = 1.0 if self.horizon is None else max(self.base_intensity.base_rate * self.horizon, 1.0)
         # replicas first: an int beyond the float range cannot multiply a float
         if self.replicas > MAX_REPLICA_JUMPS or not self.replicas * jumps <= MAX_REPLICA_JUMPS:
             raise ValidationError(
@@ -276,15 +289,14 @@ class ResolvedConfig:
     @cached_property
     def intensity(self) -> IntensitySpec:
         """The config's intensity, built on first use: a phi solve can be heavy."""
-        base = IntensitySpec.constant(self.base_rate)
         if self.intensity_kind == "constant":
-            return base
-        return base.tilted(self.intensity_theta, self.phi())
+            return self.base_intensity
+        return self.base_intensity.tilted(self.intensity_theta, self.phi())
 
     def phi(self) -> PhiFunction:
         horizon = self.horizon if self.horizon is not None else float(self.grid[-1])
         with _fp_guard("phi solve"):
-            return build_phi(self.phi_source, self.kernel, self.base_rate, self.marks.mean, horizon)
+            return build_phi(self.phi_source, self.kernel, self.base_intensity.base_rate, self.marks.mean, horizon)
 
 
 def _summary(cfg: ResolvedConfig, artifacts: list[str], headline: dict, passed: bool) -> dict:
@@ -329,8 +341,9 @@ def _run_estimate(cfg: ResolvedConfig) -> dict:
 
 def _run_trajectory(cfg: ResolvedConfig) -> dict:
     phi = cfg.phi()
-    path = simulate(cfg.intensity.tilted(cfg.theta_true, phi), cfg.marks, cfg.horizon, cfg.seed)
-    trace = trajectory(path, phi, cfg.intensity, cfg.grid)
+    perturbed = cfg.intensity.tilted(cfg.theta_true, phi)
+    [(_, batch)] = simulate_replicas(perturbed, cfg.marks, cfg.horizon, 1, cfg.seed)  # replica 0, stream seed
+    trace = trajectory(batch.row(0), phi, cfg.intensity, cfg.grid)
     trace.to_csv(cfg.output_path / "trace.csv")
     headline = {
         "final_theta_hat": float(trace.theta_hat[-1]),

@@ -109,9 +109,8 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
     ids = np.flatnonzero(interior)
     if not ids.size:
         return theta_hat
-    if ids.size < n.size:
-        pv = pv[np.repeat(interior, n)]
-        n, s0, integral = n[ids], s0[ids], integral[ids]
+    pv = pv[np.repeat(interior, n)]
+    n, s0, integral = n[ids], s0[ids], integral[ids]
 
     def grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # phi_j / (1 + theta phi_j) and its square, built in place in one buffer

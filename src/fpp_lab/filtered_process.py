@@ -28,7 +28,7 @@ def eval_filtered_batch(batch: PathBatch, kernel: KernelSpec, t: float) -> np.nd
     """
     _check_time(batch.horizon, t)
     sel = batch.jump_times <= t
-    if not sel.any():
+    if not sel.any():  # not a shortcut: np.bincount of no terms returns int64 zeros
         return np.zeros(batch.replicas)
     kv = kernel_eval_at(kernel, t, batch.jump_times[sel])
     return np.bincount(batch.rows[sel], weights=batch.marks[sel] * kv, minlength=batch.replicas)

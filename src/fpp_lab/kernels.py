@@ -493,7 +493,7 @@ def singular_quad_0_to_t(f, t: float, origin_exponent: float, breaks=()) -> tupl
     """
     if origin_exponent >= 1.0:
         raise NumericsError(f"non-integrable origin exponent {origin_exponent}")
-    p = 1.0 / (1.0 - origin_exponent) if origin_exponent > 0.0 else 1.0
+    p = 1.0 / (1.0 - origin_exponent)
     edges = np.concatenate(([0.0], breaks, [t]))
     lo, hi = edges[:-1], edges[1:]
     near = np.minimum(lo, t - hi) < hi - lo

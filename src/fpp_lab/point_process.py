@@ -8,10 +8,12 @@ rate; for phi-scaled intensities, whose rate diverges at the origin like
 s^(1/2-H), the majorant is built on dyadic segments refined toward zero
 until the expected count in the uncovered stub is below 1e-9.
 
-Replica loops take their paths from `simulate_replicas`, the one place
-that maps replica i to its seed: `PathBatch` blocks, the jumps of many
-replicas in flat arrays with CSR offsets, so that each layer above makes
-one vectorized call per block instead of one per replica.
+`simulate_batch` is the one sampler: it draws one path per seed into a
+`PathBatch`, the jumps of many replicas in flat arrays with CSR offsets,
+and `simulate` is its one-row form.  Replica loops take their paths from
+`simulate_replicas`, the one place that maps replica i to its seed, in
+blocks, so that each layer above makes one vectorized call per block
+instead of one per replica.
 """
 
 from __future__ import annotations
@@ -134,9 +136,7 @@ class IntensitySpec:
         return self.base_rate * (1.0 + self.theta * self.phi_ref(s))
 
     def max_rate_on(self, a: float, b: float) -> float:
-        """A finite upper bound of lambda on [a, b], used by thinning."""
-        if self.kind == "constant":
-            return self.base_rate
+        """A finite upper bound of a phi-scaled lambda on [a, b], used by thinning."""
         sup_phi = self.phi_ref.sup_on(a, b)
         bound = self.base_rate * (1.0 + self.theta * sup_phi)
         if not math.isfinite(bound):
@@ -269,8 +269,7 @@ def _thinning_majorant(intensity: IntensitySpec, horizon: float) -> tuple:
         lo = horizon
         for _ in range(200):
             lo *= 0.5
-            mass = intensity.base_rate * (lo + intensity.theta * intensity.phi_ref.integral(lo))
-            if mass < SKIPPED_MASS_TOL:
+            if integrated_intensity(intensity, lo) < SKIPPED_MASS_TOL:
                 break
         else:  # pragma: no cover - phi with non-integrable origin would fail earlier
             raise NumericsError("could not refine thinning segments near t = 0")
@@ -316,22 +315,67 @@ def simulate_batch(
     seeds,
     first_replica: int = 0,
 ) -> PathBatch:
-    """Draw one path per seed by thinning; row i is the path `simulate` draws for seeds[i].
+    """Draw one path per seed by thinning; row i is the path of the stream seeds[i].
 
     Each row has its own PCG64 stream, consumed in time order: per majorant
     segment a Poisson count n, then n uniform times and n uniform acceptance
     draws (one `random(2 n)` call gives both, bit for bit the draws of
-    `uniform(a, b, n)` then `uniform(0, 1, n)`), and the marks last.  The
-    acceptance test u lambda_max < lambda(t) is deferred: one `rate_at` call
-    on the candidates of all rows.  Candidates of consecutive segments lie in
-    consecutive intervals, so sorting a row's candidates at once pairs each
-    acceptance draw with the time a per-segment sort would give it.  The
-    marks are drawn for every candidate and each row keeps the first ones it
-    needs; the samplers draw value by value and nothing is drawn after them,
-    so the kept marks are those a draw of the exact count gives.
+    `uniform(a, b, n)` then `uniform(0, 1, n)`), and the marks last.  Each
+    candidate gathers its segment's (a, b - a, lambda_max) and builds its
+    time a + (b - a) u and threshold u lambda_max in place; the acceptance
+    test u lambda_max < lambda(t) is one `rate_at` call on the candidates
+    of all rows.  Candidates of consecutive segments lie in consecutive
+    intervals, so sorting a row's candidates at once pairs each acceptance
+    draw with the time a per-segment sort would give it.  The marks are
+    drawn for every candidate and each row keeps the first ones it needs;
+    the samplers draw value by value and nothing is drawn after them, so the
+    kept marks are those a draw of the exact count gives.
     """
+    if not horizon > 0:
+        raise ValidationError(f"horizon must be positive, got {horizon}")
     seeds = [int(s) for s in seeds]
-    times, z, offsets = _thin(intensity, marks, horizon, seeds)
+    segments, means = _thinning_majorant(intensity, float(horizon))
+    # each list starts with an empty piece: one concatenate then takes any number of pieces
+    time_draws, accept_draws, mark_draws = [np.empty(0)], [np.empty(0)], [np.empty(0)]
+    group_n, group_seg, candidates = [], [], []  # per non-empty (row, segment); per row
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        c = 0
+        for k, mean in enumerate(means):
+            n = rng.poisson(mean)
+            if n:
+                u = rng.random(2 * n)
+                time_draws.append(u[:n])
+                accept_draws.append(u[n:])
+                group_n.append(n)
+                group_seg.append(k)
+                c += n
+        if marks.kind != "unit":  # unit marks draw nothing
+            mark_draws.append(marks.sample(rng, c))
+        candidates.append(c)
+    seg = np.repeat(np.array(group_seg, dtype=np.uint8), group_n)
+    a, width, lam = segments[:, seg]
+    t = np.concatenate(time_draws)
+    t *= width
+    t += a
+    del a, width
+    ends = np.cumsum(candidates, dtype=np.intp)
+    lo = 0
+    for hi in ends.tolist():
+        t[lo:hi].sort()
+        lo = hi
+    threshold = np.concatenate(accept_draws)
+    threshold *= lam
+    del seg, lam, time_draws, accept_draws
+    accept = threshold < intensity.rate_at(t)
+    del threshold
+    times = t[accept]
+    offsets = np.concatenate(([0], np.cumsum(accept)))[np.concatenate(([0], ends))]
+    if marks.kind == "unit":
+        z = np.ones(times.size)
+    else:
+        keep = np.arange(t.size) < np.repeat(offsets[1:] - offsets[:-1] + ends - candidates, candidates)
+        z = np.concatenate(mark_draws)[keep]
     return PathBatch(times, z, offsets, float(horizon), np.array(seeds), first_replica, check=False)
 
 
@@ -360,64 +404,7 @@ def simulate(
     seed: int,
 ) -> MarkedPath:
     """Draw one path of the marked point process by thinning: one row of `simulate_batch`."""
-    times, z, _ = _thin(intensity, marks, horizon, [seed])
-    return MarkedPath(times, z, float(horizon), check=False)
-
-
-def _thin(intensity: IntensitySpec, marks: MarkDistributionSpec, horizon: float, seeds: list) -> tuple:
-    """(jump times, marks, CSR offsets) of one path per seed; see `simulate_batch`."""
-    if not horizon > 0:
-        raise ValidationError(f"horizon must be positive, got {horizon}")
-    segments, means = _thinning_majorant(intensity, float(horizon))
-    time_draws, accept_draws, mark_draws = [], [], []
-    group_n, group_seg, candidates = [], [], []  # per non-empty (row, segment); per row
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        c = 0
-        for k, mean in enumerate(means):
-            n = rng.poisson(mean)
-            if n:
-                u = rng.random(2 * n)
-                time_draws.append(u[:n])
-                accept_draws.append(u[n:])
-                group_n.append(n)
-                group_seg.append(k)
-                c += n
-        if marks.kind != "unit":  # unit marks draw nothing
-            mark_draws.append(marks.sample(rng, c))
-        candidates.append(c)
-    # per candidate: its segment's (a, b - a, lambda_max), then its time and
-    # acceptance threshold built in place (a + (b - a) u and u lambda_max, as
-    # the per-segment draws computed them); one segment needs no gather
-    seg = 0 if len(means) == 1 else np.repeat(np.array(group_seg, dtype=np.uint8), group_n)
-    a, width, lam = segments[:, seg]
-    t = _concat(time_draws)
-    t *= width
-    t += a
-    del a, width
-    ends = np.cumsum(candidates, dtype=np.intp)
-    lo = 0
-    for hi in ends.tolist():
-        t[lo:hi].sort()
-        lo = hi
-    threshold = _concat(accept_draws)
-    threshold *= lam
-    del seg, lam, time_draws, accept_draws
-    accept = threshold < intensity.rate_at(t)
-    del threshold
-    times = t[accept]
-    offsets = np.concatenate(([0], np.cumsum(accept)))[np.concatenate(([0], ends))]
-    if marks.kind == "unit":
-        return times, np.ones(times.size), offsets
-    keep = np.arange(t.size) < np.repeat(offsets[1:] - offsets[:-1] + ends - candidates, candidates)
-    return times, _concat(mark_draws)[keep], offsets
-
-
-def _concat(arrays: list) -> np.ndarray:
-    """One array of the pieces; a single piece is returned as it is, not copied."""
-    if len(arrays) == 1:
-        return arrays[0]
-    return np.concatenate(arrays) if arrays else np.empty(0)
+    return simulate_batch(intensity, marks, horizon, [seed]).row(0)
 
 
 def integrated_intensity(intensity: IntensitySpec, t: float) -> float:

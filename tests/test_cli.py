@@ -714,3 +714,61 @@ class TestBadInputExitsThroughContract:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
         assert (path if isinstance(path, str) else "kernel.path") in err["error"]["message"]
+
+    #: config edits that the library rejects only at run (most of them once phi
+    #: is built), and the message that validate and run now both give; "TABLE"
+    #: stands for a tabulated kernel
+    ONE_NODE = {"start": 2.0, "stop": 2.0, "count": 1}
+    REJECTED_AT_RUN = {
+        "estimate:tabulated": ({"kernel": "TABLE"}, "no closed-form phi for kernel kind 'tabulated'"),
+        "simulate:scaled-tabulated": (
+            {"kernel": "TABLE", "intensity": {"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 1.0}},
+            "no closed-form phi for kernel kind 'tabulated'",
+        ),
+        "verify-girsanov:indicator": (
+            {"kernel": {"kind": "indicator"}},
+            "equality in law requires a diagonal-degenerate kernel (K(t,t) = 0); got kind 'indicator'",
+        ),
+        "consistency:one-replica": ({"replicas": 1}, "need at least 2 replicas"),
+        "consistency:one-horizon": ({"grid": ONE_NODE}, "horizons must be >= 2 strictly increasing positives"),
+        "consistency:zero-theta": ({"theta_true": 0.0}, "theta_true must be positive, got 0.0"),
+        "estimate:negative-theta": ({"theta_true": -1.0}, "theta must be >= 0, got -1.0"),
+        "trajectory:negative-theta": ({"theta_true": -1.0}, "theta must be >= 0, got -1.0"),
+        "solve-phi:one-node": ({"grid": ONE_NODE}, "grid must be a 1-d array with at least 2 nodes"),
+        "simulate:zero-horizon": ({"horizon": 0.0, "grid": None}, "horizon must be positive, got 0.0"),
+        "estimate:negative-horizon": ({"horizon": -1.0, "grid": None}, "horizon must be positive, got -1.0"),
+        "trajectory:repeated-node": (
+            {"grid": {"start": 2.0, "stop": 2.0, "count": 2}},
+            "grid requires 0 < start <= stop, count >= 1, and start == stop iff count == 1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(REJECTED_AT_RUN))
+    def test_run_rejects_nothing_that_validate_passes(self, tmp_path, capsys, monkeypatch, case):
+        # each used to validate and then fail at run, most of them after phi was built
+        table = tmp_path / "k.csv"
+        table.write_text("t,s,value\n1,1,0\n1,2,0\n2,1,0.5\n2,2,0\n")
+        edit, message = self.REJECTED_AT_RUN[case]
+        raw = {
+            "experiment": case.split(":")[0],
+            "kernel": {"kind": "fractional", "H": 0.7},
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "horizon": 5.0,
+            "grid": {"start": 1.0, "stop": 5.0, "count": 3},
+            "theta_true": 1.0,
+            "h_spec": {"scale": 0.3, "phi_source": "closed_form"},
+            "replicas": 200,
+            "seed": 1,
+            "output_path": str(tmp_path / "out"),
+        }
+        raw.update(edit)
+        if raw["kernel"] == "TABLE":
+            raw["kernel"] = {"kind": "tabulated", "path": str(table)}
+        cfg = write_config(tmp_path, "c.json", {key: value for key, value in raw.items() if value is not None})
+        monkeypatch.setattr(cli, "build_phi", lambda *args: pytest.fail("phi built for a rejected config"))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == {"type": "ValidationError", "message": message}
+        assert not (tmp_path / "out").exists()

@@ -6,7 +6,8 @@ against it) load no scipy submodule.
 The check runs in a fresh interpreter: pytest's `filterwarnings` setting
 imports `scipy.integrate` when the test session starts.  A scan of the
 package's syntax tree checks that `special_functions.hyp2f1` is the one
-function that imports scipy.
+function that imports scipy, and another that no package code calls a
+one-row twin of a batched layer.
 """
 
 from __future__ import annotations
@@ -213,3 +214,24 @@ def scipy_imports() -> set[tuple[str, str]]:
 def test_only_hyp2f1_imports_scipy():
     # read from the syntax tree, so an import on a path no test runs counts too
     assert scipy_imports() == {("special_functions", "hyp2f1")}
+
+
+#: the one-row forms of the batched layers, kept for the tests until they move into tests/
+ONE_ROW_TWINS = {"simulate", "log_density", "eval_filtered", "eval_compensated", "mle_solve", "kernel_eval"}
+
+
+def one_row_twin_calls() -> set[tuple[str, str]]:
+    """(module, called name) of every call of a one-row twin in the package source."""
+    found = set()
+    for path in sorted(Path(fpp_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ONE_ROW_TWINS:
+                    found.add((path.stem, name))
+    return found
+
+
+def test_no_package_code_calls_a_one_row_twin():
+    # every path of an experiment runs on the batched layers
+    assert one_row_twin_calls() == set()

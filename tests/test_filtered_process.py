@@ -10,10 +10,14 @@ from fpp_lab import (
     KernelSpec,
     MarkDistributionSpec,
     MarkedPath,
+    PathBatch,
     ShiftFunction,
     ValidationError,
     eval_compensated,
+    eval_compensated_batch,
     eval_filtered,
+    eval_filtered_batch,
+    kernel_lambda_integral,
     phi_fractional,
     simulate,
 )
@@ -58,6 +62,26 @@ class TestEvalFiltered:
             assert eval_filtered(merged, k, t) == pytest.approx(
                 eval_filtered(p1, k, t) + eval_filtered(p2, k, t), rel=1e-12
             )
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        KernelSpec.indicator(),
+        KernelSpec.exp_shot_noise(0.8),
+        KernelSpec.fractional(0.7),
+        KernelSpec.tabulated([0.5, 4.0], [0.0, 4.0], [[0.5, 0.0], [4.0, 0.5]]),
+    ],
+    ids=lambda k: k.kind,
+)
+def test_batch_without_a_jump_up_to_t_gives_float_zeros(kernel, unit_rate):
+    # np.bincount of no terms returns int64 zeros, so the empty selection needs its own float zeros
+    batch = PathBatch(np.array([1.5, 2.5, 3.0]), np.array([1.0, 2.0, 0.5]), [0, 0, 2, 3], 4.0)
+    filtered = eval_filtered_batch(batch, kernel, 1.0)
+    assert filtered.dtype == np.float64 and filtered.tolist() == [0.0, 0.0, 0.0]
+    compensated = eval_compensated_batch(batch, kernel, unit_rate, 1.5, 1.0)
+    assert compensated.dtype == np.float64
+    assert compensated.tolist() == [0.0 - 1.5 * kernel_lambda_integral(kernel, unit_rate, 1.0)] * 3
 
 
 class TestGridFastPath:

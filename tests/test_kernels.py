@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -35,6 +37,24 @@ from oracles import diagonal_class, ln_gamma, scipy_quad_0_to_t, uniform_grid
 K_07_2_1 = 1.1196796529762092
 K_05001_2_1 = 1.0000577232320612
 INT_K07_T1 = 0.97019142810441948  # int_0^1 K_{0.7}(1, s) ds, refine-until-stable oracle
+
+# grid phis with a kink at every node, and 25-digit integrals of b K_H(t, .) phi
+# against them, frozen by tests/data/make_kink_oracle.py
+KINK_NODES = {
+    "one-kink": [0.0, 1.0, 10.0],
+    "two-kinks": [0.0, 2.0, 4.0, 10.0],
+    "kink-just-before-t": [0.0, 1.0, 2.0, 3.0, 4.0, 4.999, 10.0],
+    "kinks-near-0": [0.001, 0.002, 1.0, 10.0],
+}
+KINK_HS, KINK_TIMES, KINK_RATE = (0.55, 0.7, 0.9), (1.5, 4.5, 5.0), 1.3
+KINK_ORACLE = {
+    (row["case"], row["H"], row["t"]): row
+    for row in json.loads((Path(__file__).parent / "data" / "kink_oracle.json").read_text(encoding="utf-8"))
+}
+
+
+def kink_phi_values(nodes) -> np.ndarray:
+    return 1.0 + 0.5 * np.sin(3.0 * np.arange(len(nodes)))  # a kink at every node
 
 
 def exp_table_kernel(a=1.0, t_max=4.0, n=240) -> KernelSpec:
@@ -384,32 +404,27 @@ class TestKernelPhiLambdaIntegral:
             want = 0.4 * kernel_phi_lambda_integral(t, inten, kernel)
             assert got == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
-    @pytest.mark.parametrize(
-        "nodes",
-        [[0.0, 1.0, 10.0], [0.0, 2.0, 4.0, 10.0], [0.0, 1.0, 2.0, 3.0, 4.0, 4.999, 10.0], [0.001, 0.002, 1.0, 10.0]],
-        ids=["one-kink", "two-kinks", "kink-just-before-t", "kinks-near-0"],
-    )
-    def test_grid_phi_with_interior_kinks_matches_mpmath(self, nodes, H):
+    def test_frozen_kink_oracle_inputs_are_the_cases(self):
+        # a changed case cannot meet a stale frozen value
+        assert {(row["case"], row["H"], row["t"]) for row in KINK_ORACLE.values()} == {
+            (case, H, t) for case in KINK_NODES for H in KINK_HS for t in KINK_TIMES
+        }
+        for row in KINK_ORACLE.values():
+            assert row["nodes"] == KINK_NODES[row["case"]] and row["b"] == KINK_RATE
+            assert row["values"] == kink_phi_values(row["nodes"]).tolist()
+
+    @pytest.mark.parametrize("H", KINK_HS)
+    @pytest.mark.parametrize("case", list(KINK_NODES))
+    def test_grid_phi_with_interior_kinks_matches_mpmath(self, case, H):
         # a kink piece that holds the diagonal singularity (t - s)^(H - 1/2),
-        # or lies next to it or to the origin, against 25 digits split at the kinks
-        nodes = np.array(nodes)
-        values = 1.0 + 0.5 * np.sin(3.0 * np.arange(nodes.size))  # a kink at every node
-        phi, kernel, b = PhiFunction(kind="grid", nodes=nodes, values=values), KernelSpec.fractional(H), 1.3
-        with mpmath.workdps(25):
-            h = mpmath.mpf(H)
-
-            def integrand(s):
-                k = (t - s) ** (h - 0.5) * mpmath.hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1 - t / s) / mpmath.gamma(h + 0.5)
-                i = min(max(int(np.searchsorted(nodes, float(s))) - 1, 0), nodes.size - 2)
-                lo, hi, v0, v1 = (mpmath.mpf(x) for x in (nodes[i], nodes[i + 1], values[i], values[i + 1]))
-                w = min(max((s - lo) / (hi - lo), 0), 1)  # clamped outside the nodes
-                return k * (v0 + (v1 - v0) * w)
-
-            for t in (1.5, 4.5, 5.0):
-                want = b * mpmath.quad(integrand, [0.0, *nodes[(nodes > 0.0) & (nodes < t)], t])
-                got = kernel_phi_lambda_integral(t, IntensitySpec.constant(b), kernel, phi)
-                assert abs(got / want - 1) <= 1e-8, t
+        # or lies next to it or to the origin, against 25 digits split at the
+        # kinks (frozen by tests/data/make_kink_oracle.py)
+        nodes = np.array(KINK_NODES[case])
+        phi = PhiFunction(kind="grid", nodes=nodes, values=kink_phi_values(nodes))
+        for t in KINK_TIMES:
+            got = kernel_phi_lambda_integral(t, IntensitySpec.constant(KINK_RATE), KernelSpec.fractional(H), phi)
+            with mpmath.workdps(25):
+                assert abs(got / mpmath.mpf(KINK_ORACLE[case, H, t]["integral"]) - 1) <= 1e-8, t
 
     def test_non_converging_quadrature_raises(self, monkeypatch):
         real = kernels.singular_quad_0_to_t
