@@ -31,15 +31,7 @@ from .estimator import (
 )
 from .girsanov import MIN_EFFECTIVE_SAMPLE, GirsanovCheckConfig, ShiftFunction, verify_equality_in_law
 from .kernels import KernelSpec
-from .phi_solver import (
-    SOLVER_RTOL,
-    STARTUP_SPAN_FACTOR,
-    PhiFunction,
-    phi_fractional,
-    power_grid,
-    solve_phi_volterra,
-    volterra_residuals,
-)
+from .phi_solver import PhiFunction, calibration_phi, check_residuals, solve_phi_volterra
 from .point_process import IntensitySpec, MarkDistributionSpec, simulate_replicas
 from .serialize import dumps_json, write_csv, write_json
 
@@ -142,36 +134,10 @@ def parse_grid(obj: dict) -> np.ndarray:
         raise ValidationError(
             f"grid.count {count} exceeds the pre-flight cap: count^2 must be <= {MAX_GRID_NODES_SQUARED:.3g}"
         )
-    return np.linspace(start, stop, count)
-
-
-def build_phi(
-    source: str,
-    kernel: KernelSpec,
-    base_rate: float,
-    m1: float,
-    horizon: float,
-) -> PhiFunction:
-    """Calibration function for the given kernel and constant base rate.
-
-    "closed_form" covers the three analytic kernels (the exponential and
-    indicator forms are affine, represented exactly on a 2-node grid);
-    "volterra" solves the equation numerically on a power-graded mesh.
-    """
-    if source == "closed_form":
-        if kernel.kind == "fractional":
-            return phi_fractional(kernel.H, base_rate * m1)
-        if kernel.kind == "indicator":
-            return PhiFunction.constant(1.0 / (base_rate * m1))
-        if kernel.kind == "exp_shot_noise":
-            nodes = np.array([0.0, horizon])
-            values = (1.0 + kernel.a * nodes) / (base_rate * m1)
-            return PhiFunction(kind="grid", nodes=nodes, values=values)
-        raise ValidationError(f"no closed-form phi for kernel kind {kernel.kind!r}")
-    if source == "volterra":
-        grid = power_grid(horizon, 2000)
-        return solve_phi_volterra(kernel, IntensitySpec.constant(base_rate), m1, grid)
-    raise ValidationError(f"unknown phi_source {source!r} (use closed_form or volterra)")
+    grid = np.linspace(start, stop, count)
+    if not np.all(np.diff(grid) > 0):
+        raise ValidationError(f"grid nodes repeat after rounding: {count} nodes from {start!r} to {stop!r}")
+    return grid
 
 
 @contextmanager
@@ -296,7 +262,7 @@ class ResolvedConfig:
     def phi(self) -> PhiFunction:
         horizon = self.horizon if self.horizon is not None else float(self.grid[-1])
         with _fp_guard("phi solve"):
-            return build_phi(self.phi_source, self.kernel, self.base_intensity.base_rate, self.marks.mean, horizon)
+            return calibration_phi(self.kernel, self.base_intensity, self.marks.mean, horizon, self.phi_source)
 
 
 def _summary(cfg: ResolvedConfig, artifacts: list[str], headline: dict, passed: bool) -> dict:
@@ -401,19 +367,7 @@ def _run_solve_phi(cfg: ResolvedConfig) -> dict:
     with _fp_guard("phi solve or residual check"):
         phi = solve_phi_volterra(cfg.kernel, cfg.intensity, cfg.marks.mean, cfg.grid)
         phi.to_csv(cfg.output_path / "phi.csv")
-        # mandatory residual spot check on the advertised span; numerical
-        # failure aborts the pipeline
-        span = cfg.grid[cfg.grid >= STARTUP_SPAN_FACTOR * cfg.grid[0]]
-        if span.size == 0:
-            span = cfg.grid[-1:]
-        spots = span[np.unique(np.linspace(0, span.size - 1, min(12, span.size)).astype(int))]
-        resid = volterra_residuals(phi, cfg.kernel, cfg.intensity, cfg.marks.mean, spots)
-    max_resid = float(resid.max())
-    if not max_resid <= 2.0 * SOLVER_RTOL:  # also fails a NaN residual
-        raise NumericsError(
-            f"Volterra residual check failed: max relative residual {max_resid:.3e} "
-            f"exceeds 2 x solver tolerance {SOLVER_RTOL}"
-        )
+        max_resid = check_residuals(phi, cfg.kernel, cfg.intensity, cfg.marks.mean, cfg.grid)
     headline = {"max_relative_residual": max_resid, "nodes": int(cfg.grid.size)}
     return _summary(cfg, ["phi.csv"], headline, True)
 

@@ -65,7 +65,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .point_process import IntensitySpec, integrated_intensity
 from .serialize import read_csv
-from .special_functions import Hyp2F1Params, hyp2f1
+from .special_functions import hyp2f1
 
 if TYPE_CHECKING:  # pragma: no cover
     from .phi_solver import PhiFunction
@@ -303,7 +303,7 @@ def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
             inside = np.log(t / point)[0] <= _F_TABLE_XMAX
         if inside:
             H = spec.H
-            f = hyp2f1(Hyp2F1Params(H - 0.5, 0.5 - H, H + 0.5, float(1.0 - t / point[0])))
+            f = hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s)
             return float(_fractional_k(H, t, point, f)[0])
     return float(kernel_eval_at(spec, t, point)[0])
 

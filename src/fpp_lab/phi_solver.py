@@ -1,4 +1,4 @@
-"""The calibration function phi and the first-kind Volterra solver.
+"""The calibration function phi: its closed forms, its Volterra solve and the solve's residual check.
 
 phi is the unique function with m1 * int_0^t K(t,s) phi(s) lambda(s) ds = t.
 It involves phi only through psi = phi lambda, which solves
@@ -7,21 +7,24 @@ For the fractional kernel psi has the closed form
 
     psi(s) = Gamma(3/2 - H) / Gamma(2 - 2H) * s^(1/2 - H) / m1,
 
-which is in L1 for H in (1/2, 1).  For other kernels the equation for psi
-is discretized by the product-midpoint rule: panels [0, g_0], [g_0, g_1],
-... between the supplied grid nodes (plus the initial panel down to 0),
-one unknown psi_j per panel midpoint, one equation per grid node, and the
+which is in L1 for H in (1/2, 1); under a constant rate the exponential and
+indicator kernels give an affine phi.  `calibration_phi` builds phi from a
+closed form or from a Volterra solve.  The solve discretizes the equation
+for psi by the product-midpoint rule: panels [0, g_0], [g_0, g_1], ...
+between the supplied grid nodes (plus the initial panel down to 0), one
+unknown psi_j per panel midpoint, one equation per grid node, and the
 lower-triangular system is solved by forward substitution.
 
 First-kind equations are ill-posed; no regularization is applied, so grid
 choice matters.  For diagonal-degenerate kernels a power-graded mesh
 (`power_grid`) keeps the scheme stable and resolves the origin
-singularity.  The residual check (`volterra_residuals`) runs after the
-`solve-phi` experiment's solve; the Volterra phi of the other CLI
-experiments is not checked.  Near the origin the first panel's unknown is
-a kernel-weighted panel average, so for singular phi the returned values
-carry an O(1) relative startup error below the first grid node; accuracy
-on the grid span is what the solver advertises (see `SOLVER_RTOL`).
+singularity.  The residual check (`check_residuals`, at the nodes that
+`residual_spots` picks) runs after the `solve-phi` experiment's solve; the
+Volterra phi of the other CLI experiments is not checked.  Near the origin
+the first panel's unknown is a kernel-weighted panel average, so for
+singular phi the returned values carry an O(1) relative startup error below
+the first grid node; accuracy on the grid span is what the solver
+advertises (see `SOLVER_RTOL`).
 """
 
 from __future__ import annotations
@@ -179,6 +182,29 @@ def power_grid(stop: float, count: int) -> np.ndarray:
     return stop * (np.arange(1, count + 1) / count) ** 2.0
 
 
+def calibration_phi(
+    kernel: KernelSpec, intensity: IntensitySpec, m1: float, horizon: float, source: str
+) -> PhiFunction:
+    """Calibration function for `kernel` under the constant rate `intensity`.
+
+    "volterra" solves the equation on `power_grid(horizon, 2000)`; any other
+    source takes the closed form of the three analytic kernels (the affine
+    exponential and indicator forms are exact on a 2-node grid) and raises
+    ValidationError for a tabulated kernel.
+    """
+    if source == "volterra":
+        return solve_phi_volterra(kernel, intensity, m1, power_grid(horizon, 2000))
+    lam = intensity.base_rate * m1
+    if kernel.kind == "fractional":
+        return phi_fractional(kernel.H, lam)
+    if kernel.kind == "indicator":
+        return PhiFunction.constant(1.0 / lam)
+    if kernel.kind == "exp_shot_noise":
+        nodes = np.array([0.0, horizon])
+        return PhiFunction(kind="grid", nodes=nodes, values=(1.0 + kernel.a * nodes) / lam)
+    raise ValidationError(f"no closed-form phi for kernel kind {kernel.kind!r}")
+
+
 def solve_phi_volterra(
     kernel: KernelSpec,
     intensity: IntensitySpec,
@@ -260,8 +286,7 @@ def volterra_residuals(
     """Relative residuals |m1 int_0^t K(t,s) phi(s) lambda(s) ds - t| / t.
 
     Recomputed by `kernel_phi_lambda_integral`, independent of the solver's
-    product rule; `solve-phi`'s post-solve check compares these against
-    2x SOLVER_RTOL.
+    product rule; `check_residuals` compares these against 2x SOLVER_RTOL.
     Raises ValidationError unless every node is finite and > 0.
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
@@ -269,3 +294,31 @@ def volterra_residuals(
         raise ValidationError("residual nodes must be finite and > 0")
     vals = np.array([kernel_phi_lambda_integral(float(t), intensity, kernel, phi) for t in nodes])
     return np.abs(m1 * vals - nodes) / nodes
+
+
+def residual_spots(grid: np.ndarray) -> np.ndarray:
+    """At most 12 nodes of `grid`, evenly spread over the span the solver advertises.
+
+    The span is the nodes >= STARTUP_SPAN_FACTOR * grid[0], or the last node
+    when there are none.
+    """
+    span = grid[grid >= STARTUP_SPAN_FACTOR * grid[0]]
+    if span.size == 0:
+        span = grid[-1:]
+    return span[np.unique(np.linspace(0, span.size - 1, min(12, span.size)).astype(int))]
+
+
+def check_residuals(
+    phi: PhiFunction, kernel: KernelSpec, intensity: IntensitySpec, m1: float, grid: np.ndarray
+) -> float:
+    """Largest relative residual of a solve on `grid` at its `residual_spots`.
+
+    Raises NumericsError when it exceeds 2 x SOLVER_RTOL or is NaN.
+    """
+    worst = float(volterra_residuals(phi, kernel, intensity, m1, residual_spots(grid)).max())
+    if not worst <= 2.0 * SOLVER_RTOL:  # also fails a NaN residual
+        raise NumericsError(
+            f"Volterra residual check failed: max relative residual {worst:.3e} "
+            f"exceeds 2 x solver tolerance {SOLVER_RTOL}"
+        )
+    return worst

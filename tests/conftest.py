@@ -18,6 +18,13 @@ def hyp2f1_oracle():
         return json.load(fh)
 
 
+@pytest.fixture(scope="session")
+def blocked_oracle():
+    """Case name -> frozen solved phi values and `quad` integrals (see tests/data/make_blocked_oracle.py)."""
+    with open(DATA_DIR / "blocked_oracle.json", "r", encoding="utf-8") as fh:
+        return {row["case"]: row for row in json.load(fh)}
+
+
 @pytest.fixture
 def unit_rate():
     return IntensitySpec.constant(1.0)

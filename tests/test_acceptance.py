@@ -39,7 +39,7 @@ from fpp_lab import (
     verify_tilted_law,
 )
 from fpp_lab.cli import main as cli_main
-from fpp_lab.special_functions import Hyp2F1Params, hyp2f1
+from fpp_lab.special_functions import hyp2f1
 
 from oracles import density, ln_gamma, score, uniform_grid
 
@@ -63,7 +63,7 @@ def test_criterion_1_special_functions(hyp2f1_oracle):
     with criterion(1, "special functions vs quadrature oracle", 1.0):
         worst = 0.0
         for row in hyp2f1_oracle:
-            got = hyp2f1(Hyp2F1Params(row["a"], row["b"], row["c"], row["z"]))
+            got = hyp2f1(row["a"], row["b"], row["c"], row["z"])
             worst = max(worst, abs(got - row["f"]))
         assert worst <= 1e-8, f"hyp2f1 worst abs error {worst:.2e}"
         assert abs(ln_gamma(1.0) - 0.0) <= 1e-12
@@ -79,7 +79,7 @@ def test_criterion_2_kernel_identities():
             H = rng.uniform(0.55, 0.95)
             t = rng.uniform(0.2, 5.0)
             s = t * rng.uniform(1e-4, 0.999)
-            f = hyp2f1(Hyp2F1Params(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s))
+            f = hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s)
             assembly = (t - s) ** (H - 0.5) * f / math.exp(ln_gamma(H + 0.5))
             got = kernel_eval(KernelSpec.fractional(H), t, s)
             assert abs(got - assembly) <= 1e-10

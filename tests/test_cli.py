@@ -11,6 +11,7 @@ import pytest
 
 from fpp_lab import IntensitySpec, KernelSpec, cli, estimator, volterra_residuals
 from fpp_lab.cli import main
+from fpp_lab.phi_solver import calibration_phi
 
 
 def write_config(tmp_path: Path, name: str, cfg: dict) -> Path:
@@ -121,7 +122,7 @@ class TestRunSimulate:
     ids=["exp_shot_noise", "indicator", "fractional"],
 )
 def test_closed_form_phi_solves_the_calibration_equation(kernel, b, m1):
-    phi = cli.build_phi("closed_form", kernel, b, m1, 5.0)
+    phi = calibration_phi(kernel, IntensitySpec.constant(b), m1, 5.0, "closed_form")
     times = [0.01, 0.5, 1.0, 3.0, 5.0]
     assert volterra_residuals(phi, kernel, IntensitySpec.constant(b), m1, times).max() <= 1e-10
 
@@ -719,6 +720,8 @@ class TestBadInputExitsThroughContract:
     #: is built), and the message that validate and run now both give; "TABLE"
     #: stands for a tabulated kernel
     ONE_NODE = {"start": 2.0, "stop": 2.0, "count": 1}
+    ROUNDED_REPEATS = {"start": 1.0, "stop": 1.000000000000001, "count": 100}
+    ROUNDED_REPEATS_MESSAGE = "grid nodes repeat after rounding: 100 nodes from 1.0 to 1.000000000000001"
     REJECTED_AT_RUN = {
         "estimate:tabulated": ({"kernel": "TABLE"}, "no closed-form phi for kernel kind 'tabulated'"),
         "simulate:scaled-tabulated": (
@@ -741,6 +744,9 @@ class TestBadInputExitsThroughContract:
             {"grid": {"start": 2.0, "stop": 2.0, "count": 2}},
             "grid requires 0 < start <= stop, count >= 1, and start == stop iff count == 1",
         ),
+        # 100 nodes from 1 to 1 + 1e-15, about 4.5 ulps, round to 6 distinct values
+        "trajectory:rounded-repeats": ({"grid": ROUNDED_REPEATS}, ROUNDED_REPEATS_MESSAGE),
+        "consistency:rounded-repeats": ({"grid": ROUNDED_REPEATS}, ROUNDED_REPEATS_MESSAGE),
     }
 
     @pytest.mark.parametrize("case", list(REJECTED_AT_RUN))
@@ -766,7 +772,7 @@ class TestBadInputExitsThroughContract:
         if raw["kernel"] == "TABLE":
             raw["kernel"] = {"kind": "tabulated", "path": str(table)}
         cfg = write_config(tmp_path, "c.json", {key: value for key, value in raw.items() if value is not None})
-        monkeypatch.setattr(cli, "build_phi", lambda *args: pytest.fail("phi built for a rejected config"))
+        monkeypatch.setattr(cli, "calibration_phi", lambda *args: pytest.fail("phi built for a rejected config"))
         for command in ("validate", "run"):
             assert main([command, str(cfg)]) == 1
             err = json.loads(capsys.readouterr().err)

@@ -6,8 +6,9 @@ against it) load no scipy submodule.
 The check runs in a fresh interpreter: pytest's `filterwarnings` setting
 imports `scipy.integrate` when the test session starts.  A scan of the
 package's syntax tree checks that `special_functions.hyp2f1` is the one
-function that imports scipy, and another that no package code calls a
-one-row twin of a batched layer.
+function that imports scipy, another that no package code calls a one-row
+twin of a batched layer, and a third that the CLI names none of the phi
+solver's numerics.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ PROBES = """
 import numpy as np
 from fpp_lab import KernelSpec, kernel_eval_at
 from fpp_lab.kernels import singular_quad_0_to_t
-from fpp_lab.special_functions import Hyp2F1Params, hyp2f1
+from fpp_lab.special_functions import hyp2f1
 
 values = [
     kernel_eval_at(KernelSpec.fractional(0.7), 2.0, np.array([1e-16, 0.1, 1.0, 1.9])).tolist(),
-    hyp2f1(Hyp2F1Params(0.2, -0.2, 1.2, -3.0)),
+    hyp2f1(0.2, -0.2, 1.2, -3.0),
     singular_quad_0_to_t(lambda s: s**-0.2, 1.5, 0.2),
 ]
 """
@@ -235,3 +236,20 @@ def one_row_twin_calls() -> set[tuple[str, str]]:
 def test_no_package_code_calls_a_one_row_twin():
     # every path of an experiment runs on the batched layers
     assert one_row_twin_calls() == set()
+
+
+#: the phi solver's numerics; the CLI reaches them only through `calibration_phi` and `check_residuals`
+PHI_SOLVER_NUMERICS = {"STARTUP_SPAN_FACTOR", "SOLVER_RTOL", "power_grid", "phi_fractional", "volterra_residuals"}
+
+
+def test_cli_names_none_of_the_phi_solvers_numerics():
+    tree = ast.parse((Path(fpp_lab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    assert named & PHI_SOLVER_NUMERICS == set()

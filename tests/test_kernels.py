@@ -28,8 +28,8 @@ from fpp_lab import (
 )
 from fpp_lab import kernels
 from fpp_lab.kernels import QUAD_ATOL, QUAD_RTOL, kernel_phi_lambda_integral, singular_quad_0_to_t
-from fpp_lab.phi_solver import STARTUP_SPAN_FACTOR
-from fpp_lab.special_functions import Hyp2F1Params, hyp2f1
+from fpp_lab.phi_solver import residual_spots
+from fpp_lab.special_functions import hyp2f1
 
 from oracles import diagonal_class, ln_gamma, scipy_quad_0_to_t, uniform_grid
 
@@ -127,7 +127,7 @@ class TestEval:
             t = rng.uniform(0.2, 5.0)
             s = rng.uniform(1e-4, 1.0) * t
             spec = KernelSpec.fractional(H)
-            f = hyp2f1(Hyp2F1Params(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s))
+            f = hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s)
             want = (t - s) ** (H - 0.5) * f / math.exp(ln_gamma(H + 0.5))
             assert kernel_eval(spec, t, s) == pytest.approx(want, abs=1e-10)
 
@@ -470,12 +470,6 @@ def rough_phi_rate() -> tuple[PhiFunction, IntensitySpec]:
     return phi, IntensitySpec.scaled_by_phi(1.0, 1.0, phi)
 
 
-def cli_spots(grid):
-    """The residual nodes `fpp-lab run` checks for a solve on `grid`."""
-    span = grid[grid >= STARTUP_SPAN_FACTOR * grid[0]]
-    return span[np.unique(np.linspace(0, span.size - 1, min(12, span.size)).astype(int))]
-
-
 class TestSingularQuad:
     @pytest.mark.parametrize(
         "H, grid",
@@ -487,10 +481,10 @@ class TestSingularQuad:
     )
     def test_residual_stubs_match_scalar_quad(self, H, grid):
         # the residual check's stub: int of K(t, .) from 0 to the first panel
-        # midpoint, at the nodes the CLI checks
+        # midpoint, at the nodes the check evaluates
         kernel = KernelSpec.fractional(H)
         stub, e = 0.5 * grid[0], kernel.origin_exponent
-        for t in cli_spots(grid):
+        for t in residual_spots(grid):
             got, err = singular_quad_0_to_t(lambda s: kernel_eval_at(kernel, t, s), stub, e)
             want, _ = scalar_quad_0_to_t(lambda s: kernel_eval_at(kernel, t, np.array([s]))[0], stub, e)
             assert err <= max(1e-8 * abs(got), QUAD_ATOL)

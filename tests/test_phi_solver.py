@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from fpp_lab import (
     IntensitySpec,
@@ -18,32 +17,15 @@ from fpp_lab import (
     solve_phi_volterra,
     volterra_residuals,
 )
-from fpp_lab.kernels import PANEL_BLOCK, kernel_eval, kernel_phi_lambda_integral
+from fpp_lab.cli import parse_kernel
+from fpp_lab.kernels import PANEL_BLOCK, kernel_phi_lambda_integral
+from fpp_lab.phi_solver import residual_spots
 
 from oracles import phi_from_csv, uniform_grid
 
 # gamma-function oracle values (mpmath)
 PHI_1_H07_LAM2 = 0.3908930209156764
 RATIO_4_TO_1 = 0.75785828325519904  # 4^(-1/5)
-
-
-def oracle_integrals(phi, kernel, intensity, nodes):
-    """int_0^t K(t,s) phi(s) lambda(s) ds at each node t by adaptive `quad`.
-
-    Scalar `kernel_eval` times phi and lambda, split at every phi node and a
-    tabulated kernel's s-nodes (the kinks) and integrated piece by piece at
-    relative tolerance 1e-13; shares no code with the package's quadrature.
-    """
-    cuts = np.concatenate([phi.nodes, kernel.table_s if kernel.kind == "tabulated" else []])
-    out = []
-    for t in nodes:
-        edges = np.unique(np.concatenate([[0.0, t], cuts[(cuts > 0.0) & (cuts < t)]]))
-
-        def f(s, t=t):
-            return kernel_eval(kernel, t, s) * phi(s) * float(intensity.rate_at(s))
-
-        out.append(sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])))
-    return np.array(out)
 
 
 class TestClosedForm:
@@ -174,14 +156,10 @@ class TestVolterraSolver:
         # grids from 1e-6 put residual stub integrals near 1e-5, where an
         # error estimate of a few 1e-13 is converged; the quadrature's
         # absolute tolerance and its check's floor must be the same number
-        from fpp_lab.phi_solver import STARTUP_SPAN_FACTOR
-
         kernel, inten = KernelSpec.fractional(H), IntensitySpec.constant(rate)
         grid = uniform_grid(1e-6, stop, 1500)
         phi = solve_phi_volterra(kernel, inten, 1.0, grid)
-        span = grid[grid >= STARTUP_SPAN_FACTOR * grid[0]]
-        spots = span[np.unique(np.linspace(0, span.size - 1, 12).astype(int))]
-        assert np.all(np.isfinite(volterra_residuals(phi, kernel, inten, 1.0, spots)))
+        assert np.all(np.isfinite(volterra_residuals(phi, kernel, inten, 1.0, residual_spots(grid))))
 
     def test_residuals_shrink_under_refinement(self):
         inten = IntensitySpec.constant(1.0)
@@ -279,38 +257,75 @@ class TestRateFreeSolve:
         assert error(IntensitySpec.scaled_by_phi(1.0, 2.0, psi)) == pytest.approx(constant, rel=1e-9)
 
 
-def _tabulated_exp_kernel():
-    tg = np.linspace(0.005, 2.0, 400)
-    sg = np.linspace(0.0025, 2.0, 400)
-    return KernelSpec.tabulated(tg, sg, np.exp(-(tg[:, None] - sg[None, :])))
+#: the blocked-residual cases: kernel and grid, as stored next to the solved
+#: phi and the oracle integrals by tests/data/make_blocked_oracle.py; every
+#: grid's pieces span several blocks of Gauss pieces
+BLOCKED_CASES = {
+    "fractional-0.7": ({"kind": "fractional", "H": 0.7}, {"kind": "uniform", "start": 0.005, "stop": 3.0, "count": 600}),
+    "fractional-0.9": ({"kind": "fractional", "H": 0.9}, {"kind": "power", "stop": 3.0, "count": 600}),
+    "exp": ({"kind": "exp_shot_noise", "a": 1.3}, {"kind": "uniform", "start": 1e-3, "stop": 2.0, "count": 520}),
+    "indicator": ({"kind": "indicator"}, {"kind": "uniform", "start": 0.01, "stop": 2.0, "count": 300}),
+    "tabulated": (
+        {"kind": "tabulated", "t": [0.005, 2.0, 400], "s": [0.0025, 2.0, 400], "value": "exp(-(t - s))"},
+        {"kind": "uniform", "start": 0.01, "stop": 1.9, "count": 300},
+    ),
+}
+BLOCKED_RATE, BLOCKED_M1 = 1.5, 0.8
+
+
+def blocked_case(case: str) -> tuple[KernelSpec, np.ndarray]:
+    """The kernel and the solve grid of a blocked-residual case."""
+    kernel, grid = BLOCKED_CASES[case]
+    if kernel["kind"] == "tabulated":
+        tg, sg = np.linspace(*kernel["t"]), np.linspace(*kernel["s"])
+        spec = KernelSpec.tabulated(tg, sg, np.exp(-(tg[:, None] - sg[None, :])))
+    else:
+        spec = parse_kernel(kernel)
+    if grid["kind"] == "power":
+        return spec, power_grid(grid["stop"], grid["count"])
+    return spec, uniform_grid(grid["start"], grid["stop"], grid["count"])
+
+
+def panel_midpoints(grid: np.ndarray) -> np.ndarray:
+    """The nodes of a Volterra phi solved on `grid`: its panels' midpoints, the first panel from 0."""
+    bounds = np.concatenate(([0.0], grid))
+    return 0.5 * (bounds[:-1] + bounds[1:])
+
+
+def blocked_times(phi: PhiFunction, grid: np.ndarray) -> np.ndarray:
+    """The times a blocked-residual case integrates to."""
+    return np.array([
+        0.5 * phi.nodes[0],  # stub only
+        phi.nodes[PANEL_BLOCK + 3],  # on a node
+        0.5 * (grid[-3] + grid[-2]),
+        phi.nodes[-1],
+        1.25 * phi.nodes[-1],  # clamped extension
+    ])
 
 
 class TestBlockedResiduals:
-    # every grid's pieces span several blocks of Gauss pieces
-    @pytest.mark.parametrize(
-        "kernel, grid",
-        [
-            (KernelSpec.fractional(0.7), uniform_grid(0.005, 3.0, 600)),
-            (KernelSpec.fractional(0.9), power_grid(3.0, 600)),
-            (KernelSpec.exp_shot_noise(1.3), uniform_grid(1e-3, 2.0, 520)),
-            (KernelSpec.indicator(), uniform_grid(0.01, 2.0, 300)),
-            (_tabulated_exp_kernel(), uniform_grid(0.01, 1.9, 300)),
-        ],
-        ids=["fractional-0.7", "fractional-0.9", "exp", "indicator", "tabulated"],
-    )
-    def test_equals_per_panel_oracle(self, kernel, grid):
-        inten, m1 = IntensitySpec.constant(1.5), 0.8
-        phi = solve_phi_volterra(kernel, inten, m1, grid)
+    def test_frozen_cases_are_the_parametrization(self, blocked_oracle):
+        # a changed case cannot meet a stale frozen value
+        assert list(blocked_oracle) == list(BLOCKED_CASES)
+        for case, row in blocked_oracle.items():
+            assert [row["kernel"], row["grid"]] == list(BLOCKED_CASES[case])
+            assert (row["rate"], row["m1"]) == (BLOCKED_RATE, BLOCKED_M1)
+            kernel, grid = blocked_case(case)
+            phi = solve_phi_volterra(kernel, IntensitySpec.constant(BLOCKED_RATE), BLOCKED_M1, grid)
+            assert np.array_equal(phi.nodes, panel_midpoints(grid))
+
+    @pytest.mark.parametrize("case", list(BLOCKED_CASES))
+    def test_equals_per_panel_oracle(self, case, blocked_oracle):
+        # the solved phi and the per-piece `quad` oracle integrals are frozen
+        # by tests/data/make_blocked_oracle.py
+        kernel, grid = blocked_case(case)
+        inten, m1 = IntensitySpec.constant(BLOCKED_RATE), BLOCKED_M1
+        row = blocked_oracle[case]
+        phi = PhiFunction(kind="grid", nodes=panel_midpoints(grid), values=np.array(row["values"]))
         assert phi.nodes.size - 1 > PANEL_BLOCK and (phi.nodes.size - 1) % PANEL_BLOCK != 0
-        nodes = np.array([
-            0.5 * phi.nodes[0],  # stub only
-            phi.nodes[PANEL_BLOCK + 3],  # on a node
-            0.5 * (grid[-3] + grid[-2]),
-            phi.nodes[-1],
-            1.25 * phi.nodes[-1],  # clamped extension
-        ])
+        nodes = blocked_times(phi, grid)
         got = np.array([kernel_phi_lambda_integral(float(t), inten, kernel, phi) for t in nodes])
-        np.testing.assert_allclose(got, oracle_integrals(phi, kernel, inten, nodes), rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(got, row["integrals"], rtol=1e-10, atol=0.0)
         assert np.array_equal(volterra_residuals(phi, kernel, inten, m1, nodes), np.abs(m1 * got - nodes) / nodes)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
