@@ -133,8 +133,9 @@ class GirsanovCheckConfig:
             raise ValidationError("eval_times must be strictly increasing positives")
         if self.replicas < 2:
             raise ValidationError("need at least 2 replicas")
-        if not isinstance(self.ks_bootstrap, (int, np.integer)) or self.ks_bootstrap < 1:
-            raise ValidationError(f"ks_bootstrap must be a positive integer, got {self.ks_bootstrap!r}")
+        n_boot = self.ks_bootstrap
+        if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
+            raise ValidationError(f"ks_bootstrap must be a positive integer, got {n_boot!r}")
         if not 0 < self.ks_level < 1:
             raise ValidationError(f"ks_level must be in (0, 1), got {self.ks_level}")
 

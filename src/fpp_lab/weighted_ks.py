@@ -8,16 +8,26 @@ weighted samples describe the same law.
 
 Both functions share one core.  The pooled sample is ranked once with
 `np.unique`: rank r is the r-th smallest of its k distinct values, so tied
-values (0.0 and -0.0 among them) share a rank.  A sample's weighted CDF at
-the k distinct pooled values, whether one of the statistic's samples or
-one half of a bootstrap resample, is its weight per rank summed up,
-`bincount(rank, weights=w, minlength=k).cumsum()`, over the last entry
-(its total).  The statistic is max |Fa - Fb| over those k values; at a
-value neither sample contains both CDFs repeat their previous values, so
-this is the sup over the whole line.  Sorting each sample's values and
-reading both CDFs with `searchsorted` gives the same value up to the order
-of the float additions.  The bootstrap draws two `rng.integers` index
-vectors per resample.
+values (0.0 and -0.0 among them) share a rank.  An item of rank r in half h
+(0 for the first sample, 1 for the second; for a bootstrap resample, the
+half it was drawn into) goes to bin 2r + h.  One
+`bincount(bins, weights=w, minlength=2k)` sums each half's weight per rank,
+and viewed as complex, one `cumsum` gives both halves' running weights at
+the k distinct pooled values as (real, imag).  Each half's weighted CDF is
+its running weight over its total, and the statistic is max |Fa - Fb| over
+those k values; at a value neither sample contains both CDFs repeat their
+previous values, so this is the sup over the whole line.  `bincount` sums
+each bin in input order and a complex add is two separate float adds, so
+the result equals that of one `bincount` and one `cumsum` per half, bit
+for bit.  Sorting each sample's values and reading both CDFs with
+`searchsorted` gives the same value up to the order of the float additions.
+
+The bootstrap draws the indices of a block of resamples with one
+`rng.integers` call, about `DRAW_BLOCK` indices (at least one resample) at
+a time.  Row j of a block holds resample j: its first n indices are the
+first half, its last m the second.  Bounded integer draws consume the
+generator in sequence, so these are the indices, and the final generator
+state, of two draws per resample.
 """
 
 from __future__ import annotations
@@ -26,30 +36,37 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: bootstrap indices drawn per `rng.integers` call (512 KB of int64), rounded down to whole resamples
+DRAW_BLOCK = 2**16
+
 _WEIGHTS_MSG = "weights must be nonnegative with positive totals"
 
 
-def _cdf_at_ranks(rank: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    """Weighted ECDF of one sample at each of the k distinct pooled values."""
-    cdf = np.bincount(rank, weights=w, minlength=k).cumsum()
-    if cdf[-1] <= 0:
+def _ks(bins: np.ndarray, w: np.ndarray, k: int) -> float:
+    """KS distance between the two halves of a pooled sample binned at 2*rank + half."""
+    run = np.bincount(bins, weights=w, minlength=2 * k).view(complex).cumsum()
+    ta, tb = run[-1].real, run[-1].imag
+    if ta <= 0 or tb <= 0:
         raise ValidationError(_WEIGHTS_MSG)
-    return cdf / cdf[-1]
-
-
-def _ks(ra: np.ndarray, wa: np.ndarray, rb: np.ndarray, wb: np.ndarray, k: int) -> float:
-    return float(np.abs(_cdf_at_ranks(ra, wa, k) - _cdf_at_ranks(rb, wb, k)).max())
+    return float(np.abs(run.real / ta - run.imag / tb).max())
 
 
 def _ranked_pool(x, wx, y, wy) -> tuple[np.ndarray, np.ndarray, int]:
     """Dense ranks and weights of the pooled sample, and its number of distinct values.
 
-    Checked once for the pool: both samples non-empty, all weights >= 0.
+    Checked once for the pool: each sample and its weights are 1-D of one
+    length, both samples non-empty, every value and weight finite, all
+    weights >= 0.
     """
-    vals = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    wts = np.concatenate([np.asarray(wx, dtype=float), np.asarray(wy, dtype=float)])
-    if len(x) == 0 or len(y) == 0:
+    x, wx, y, wy = (np.asarray(a, dtype=float) for a in (x, wx, y, wy))
+    if any(a.ndim != 1 for a in (x, wx, y, wy)) or wx.size != x.size or wy.size != y.size:
+        raise ValidationError("KS samples and their weights must be 1-D arrays of matching lengths")
+    if x.size == 0 or y.size == 0:
         raise ValidationError("KS statistic needs non-empty samples")
+    vals = np.concatenate([x, y])
+    wts = np.concatenate([wx, wy])
+    if not (np.isfinite(vals).all() and np.isfinite(wts).all()):
+        raise ValidationError("KS samples and weights must be finite")
     if np.any(wts < 0):
         raise ValidationError(_WEIGHTS_MSG)
     distinct, rank = np.unique(vals, return_inverse=True)
@@ -59,8 +76,9 @@ def _ranked_pool(x, wx, y, wy) -> tuple[np.ndarray, np.ndarray, int]:
 def weighted_ks_statistic(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray) -> float:
     """sup-distance between the two weighted empirical CDFs."""
     rank, wts, k = _ranked_pool(x, wx, y, wy)
-    n = len(x)
-    return _ks(rank[:n], wts[:n], rank[n:], wts[n:], k)
+    bins = 2 * rank
+    bins[len(x) :] += 1
+    return _ks(bins, wts, k)
 
 
 def ks_bootstrap_threshold(
@@ -74,19 +92,29 @@ def ks_bootstrap_threshold(
 ) -> float:
     """(1 - level) quantile of the pooled-bootstrap null KS distribution.
 
-    n_boot must be a positive integer, and every resample must carry
-    positive weight in both halves, else ValidationError.
+    n_boot must be a positive integer (not a bool), and every resample must
+    carry positive weight in both halves, else ValidationError.  After that
+    error the generator may have advanced by up to one block of draws
+    beyond the failing resample.
     """
-    if not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
+    if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
         raise ValidationError(f"n_boot must be a positive integer, got {n_boot!r}")
     if not 0 < level < 1:
         raise ValidationError(f"level must be in (0, 1), got {level}")
     rank, wts, k = _ranked_pool(x, wx, y, wy)
-    n, m = len(x), len(y)
-    total = n + m
+    n = len(x)
+    total = len(wts)
+    # columns n: of a row draw the second half; offsetting them by total
+    # points them at the second copy of the pool, binned at 2*rank + 1
+    bins = np.concatenate([2 * rank, 2 * rank + 1])
+    wts2 = np.concatenate([wts, wts])
+    offset = np.zeros(total, dtype=np.int64)
+    offset[n:] = total
+    per = max(1, DRAW_BLOCK // total)
     stats = np.empty(n_boot)
-    for b in range(n_boot):
-        ia = rng.integers(0, total, n)
-        ib = rng.integers(0, total, m)
-        stats[b] = _ks(rank[ia], wts[ia], rank[ib], wts[ib], k)
+    for start in range(0, n_boot, per):
+        idx = rng.integers(0, total, (min(per, n_boot - start), total))
+        idx += offset
+        for j, row in enumerate(idx, start):
+            stats[j] = _ks(bins[row], wts2[row], k)
     return float(np.quantile(stats, 1.0 - level))

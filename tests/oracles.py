@@ -2,9 +2,11 @@
 
 Per-grid and one-point forms of the package's batched functions, the score
 of the drift likelihood, path and phi CSV readers, grid builders and
-classifiers that no experiment uses, and the scipy tanh-sinh quadrature
-that the package's numpy rule replaced; the tests use them as oracles and
-fixtures.  `fpp_lab` keeps one path per concept and does not ship them.
+classifiers that no experiment uses, the scipy tanh-sinh quadrature
+that the package's numpy rule replaced, and the weighted-KS core with one
+`bincount`, one `cumsum` and one index draw per sample that the paired
+core replaced; the tests use them as oracles and fixtures.  `fpp_lab`
+keeps one path per concept and does not ship them.
 """
 
 from __future__ import annotations
@@ -263,3 +265,48 @@ def score(
     fp = float(ratio.sum()) - integral
     fpp = -float(np.square(ratio).sum())
     return f, fp, fpp
+
+
+# ---------------------------------------------------------------------------
+# weighted KS
+
+
+def _ks_pool(x, wx, y, wy) -> tuple[np.ndarray, np.ndarray, int]:
+    vals = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
+    wts = np.concatenate([np.asarray(wx, dtype=float), np.asarray(wy, dtype=float)])
+    if len(x) == 0 or len(y) == 0:
+        raise ValidationError("KS statistic needs non-empty samples")
+    if np.any(wts < 0):
+        raise ValidationError("weights must be nonnegative with positive totals")
+    distinct, rank = np.unique(vals, return_inverse=True)
+    return rank, wts, distinct.size
+
+
+def _cdf_at_ranks(rank: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    cdf = np.bincount(rank, weights=w, minlength=k).cumsum()
+    if cdf[-1] <= 0:
+        raise ValidationError("weights must be nonnegative with positive totals")
+    return cdf / cdf[-1]
+
+
+def _ks_two_cumsums(ra, wa, rb, wb, k: int) -> float:
+    return float(np.abs(_cdf_at_ranks(ra, wa, k) - _cdf_at_ranks(rb, wb, k)).max())
+
+
+def ks_statistic_two_cumsums(x, wx, y, wy) -> float:
+    """Weighted KS statistic with one `bincount` and one `cumsum` per sample (frozen reference)."""
+    rank, wts, k = _ks_pool(x, wx, y, wy)
+    n = len(x)
+    return _ks_two_cumsums(rank[:n], wts[:n], rank[n:], wts[n:], k)
+
+
+def ks_threshold_two_draws(x, wx, y, wy, n_boot: int, level: float, rng: np.random.Generator) -> float:
+    """Pooled-bootstrap KS threshold with two `rng.integers` draws per resample (frozen reference)."""
+    rank, wts, k = _ks_pool(x, wx, y, wy)
+    n, m = len(x), len(y)
+    stats = np.empty(n_boot)
+    for b in range(n_boot):
+        ia = rng.integers(0, n + m, n)
+        ib = rng.integers(0, n + m, m)
+        stats[b] = _ks_two_cumsums(rank[ia], wts[ia], rank[ib], wts[ib], k)
+    return float(np.quantile(stats, 1.0 - level))

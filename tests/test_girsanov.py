@@ -165,8 +165,8 @@ class TestVerifyEqualityInLaw:
 
     @pytest.mark.parametrize(
         "ks",
-        [{"ks_bootstrap": 0}, {"ks_bootstrap": 2.5}, {"ks_level": 0.0}, {"ks_level": 1.5}],
-        ids=["bootstrap-0", "bootstrap-2.5", "level-0", "level-1.5"],
+        [{"ks_bootstrap": 0}, {"ks_bootstrap": 2.5}, {"ks_bootstrap": True}, {"ks_level": 0.0}, {"ks_level": 1.5}],
+        ids=["bootstrap-0", "bootstrap-2.5", "bootstrap-True", "level-0", "level-1.5"],
     )
     def test_ks_settings_rejected_at_construction(self, unit_rate, unit_marks, frac_kernel, ks):
         # rejected at construction, before any replica is simulated

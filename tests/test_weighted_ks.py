@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fpp_lab import ValidationError, ks_bootstrap_threshold, weighted_ks_statistic
+from fpp_lab.weighted_ks import DRAW_BLOCK
+from oracles import ks_statistic_two_cumsums, ks_threshold_two_draws
 
 
 def oracle_statistic(x, wx, y, wy):
@@ -115,6 +117,42 @@ class TestStatistic:
             ks_bootstrap_threshold(x, wx, y, wy, 10, 0.1, np.random.default_rng(0))
 
 
+class TestInputChecks:
+    """Misaligned, non-1-D or non-finite samples and weights raise ValidationError in both functions."""
+
+    @staticmethod
+    def both(x, wx, y, wy):
+        with pytest.raises(ValidationError):
+            weighted_ks_statistic(x, wx, y, wy)
+        with pytest.raises(ValidationError):
+            ks_bootstrap_threshold(x, wx, y, wy, 10, 0.1, np.random.default_rng(0))
+
+    def test_lengths_that_only_add_up_are_rejected(self):
+        # 3 + 2 values against 2 + 3 weights: the pooled lengths agree
+        self.both([0.1, 0.2, 0.3], np.ones(2), [0.2, 0.4], np.ones(3))
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_short_weights_are_rejected(self, side):
+        x, wx, y, wy = [0.1, 0.2, 0.3], np.ones(3), [0.2, 0.4], np.ones(2)
+        if side == "x":
+            wx = np.ones(2)
+        else:
+            wy = np.ones(3)
+        self.both(x, wx, y, wy)
+
+    def test_samples_that_are_not_1d_are_rejected(self):
+        x = np.array([[0.1, 0.2], [0.3, 0.4]])
+        self.both(x, np.ones((2, 2)), [0.2, 0.4], np.ones(2))
+        self.both(0.5, 1.0, [0.2, 0.4], np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["x", "wx", "y", "wy"])
+    def test_non_finite_values_and_weights_are_rejected(self, bad, where):
+        arrays = {"x": [0.1, 0.2, 0.3], "wx": [1.0, 2.0, 1.0], "y": [0.2, 0.4], "wy": [1.0, 1.0]}
+        arrays[where] = arrays[where][:-1] + [bad]
+        self.both(*(np.array(arrays[key]) for key in ("x", "wx", "y", "wy")))
+
+
 class TestStatisticProperties:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -157,7 +195,7 @@ class TestBootstrapThreshold:
         with pytest.raises(ValidationError):
             ks_bootstrap_threshold(x, np.ones(2), x, np.ones(2), 10, 1.5, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n_boot", [0, -3, 2.5, None])
+    @pytest.mark.parametrize("n_boot", [0, -3, 2.5, None, True])
     def test_n_boot_validation(self, n_boot):
         x = np.array([1.0, 2.0])
         with pytest.raises(ValidationError, match="n_boot"):
@@ -207,3 +245,72 @@ class TestMatchesOracle:
         ours = ks_bootstrap_threshold(x, w, y, wy, 5, 0.1, np.random.default_rng(2))
         ref = oracle_threshold(x, w, y, wy, 5, 0.1, np.random.default_rng(2))
         assert_same_outcome(ours, ref)
+
+
+class SpyGenerator:
+    """A generator that records the number of indices each `integers` call asks for."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size):
+        self.sizes.append(int(np.prod(size)))
+        return self.rng.integers(low, high, size)
+
+
+class TestMatchesFrozenCore:
+    """The paired bins, the complex cumsum and the block draws change no bit.
+
+    The reference is the frozen core with one bincount, one cumsum and one
+    index draw per half: statistic and threshold must be equal (==), and
+    the generator must end in the same state.
+    """
+
+    @staticmethod
+    def assert_identical(x, wx, y, wy, n_boot, seed):
+        assert outcome(weighted_ks_statistic, x, wx, y, wy) == outcome(ks_statistic_two_cumsums, x, wx, y, wy)
+        ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours = outcome(ks_bootstrap_threshold, x, wx, y, wy, n_boot, 0.05, ours_rng)
+        ref = outcome(ks_threshold_two_draws, x, wx, y, wy, n_boot, 0.05, ref_rng)
+        assert ours == ref
+        if ours is not ValidationError:
+            # after an error the generator may be up to one block ahead
+            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(weighted_samples(), st.integers(0, 2**32 - 1), st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed(self, samples, seed, n_boot):
+        self.assert_identical(*samples, n_boot, seed)
+
+    def test_law_check_sized_ties(self):
+        # 2 000 + 2 000 values draw 16 resamples per block; 37 is not a multiple
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=2000), rng.normal(size=2000)
+        x[rng.random(2000) < 0.25] = -0.5
+        y[rng.random(2000) < 0.25] = -0.5
+        w = np.exp(rng.normal(0.0, 0.3, 2000))
+        assert DRAW_BLOCK // 4000 == 16
+        self.assert_identical(x, w, y, np.ones(2000), 37, 1)
+
+    def test_more_resamples_than_one_block(self):
+        # a 16-value pool: one full block and a partial one
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=7), np.round(rng.normal(size=9), 1)
+        wx = rng.uniform(0.0, 2.0, 7)
+        self.assert_identical(x, wx, y, np.ones(9), DRAW_BLOCK // 16 + 5, 3)
+
+    def test_pool_above_draw_block(self):
+        # one resample per draw
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=40_000), rng.normal(size=30_001)
+        assert x.size + y.size > DRAW_BLOCK
+        self.assert_identical(x, np.exp(rng.normal(0.0, 0.3, 40_000)), y, np.ones(30_001), 3, 2)
+
+    @pytest.mark.parametrize(("n", "m", "n_boot"), [(3, 5, 20_000), (2000, 2000, 40), (40_000, 30_001, 3)])
+    def test_draws_stay_within_one_block(self, n, m, n_boot):
+        rng = np.random.default_rng(7)
+        spy = SpyGenerator(8)
+        ks_bootstrap_threshold(rng.normal(size=n), np.ones(n), rng.normal(size=m), np.ones(m), n_boot, 0.05, spy)
+        assert max(spy.sizes) <= max(n + m, DRAW_BLOCK)
+        assert sum(spy.sizes) == n_boot * (n + m)
