@@ -163,7 +163,7 @@ class PhiFunction:
     def to_csv(self, path) -> None:
         if self.kind != "grid":
             raise ValidationError("only grid phi functions serialize to CSV")
-        write_csv(path, "s,phi", zip(self.nodes, self.values))
+        write_csv(path, "s,phi", zip(self.nodes.tolist(), self.values.tolist()))
 
 
 def phi_fractional(H: float, lam: float) -> PhiFunction:
@@ -245,13 +245,14 @@ def solve_phi_volterra(
 
     bounds = np.concatenate(([0.0], grid))
     mids = 0.5 * (bounds[:-1] + bounds[1:])
-    # (m1 * widths) * K is the row product's own left-to-right order
+    # each row is K * (m1 * widths), in place; one rounded product commutes
     factors = m1 * np.diff(bounds)
     n = grid.size
     psi = np.empty(n)
     for i in range(n):
         t = grid[i]
-        w = factors[: i + 1] * kernel_eval_at(kernel, t, mids[: i + 1])
+        w = kernel_eval_at(kernel, t, mids[: i + 1])
+        w *= factors[: i + 1]
         if w[i] < SINGULAR_WEIGHT_TOL:
             raise NumericsError(
                 f"singular Volterra system: diagonal weight {w[i]:.3e} at node {t} "

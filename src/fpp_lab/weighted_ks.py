@@ -39,14 +39,14 @@ from .errors import ValidationError
 #: bootstrap indices drawn per `rng.integers` call (512 KB of int64), rounded down to whole resamples
 DRAW_BLOCK = 2**16
 
-_WEIGHTS_MSG = "weights must be nonnegative with positive totals"
+_WEIGHTS_MSG = "weights must be nonnegative with positive, finite totals"
 
 
 def _ks(bins: np.ndarray, w: np.ndarray, k: int) -> float:
     """KS distance between the two halves of a pooled sample binned at 2*rank + half."""
     run = np.bincount(bins, weights=w, minlength=2 * k).view(complex).cumsum()
     ta, tb = run[-1].real, run[-1].imag
-    if ta <= 0 or tb <= 0:
+    if not (0 < ta < np.inf and 0 < tb < np.inf):  # finite weights can sum past the largest double
         raise ValidationError(_WEIGHTS_MSG)
     return float(np.abs(run.real / ta - run.imag / tb).max())
 
@@ -78,7 +78,8 @@ def weighted_ks_statistic(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.n
     rank, wts, k = _ranked_pool(x, wx, y, wy)
     bins = 2 * rank
     bins[len(x) :] += 1
-    return _ks(bins, wts, k)
+    with np.errstate(over="ignore"):  # an overflowed total raises in _ks
+        return _ks(bins, wts, k)
 
 
 def ks_bootstrap_threshold(
@@ -93,9 +94,9 @@ def ks_bootstrap_threshold(
     """(1 - level) quantile of the pooled-bootstrap null KS distribution.
 
     n_boot must be a positive integer (not a bool), and every resample must
-    carry positive weight in both halves, else ValidationError.  After that
-    error the generator may have advanced by up to one block of draws
-    beyond the failing resample.
+    carry positive, finite total weight in both halves, else ValidationError.
+    After that error the generator may have advanced by up to one block of
+    draws beyond the failing resample.
     """
     if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
         raise ValidationError(f"n_boot must be a positive integer, got {n_boot!r}")
@@ -112,9 +113,10 @@ def ks_bootstrap_threshold(
     offset[n:] = total
     per = max(1, DRAW_BLOCK // total)
     stats = np.empty(n_boot)
-    for start in range(0, n_boot, per):
-        idx = rng.integers(0, total, (min(per, n_boot - start), total))
-        idx += offset
-        for j, row in enumerate(idx, start):
-            stats[j] = _ks(bins[row], wts2[row], k)
+    with np.errstate(over="ignore"):  # an overflowed total raises in _ks
+        for start in range(0, n_boot, per):
+            idx = rng.integers(0, total, (min(per, n_boot - start), total))
+            idx += offset
+            for j, row in enumerate(idx, start):
+                stats[j] = _ks(bins[row], wts2[row], k)
     return float(np.quantile(stats, 1.0 - level))

@@ -3,9 +3,11 @@
 Per-grid and one-point forms of the package's batched functions, the score
 of the drift likelihood, path and phi CSV readers, grid builders and
 classifiers that no experiment uses, the scipy tanh-sinh quadrature
-that the package's numpy rule replaced, and the weighted-KS core with one
+that the package's numpy rule replaced, the weighted-KS core with one
 `bincount`, one `cumsum` and one index draw per sample that the paired
-core replaced; the tests use them as oracles and fixtures.  `fpp_lab`
+core replaced, and the fractional kernel row with `np.modf` and an
+out-of-place K that the in-place row replaced, with the Volterra solve
+built on it; the tests use them as oracles and fixtures.  `fpp_lab`
 keeps one path per concept and does not ship them.
 """
 
@@ -30,7 +32,17 @@ from fpp_lab import (
     log_density,
     phi_lambda_integral,
 )
-from fpp_lab.kernels import _GL_NODES, _GL_WEIGHTS, _TINY, PANEL_BLOCK, QUAD_ATOL, QUAD_RTOL, _bilinear
+from fpp_lab.kernels import (
+    _F_TABLE_INV_H,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _TINY,
+    PANEL_BLOCK,
+    QUAD_ATOL,
+    QUAD_RTOL,
+    _bilinear,
+    _fractional_table,
+)
 from fpp_lab.serialize import read_csv, write_csv
 
 # ---------------------------------------------------------------------------
@@ -310,3 +322,38 @@ def ks_threshold_two_draws(x, wx, y, wy, n_boot: int, level: float, rng: np.rand
         ib = rng.integers(0, n + m, m)
         stats[b] = _ks_two_cumsums(rank[ia], wts[ia], rank[ib], wts[ib], k)
     return float(np.quantile(stats, 1.0 - level))
+
+
+# ---------------------------------------------------------------------------
+# fractional kernel row and Volterra solve
+
+
+def fractional_row_modf(H: float, t: float, s: np.ndarray) -> np.ndarray:
+    """K_H(t, s) on a row wholly below t and inside the F table (frozen reference).
+
+    The table interval and offset come from `np.modf`, and K is formed out of
+    place as (t - s) ** (H - 1/2) * f / Gamma(H + 1/2).
+    """
+    c0, c1, c2, c3 = _fractional_table(H)
+    d, j = np.modf(np.log(t / s) * _F_TABLE_INV_H)
+    j = j.astype(np.intp)
+    f = c3[j]
+    f *= d
+    f += c2[j]
+    f *= d
+    f += c1[j]
+    f *= d
+    f += c0[j]
+    return (t - s) ** (H - 0.5) * f / math.exp(math.lgamma(H + 0.5))
+
+
+def solve_phi_volterra_modf(H: float, intensity: IntensitySpec, m1: float, grid: np.ndarray) -> np.ndarray:
+    """Grid values of the fractional Volterra solve, each row from `fractional_row_modf` (frozen reference)."""
+    bounds = np.concatenate(([0.0], grid))
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    factors = m1 * np.diff(bounds)
+    psi = np.empty(grid.size)
+    for i, t in enumerate(grid):
+        w = factors[: i + 1] * fractional_row_modf(H, t, mids[: i + 1])
+        psi[i] = (t - w[:i] @ psi[:i]) / w[i]
+    return psi / intensity.rate_at(mids)

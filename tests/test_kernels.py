@@ -31,7 +31,7 @@ from fpp_lab.kernels import QUAD_ATOL, QUAD_RTOL, kernel_phi_lambda_integral, si
 from fpp_lab.phi_solver import residual_spots
 from fpp_lab.special_functions import hyp2f1
 
-from oracles import diagonal_class, ln_gamma, scipy_quad_0_to_t, uniform_grid
+from oracles import diagonal_class, fractional_row_modf, ln_gamma, scipy_quad_0_to_t, uniform_grid
 
 # frozen oracle values (mpmath, cross-checked against the quadrature oracle)
 K_07_2_1 = 1.1196796529762092
@@ -233,6 +233,18 @@ class TestVectorizedEval:
         assert masked[-3] == masked[-2] == 0.0
         assert masked[-1] == kernel_eval(spec, t, extra[-1])
 
+    @pytest.mark.parametrize("kind", ["indicator", "exp_shot_noise", "fractional", "tabulated"])
+    def test_nan_points_are_rejected(self, kind):
+        spec = {
+            "indicator": KernelSpec.indicator(),
+            "exp_shot_noise": KernelSpec.exp_shot_noise(1.0),
+            "fractional": KernelSpec.fractional(0.7),
+            "tabulated": exp_table_kernel(),
+        }[kind]
+        for s in ([np.nan, 0.5], [0.5, np.nan], [np.nan]):
+            with pytest.raises(ValidationError, match="s > 0"):
+                kernel_eval_at(spec, 1.0, np.array(s))
+
     def test_exp_and_indicator(self):
         s = np.array([0.5, 1.0, 2.0, 3.0])
         out = kernel_eval_at(KernelSpec.indicator(), 2.0, s)
@@ -289,6 +301,22 @@ class TestFractionalTable:
             want = [mpmath.hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1 - mpmath.exp(mpmath.mpf(float(v)))) for v in x]
             worst = max(float(abs(got / w - 1)) for got, w in zip(f, want))
         assert worst <= 1e-14
+
+
+class TestLeanRow:
+    """The in-place table row gives the floats of the `np.modf`, out-of-place row."""
+
+    @pytest.mark.parametrize("H", TABLE_HS)
+    @pytest.mark.parametrize("grid", ["power", "bench"])
+    def test_every_solve_row_equals_modf_row(self, H, grid):
+        # the rows of solve_phi_volterra: the panel midpoints below each node
+        nodes = power_grid(5.0, 2000) if grid == "power" else uniform_grid(0.00125, 5.0, 4000)
+        bounds = np.concatenate(([0.0], nodes))
+        mids = 0.5 * (bounds[:-1] + bounds[1:])
+        spec = KernelSpec.fractional(H)
+        for i, t in enumerate(nodes):
+            row = mids[: i + 1]
+            assert np.array_equal(kernel_eval_at(spec, t, row), fractional_row_modf(H, t, row))
 
 
 class TestDiagonalClass:

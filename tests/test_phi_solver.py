@@ -21,7 +21,7 @@ from fpp_lab.cli import parse_kernel
 from fpp_lab.kernels import PANEL_BLOCK, kernel_phi_lambda_integral
 from fpp_lab.phi_solver import residual_spots
 
-from oracles import phi_from_csv, uniform_grid
+from oracles import phi_from_csv, solve_phi_volterra_modf, uniform_grid
 
 # gamma-function oracle values (mpmath)
 PHI_1_H07_LAM2 = 0.3908930209156764
@@ -214,6 +214,14 @@ class TestVolterraSolver:
         kernel = KernelSpec.tabulated(tg, sg, vals)
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="not finite"):
             solve_phi_volterra(kernel, IntensitySpec.constant(1.0), 1.0, uniform_grid(0.5, 2.0, 4))
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_bench_grid_solve_equals_modf_row_solve(self, H):
+        # the solve on the in-place kernel row gives the floats of the solve
+        # built on the `np.modf`, out-of-place row, so phi.csv keeps its bytes
+        grid, inten = uniform_grid(0.00125, 5.0, 4000), IntensitySpec.constant(1.0)
+        phi = solve_phi_volterra(KernelSpec.fractional(H), inten, 1.0, grid)
+        assert np.array_equal(phi.values, solve_phi_volterra_modf(H, inten, 1.0, grid))
 
     def test_grid_validation(self):
         k = KernelSpec.indicator()

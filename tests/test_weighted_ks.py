@@ -153,6 +153,22 @@ class TestInputChecks:
         self.both(*(np.array(arrays[key]) for key in ("x", "wx", "y", "wy")))
 
 
+class TestOverflowingTotals:
+    """Finite weights whose total overflows raise ValidationError, with no overflow warning."""
+
+    def test_statistic(self):
+        with pytest.raises(ValidationError, match="finite totals"):
+            weighted_ks_statistic([0.1, 0.2], [1e308, 1e308], [0.3], [1.0])
+
+    def test_bootstrap(self):
+        # the pooled totals are finite, but a resample that draws the 1e308
+        # weight into both places of the first half overflows
+        x, wx, y, wy = [0.1, 0.2], [1e308, 1.0], [0.3], [1.0]
+        assert weighted_ks_statistic(x, wx, y, wy) > 0.0
+        with pytest.raises(ValidationError, match="finite totals"):
+            ks_bootstrap_threshold(x, wx, y, wy, 50, 0.1, np.random.default_rng(0))
+
+
 class TestStatisticProperties:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
