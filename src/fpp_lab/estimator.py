@@ -94,7 +94,11 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
     A lane whose score at 0 is <= 0 has its maximizer at the boundary 0.
     Every other lane takes plain Newton steps from theta = 0: its score is
     strictly decreasing and convex, so the iterates rise monotonically to the
-    root.  A lane stops when the step is below THETA_TOL and the score below
+    root.  At theta = 0 the ratio phi_j / (1 + theta phi_j) is phi_j itself,
+    so the first step takes the score s0 - integral from the per-lane sums
+    s0 already formed and the slope -sum phi_j^2 from one `reduceat`, bit
+    for bit what `grad(0)` would return, and `grad` serves the later steps.
+    A lane stops when the step is below THETA_TOL and the score below
     1e-11 max(1, sum phi_j), or when the score is <= 0, which only rounding
     brings about: that iterate is the root to working precision, and a step
     could only leave it (the rounding of a root near 1e6 or above already
@@ -109,8 +113,9 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
     ids = np.flatnonzero(interior)
     if not ids.size:
         return theta_hat
-    pv = pv[np.repeat(interior, n)]
-    n, s0, integral = n[ids], s0[ids], integral[ids]
+    if ids.size < n.size:
+        pv = pv[np.repeat(interior, n)]
+        n, s0, integral = n[ids], s0[ids], integral[ids]
 
     def grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # phi_j / (1 + theta phi_j) and its square, built in place in one buffer
@@ -125,19 +130,19 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
 
     theta = np.zeros(ids.size)
     g_tol = 1e-11 * np.maximum(1.0, s0)
-    for _ in range(MAX_NEWTON_STEPS):
-        g, gp = grad(theta)  # gp < 0: every interior lane has a jump with phi > 0
-        step = g / gp
+    for k in range(MAX_NEWTON_STEPS):
+        g, gp = grad(theta) if k else (s0 - integral, -np.add.reduceat(pv * pv, np.cumsum(n) - n))
+        step = g / gp  # gp < 0: every interior lane has a jump with phi > 0
         root = g <= 0.0  # no exact iterate passes the root: this one is on it up to rounding
         finished = root | ((np.abs(step) <= THETA_TOL) & (np.abs(g) <= g_tol))
         theta = np.where(root, theta, theta - step)
         if finished.any():
             theta_hat[ids[finished]] = theta[finished]
+            if finished.all():
+                return theta_hat
             keep = ~finished
             pv = pv[np.repeat(keep, n)]
             ids, n, theta, g_tol, integral = (v[keep] for v in (ids, n, theta, g_tol, integral))
-            if not ids.size:
-                return theta_hat
     theta_hat[ids] = np.nan
     return theta_hat
 

@@ -10,10 +10,14 @@ until the expected count in the uncovered stub is below 1e-9.
 
 `simulate_batch` is the one sampler: it draws one path per seed into a
 `PathBatch`, the jumps of many replicas in flat arrays with CSR offsets,
-and `simulate` is its one-row form.  Replica loops take their paths from
-`simulate_replicas`, the one place that maps replica i to its seed, in
-blocks, so that each layer above makes one vectorized call per block
-instead of one per replica.
+and `simulate` is its one-row form.  Each seed's stream is the one that a
+`Generator.poisson` and a `Generator.random` call per majorant segment
+consume; the leading segments of mean below 10, whose counts numpy draws
+by multiplying uniforms, are read from one block of uniforms per seed
+(`_small_mean_draws`), with the same draws.  Replica loops take their
+paths from `simulate_replicas`, the one place that maps replica i to its
+seed, in blocks, so that each layer above makes one vectorized call per
+block instead of one per replica.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ JUMP_BLOCK = 2**15
 
 #: the largest mean `numpy.random.Generator.poisson` accepts
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+#: `Generator.poisson` draws a mean below this by the multiplication method
+POISSON_MULT_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -252,15 +258,19 @@ class PathBatch:
 
 @lru_cache(maxsize=64)
 def _thinning_majorant(intensity: IntensitySpec, horizon: float) -> tuple:
-    """(rows a, b - a, lambda_max; Poisson means lambda_max (b - a)) over the majorant's segments.
+    """(rows a, b - a, lambda_max; means lambda_max (b - a); floors; block) of the majorant's segments.
 
     Constant rate needs a single segment.  Phi-scaled rates get dyadic
     segments refined toward 0 until the expected count below the first
-    boundary is negligible; that stub is then skipped.  The segments depend
-    only on (intensity, horizon), so they are built once and shared by every
-    path simulated with them.  Raises ValidationError before any segment is
-    built when `expected_jumps` rejects the horizon, and after when a
-    segment's mean is beyond what a Poisson draw accepts.
+    boundary is negligible; that stub is then skipped.  ``floors`` holds
+    exp(-mean) of the leading run of segments with 0 < mean <
+    POISSON_MULT_MAX when that run has at least 2 segments (else it is
+    empty), and ``block`` the uniforms `_small_mean_draws` draws for them at
+    first: the run's expected use plus 5 standard deviations of its count.
+    The segments depend only on (intensity, horizon), so they are built once
+    and shared by every path simulated with them.  Raises ValidationError
+    before any segment is built when `expected_jumps` rejects the horizon,
+    and after when a segment's mean is beyond what a Poisson draw accepts.
     """
     expected_jumps(intensity, horizon)
     if intensity.kind == "constant":
@@ -282,7 +292,51 @@ def _thinning_majorant(intensity: IntensitySpec, horizon: float) -> tuple:
         raise ValidationError(f"thinning majorant on [0, {horizon}] is beyond what a Poisson draw accepts")
     segments = np.stack([a, b - a, lam])
     segments.setflags(write=False)  # shared by every caller of the cache
-    return segments, tuple(means.tolist())
+    means = tuple(means.tolist())
+    lead = next((k for k, m in enumerate(means) if not 0.0 < m < POISSON_MULT_MAX), len(means))
+    # one segment keeps its one `poisson` call: replaying it measured slower
+    floors = tuple(math.exp(-m) for m in means[:lead]) if lead >= 2 else ()
+    mass = sum(means[: len(floors)])
+    block = len(floors) + 3 * math.ceil(mass + 5.0 * math.sqrt(mass) + 1.0)
+    return segments, means, floors, block
+
+
+def _small_mean_draws(rng: np.random.Generator, floors: tuple, block: int) -> list:
+    """(segment, count n, uniforms) of the segments whose exp(-mean) is in ``floors``, for n > 0.
+
+    numpy draws a Poisson count of mean below POISSON_MULT_MAX by the
+    multiplication method: it multiplies uniforms until the running product
+    is no longer above exp(-mean), so a count n takes n + 1 uniforms.  Each
+    segment then takes 2 n uniforms, its times and acceptance draws.  This
+    replays that on one `rng.random(block)` block, doubled whenever it runs
+    out, and returns each segment's 2 n uniforms as a view of the block.
+    The generator is then stepped back over the uniforms not used, so the
+    draws, and the stream after them, are those of a `poisson` and a
+    `random(2 n)` call per segment.
+    """
+    u = rng.random(block)
+    while True:
+        vals, drawn, pos = u.tolist(), [], 0
+        try:
+            for k, floor in enumerate(floors):
+                prod = vals[pos]
+                pos += 1
+                n = 0
+                while prod > floor:
+                    n += 1
+                    prod *= vals[pos]
+                    pos += 1
+                if n:
+                    drawn.append((k, n, u[pos : pos + 2 * n]))
+                    pos += 2 * n
+        except IndexError:  # the block ran out within a count
+            pos = math.inf
+        if pos <= u.size:  # else it ran out within times or acceptance draws
+            break
+        u = np.concatenate((u, rng.random(u.size)))
+    if pos < u.size:
+        rng.bit_generator.advance(2**128 - (u.size - pos))  # back over the unused uniforms
+    return drawn
 
 
 def expected_jumps(intensity: IntensitySpec, horizon: float) -> float:
@@ -320,9 +374,15 @@ def simulate_batch(
     Each row has its own PCG64 stream, consumed in time order: per majorant
     segment a Poisson count n, then n uniform times and n uniform acceptance
     draws (one `random(2 n)` call gives both, bit for bit the draws of
-    `uniform(a, b, n)` then `uniform(0, 1, n)`), and the marks last.  Each
-    candidate gathers its segment's (a, b - a, lambda_max) and builds its
-    time a + (b - a) u and threshold u lambda_max in place; the acceptance
+    `uniform(a, b, n)` then `uniform(0, 1, n)`), and the marks last.  The
+    leading run of segments with mean below POISSON_MULT_MAX, when it has
+    at least 2 segments, is read from one block of uniforms by
+    `_small_mean_draws`, which replays numpy's multiplication method for
+    the counts and leaves the generator where those calls would; the later
+    segments make the `poisson` and `random` calls themselves.  Each
+    non-empty (row, segment) group repeats its segment's (a, b - a,
+    lambda_max) over its candidates, which build their times a + (b - a) u
+    and thresholds u lambda_max in place; the acceptance
     test u lambda_max < lambda(t) is one `rate_at` call on the candidates
     of all rows.  Candidates of consecutive segments lie in consecutive
     intervals, so sorting a row's candidates at once pairs each acceptance
@@ -334,27 +394,32 @@ def simulate_batch(
     if not horizon > 0:
         raise ValidationError(f"horizon must be positive, got {horizon}")
     seeds = [int(s) for s in seeds]
-    segments, means = _thinning_majorant(intensity, float(horizon))
+    segments, means, floors, block = _thinning_majorant(intensity, float(horizon))
+    later = list(enumerate(means))[len(floors) :]
     # each list starts with an empty piece: one concatenate then takes any number of pieces
     time_draws, accept_draws, mark_draws = [np.empty(0)], [np.empty(0)], [np.empty(0)]
     group_n, group_seg, candidates = [], [], []  # per non-empty (row, segment); per row
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        c = 0
-        for k, mean in enumerate(means):
+        drawn = _small_mean_draws(rng, floors, block) if floors else []
+        for k, mean in later:
             n = rng.poisson(mean)
             if n:
-                u = rng.random(2 * n)
-                time_draws.append(u[:n])
-                accept_draws.append(u[n:])
-                group_n.append(n)
-                group_seg.append(k)
-                c += n
+                drawn.append((k, n, rng.random(2 * n)))
+        c = 0
+        for k, n, u in drawn:
+            time_draws.append(u[:n])
+            accept_draws.append(u[n:])
+            group_n.append(n)
+            group_seg.append(k)
+            c += n
         if marks.kind != "unit":  # unit marks draw nothing
             mark_draws.append(marks.sample(rng, c))
         candidates.append(c)
-    seg = np.repeat(np.array(group_seg, dtype=np.uint8), group_n)
-    a, width, lam = segments[:, seg]
+    # one (3, N) array and no index array: as three 1-d arrays, a warm drift-consistency run
+    # took ~25 000 minor page faults instead of ~5, as glibc's mmap threshold follows the
+    # largest freed block
+    a, width, lam = np.repeat(segments[:, group_seg], group_n, axis=1)
     t = np.concatenate(time_draws)
     t *= width
     t += a
@@ -366,11 +431,13 @@ def simulate_batch(
         lo = hi
     threshold = np.concatenate(accept_draws)
     threshold *= lam
-    del seg, lam, time_draws, accept_draws
+    del lam, time_draws, accept_draws
     accept = threshold < intensity.rate_at(t)
     del threshold
-    times = t[accept]
-    offsets = np.concatenate(([0], np.cumsum(accept)))[np.concatenate(([0], ends))]
+    kept = np.flatnonzero(accept)
+    del accept
+    times = t[kept]
+    offsets = np.concatenate(([0], np.searchsorted(kept, ends)))
     if marks.kind == "unit":
         z = np.ones(times.size)
     else:

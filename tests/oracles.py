@@ -7,7 +7,8 @@ that the package's numpy rule replaced, the weighted-KS core with one
 `bincount`, one `cumsum` and one index draw per sample that the paired
 core replaced, and the fractional kernel row with `np.modf` and an
 out-of-place K that the in-place row replaced, with the Volterra solve
-built on it; the tests use them as oracles and fixtures.  `fpp_lab`
+built on it, and the drift MLE's Newton lanes with a score call on every
+step; the tests use them as oracles and fixtures.  `fpp_lab`
 keeps one path per concept and does not ship them.
 """
 
@@ -32,6 +33,7 @@ from fpp_lab import (
     log_density,
     phi_lambda_integral,
 )
+from fpp_lab import estimator
 from fpp_lab.kernels import (
     _F_TABLE_INV_H,
     _GL_NODES,
@@ -357,3 +359,52 @@ def solve_phi_volterra_modf(H: float, intensity: IntensitySpec, m1: float, grid:
         w = factors[: i + 1] * fractional_row_modf(H, t, mids[: i + 1])
         psi[i] = (t - w[:i] @ psi[:i]) / w[i]
     return psi / intensity.rate_at(mids)
+
+
+# ---------------------------------------------------------------------------
+# drift MLE
+
+
+def newton_lanes_grad_first(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.ndarray:
+    """`estimator._newton_lanes` with `grad` called on every step, the first included (frozen reference).
+
+    Reads THETA_TOL and MAX_NEWTON_STEPS from `fpp_lab.estimator` at call
+    time, so a test that patches them patches both solvers.
+    """
+    theta_hat = np.zeros(n.size)
+    s0 = np.zeros(n.size)
+    s0[n > 0] = np.add.reduceat(pv, (np.cumsum(n) - n)[n > 0]) if pv.size else 0.0
+    interior = s0 - integral > 0.0
+    ids = np.flatnonzero(interior)
+    if not ids.size:
+        return theta_hat
+    pv = pv[np.repeat(interior, n)]
+    n, s0, integral = n[ids], s0[ids], integral[ids]
+
+    def grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        starts = np.cumsum(n) - n
+        ratio = np.repeat(theta, n)
+        ratio *= pv
+        ratio += 1.0
+        np.divide(pv, ratio, out=ratio)
+        g = np.add.reduceat(ratio, starts) - integral
+        ratio *= ratio
+        return g, -np.add.reduceat(ratio, starts)
+
+    theta = np.zeros(ids.size)
+    g_tol = 1e-11 * np.maximum(1.0, s0)
+    for _ in range(estimator.MAX_NEWTON_STEPS):
+        g, gp = grad(theta)
+        step = g / gp
+        root = g <= 0.0
+        finished = root | ((np.abs(step) <= estimator.THETA_TOL) & (np.abs(g) <= g_tol))
+        theta = np.where(root, theta, theta - step)
+        if finished.any():
+            theta_hat[ids[finished]] = theta[finished]
+            keep = ~finished
+            pv = pv[np.repeat(keep, n)]
+            ids, n, theta, g_tol, integral = (v[keep] for v in (ids, n, theta, g_tol, integral))
+            if not ids.size:
+                return theta_hat
+    theta_hat[ids] = np.nan
+    return theta_hat

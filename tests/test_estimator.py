@@ -25,7 +25,7 @@ from fpp_lab import (
 )
 from fpp_lab import estimator
 
-from oracles import score
+from oracles import newton_lanes_grad_first, score
 
 PHI_ONE = PhiFunction.constant(1.0)
 
@@ -142,6 +142,44 @@ class TestMleSolve:
                 assert abs(fp) <= 1e-8 * min(1.0, phi_lambda_integral(frac_phi, unit_rate, t))
             else:
                 assert fp <= 0.0
+
+
+class TestNewtonLanesMatchFrozen:
+    def test_drift_consistency_blocks(self, monkeypatch, unit_rate, frac_phi):
+        # every lane block of the drift-consistency benchmark run (seed 0), solved with the
+        # default step cap and with caps of 1, 2 and 5 steps, which leave lanes unconverged (NaN)
+        solve, cap = estimator._newton_lanes, estimator.MAX_NEWTON_STEPS
+        unconverged = {1: 0, 2: 0, 5: 0, cap: 0}
+
+        def checking(pv, n, integral):
+            for steps in unconverged:
+                monkeypatch.setattr(estimator, "MAX_NEWTON_STEPS", steps)
+                got = solve(pv, n, integral)
+                assert got.tobytes() == newton_lanes_grad_first(pv, n, integral).tobytes()
+                unconverged[steps] += int(np.isnan(got).sum())
+            return got
+
+        monkeypatch.setattr(estimator, "_newton_lanes", checking)
+        cfg = ConsistencyConfig(
+            intensity=unit_rate,
+            phi=frac_phi,
+            theta_true=1.0,
+            horizons=tuple(np.linspace(50.0, 1000.0, 10)),
+            replicas=1000,
+            seed=0,
+        )
+        consistency_experiment(cfg)
+        assert unconverged[1] >= unconverged[2] > unconverged[5] > unconverged[cap] == 0
+
+    def test_boundary_and_empty_lanes(self):
+        pv = np.array([0.5, 2.0, 1e-300, 3.0, 0.25])
+        n = np.array([0, 2, 1, 0, 2])
+        integral = np.array([0.0, 1.0, 1.0, 0.5, 0.25])
+        got = estimator._newton_lanes(pv, n, integral)
+        assert got.tobytes() == newton_lanes_grad_first(pv, n, integral).tobytes()
+        assert got[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0] and got[1] > 0 and got[4] > 0
+        none = estimator._newton_lanes(np.empty(0), np.zeros(3, dtype=int), np.ones(3))
+        assert none.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestTrajectory:

@@ -188,6 +188,20 @@ class TestSimulateBatch:
             assert np.array_equal(got.marks, want.marks)
             assert batch.describe(i) == f"replica {i} (seed {p['seed'] + i})"
 
+    @pytest.mark.parametrize("horizon", [1.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_drift_regime_rows_equal_per_seed_thinning(self, H, theta, horizon):
+        # the consistency run's tilted rate: dozens of small-mean segments, then means of 10 and more
+        tilted = IntensitySpec.constant(1.0).tilted(theta, phi_fractional(H, 1.0))
+        seed = int(1000 * H + 10 * theta + horizon)
+        for name, marks in MARKS.items():
+            batch = simulate_batch(tilted, marks, horizon, range(seed, seed + 3))
+            for i in range(3):
+                want = oracle_simulate(tilted, marks, horizon, seed + i)
+                assert batch.row(i).jump_times.tobytes() == want.jump_times.tobytes()
+                assert batch.row(i).marks.tobytes() == want.marks.tobytes()
+
     def test_zero_jump_rows_and_one_row(self):
         inten = IntensitySpec.constant(1e-3)
         batch = simulate_batch(inten, MARKS["lognormal"], 1.0, range(40, 52), first_replica=7)

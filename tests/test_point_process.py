@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fpp_lab import (
@@ -16,6 +18,8 @@ from fpp_lab import (
     phi_fractional,
     simulate,
 )
+from fpp_lab import point_process
+from fpp_lab.point_process import POISSON_MULT_MAX, _small_mean_draws, _thinning_majorant
 
 from oracles import path_from_csv
 
@@ -155,6 +159,83 @@ class TestSimulate:
     def test_invalid_horizon(self):
         with pytest.raises(ValidationError):
             simulate(IntensitySpec.constant(1.0), MarkDistributionSpec.unit(), 0.0, 1)
+
+
+def per_segment_draws(rng, means):
+    """(segment, count, uniforms) from one `poisson` and one `random(2 n)` call per segment."""
+    drawn = []
+    for k, mean in enumerate(means):
+        n = rng.poisson(mean)
+        if n:
+            drawn.append((k, n, rng.random(2 * n)))
+    return drawn
+
+
+class TestSmallMeanDraws:
+    """The one-block replay of numpy's multiplication method is pinned to the per-segment stream.
+
+    This depends on numpy internals: `Generator.poisson` below mean 10
+    multiplies uniforms from the generator's `next_double` until the product
+    is no longer above exp(-mean), and `Generator.random` takes its uniforms
+    from the same `next_double`.
+    """
+
+    def assert_same_stream(self, means, seed, block):
+        floors = tuple(math.exp(-m) for m in means)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _small_mean_draws(rng, floors, block)
+        want = per_segment_draws(ref, means)
+        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in want]
+        for (_, n, u), (_, _, v) in zip(got, want):
+            assert u.tobytes() == v.tobytes()  # the n times, then the n acceptance draws
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("mean", [1e-300, 1e-9, 0.5, 9.999999])
+    def test_constant_means(self, mean):
+        for length in range(2, 61):
+            for seed in range(3):
+                self.assert_same_stream([mean] * length, 1000 * length + seed, length + 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(1e-300, 9.999999), min_size=2, max_size=60),
+        st.integers(0, 2**32),
+        st.integers(1, 200),
+    )
+    def test_mixed_means_and_block_sizes(self, means, seed, block):
+        self.assert_same_stream(means, seed, block)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_overrun_extends_the_block(self, block):
+        # 40 segments of mean 9.9 use about 1 230 uniforms, well past the first block
+        for seed in range(5):
+            self.assert_same_stream([9.9] * 40, seed, block)
+
+    def test_drift_majorant_prefix(self):
+        # the drift-consistency majorant: 48 segments, of which the first 41 have mean below 10
+        inten = IntensitySpec.constant(1.0).tilted(1.0, phi_fractional(0.7, 1.0))
+        _, means, floors, block = _thinning_majorant(inten, 1000.0)
+        assert len(means) == 48 and len(floors) == 41
+        assert floors == tuple(math.exp(-m) for m in means[:41]) and not means[41] < POISSON_MULT_MAX
+        for seed in range(20):
+            self.assert_same_stream(means[:41], seed, block)
+
+    def test_one_segment_never_replays(self, monkeypatch):
+        def replay(*args):
+            raise AssertionError("a one-segment majorant took the replay")
+
+        monkeypatch.setattr(point_process, "_small_mean_draws", replay)
+        marks = MarkDistributionSpec.unit()
+        for rate, horizon in [(2.0, 1.0), (1e-9, 5.0), (0.5, 3.0)]:  # every mean below 10
+            inten = IntensitySpec.constant(rate)
+            assert _thinning_majorant(inten, horizon)[2] == ()
+            simulate(inten, marks, horizon, 3)
+        # a phi-scaled majorant over a horizon whose first half already holds mass below 1e-9
+        inten = IntensitySpec.scaled_by_phi(1.0, 1.0, PhiFunction.constant(1.0))
+        assert len(_thinning_majorant(inten, 1e-10)[1]) == 1
+        assert _thinning_majorant(inten, 1e-10)[2] == ()
+        simulate(inten, marks, 1e-10, 3)
 
 
 class TestIntegratedIntensity:
