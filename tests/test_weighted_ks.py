@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fpp_lab import ValidationError, ks_bootstrap_threshold, weighted_ks_statistic
+from fpp_lab import weighted_ks
 from fpp_lab.weighted_ks import DRAW_BLOCK
 from oracles import ks_statistic_two_cumsums, ks_threshold_two_draws
 
@@ -69,7 +72,7 @@ weights = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
 
 
 @st.composite
-def weighted_samples(draw):
+def weighted_samples(draw, weights=weights):
     n = draw(st.integers(1, 40))
     m = draw(st.integers(1, 40))
     x = np.array(draw(st.lists(values, min_size=n, max_size=n)))
@@ -275,20 +278,51 @@ class SpyGenerator:
         return self.rng.integers(low, high, size)
 
 
+class ExactPathSpy:
+    """Counts the resamples whose exact statistic `ks_bootstrap_threshold` computes, and keeps the last one's weights."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, bins, w, k):
+        self.calls += 1
+        self.weights = w
+        return self.ks(bins, w, k)
+
+    def __enter__(self):
+        self.ks = weighted_ks._ks
+        self.patch = mock.patch.object(weighted_ks, "_ks", self)
+        self.patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.stop()
+
+
+def tied_pool(seed):
+    """2 000 + 2 000 values, 30-35 % of each tied at 0.0 as zero-jump paths are, the first weighted."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=2000), rng.normal(size=2000)
+    x[rng.random(2000) < 0.35] = 0.0
+    y[rng.random(2000) < 0.3] = 0.0
+    return x, np.exp(rng.normal(0.0, 0.3, 2000)), y, np.ones(2000)
+
+
 class TestMatchesFrozenCore:
-    """The paired bins, the complex cumsum and the block draws change no bit.
+    """The paired bins, the complex cumsum, the block draws and the skipped resamples change no bit.
 
     The reference is the frozen core with one bincount, one cumsum and one
-    index draw per half: statistic and threshold must be equal (==), and
-    the generator must end in the same state.
+    index draw per half, and an exact statistic for every resample:
+    statistic and threshold must be equal (==), and the generator must end
+    in the same state.
     """
 
     @staticmethod
-    def assert_identical(x, wx, y, wy, n_boot, seed):
+    def assert_identical(x, wx, y, wy, n_boot, seed, level=0.05):
         assert outcome(weighted_ks_statistic, x, wx, y, wy) == outcome(ks_statistic_two_cumsums, x, wx, y, wy)
         ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ours = outcome(ks_bootstrap_threshold, x, wx, y, wy, n_boot, 0.05, ours_rng)
-        ref = outcome(ks_threshold_two_draws, x, wx, y, wy, n_boot, 0.05, ref_rng)
+        ours = outcome(ks_bootstrap_threshold, x, wx, y, wy, n_boot, level, ours_rng)
+        ref = outcome(ks_threshold_two_draws, x, wx, y, wy, n_boot, level, ref_rng)
         assert ours == ref
         if ours is not ValidationError:
             # after an error the generator may be up to one block ahead
@@ -298,6 +332,61 @@ class TestMatchesFrozenCore:
     @settings(max_examples=200, deadline=None)
     def test_fuzzed(self, samples, seed, n_boot):
         self.assert_identical(*samples, n_boot, seed)
+
+    @given(
+        # mostly positive weights, so that most resamples pass and the bound gets to skip some
+        weighted_samples(st.floats(0.0, 5.0)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 400),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([1, 2, 5, weighted_ks.G]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_levels_and_runs(self, samples, seed, n_boot, level, g):
+        # small runs make the bound tight on these small pools, so resamples are skipped
+        with mock.patch.object(weighted_ks, "G", g):
+            self.assert_identical(*samples, n_boot, seed, level)
+
+    @pytest.mark.parametrize("level", [0.01, 0.05, 0.5])
+    def test_law_check_sized_pool_skips_resamples(self, level):
+        x, wx, y, wy = tied_pool(11)
+        with ExactPathSpy() as spy:
+            self.assert_identical(x, wx, y, wy, 1000, 2, level)
+        if level == 0.01:
+            assert spy.calls - 1 < 250  # one call is the statistic's
+
+    @pytest.mark.parametrize(
+        ("scale", "all_exact"),
+        [
+            pytest.param(lambda w: w * 2.0**990, True, id="every-half-total-above-2**1000"),
+            pytest.param(lambda w: np.append(2.0**1001, w[1:]), False, id="one-weight-above-2**1000"),
+        ],
+    )
+    def test_totals_above_2_to_the_1000_take_the_exact_path(self, scale, all_exact):
+        x, wx, y, wy = tied_pool(12)
+        with ExactPathSpy() as spy:
+            self.assert_identical(x, scale(wx), y, scale(wy), 200, 3, 0.01)
+        assert (spy.calls - 1 == 200) == all_exact  # one call is the statistic's
+
+    def test_zero_total_raises_in_the_same_resample(self):
+        # P(both second-half draws hit a zero weight) = 1/404: with seed 2 the
+        # first such resample is number 290, after the bound has skipped most earlier ones
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=400), rng.normal(size=2)
+        wts = np.ones(402)
+        wts[:20] = 0.0
+        per = DRAW_BLOCK // 402
+        draws = np.random.default_rng(2)
+        rows = np.concatenate([draws.integers(0, 402, (per, 402)) for _ in range(2)])
+        bad = np.flatnonzero(wts[rows[:, 400:]].sum(axis=1) == 0.0)[0]
+        assert bad == 289
+        with ExactPathSpy() as spy:
+            with pytest.raises(ValidationError):
+                ks_bootstrap_threshold(x, wts[:400], y, wts[400:], 400, 0.01, np.random.default_rng(2))
+        with pytest.raises(ValidationError):
+            ks_threshold_two_draws(x, wts[:400], y, wts[400:], 400, 0.01, np.random.default_rng(2))
+        assert spy.calls < bad + 1
+        assert np.array_equal(spy.weights, wts[rows[bad]])
 
     def test_law_check_sized_ties(self):
         # 2 000 + 2 000 values draw 16 resamples per block; 37 is not a multiple
