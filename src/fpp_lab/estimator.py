@@ -9,8 +9,10 @@ and otherwise the unique positive root of
 
     sum_{T_j <= t} phi(T_j) / (1 + theta phi(T_j)) = int_0^t phi(s) lambda(s) ds,
 
-found by monotone Newton iteration from theta = 0, run for many (path, time)
-lanes at once by `mle_solve_batch`.  Between consecutive jumps the estimator
+found by Newton iteration from theta = 0 on 1/S - 1/integral, S being the
+left side: 1/S is increasing and concave in theta, so the iterates rise
+monotonically to the root.  `mle_solve_batch` runs it for many (path, time)
+lanes at once.  Between consecutive jumps the estimator
 trajectory is nonincreasing (the left side is frozen while the right side
 grows), which `monotonicity_violations` checks on traces.
 """
@@ -87,24 +89,32 @@ def _lane_jumps(starts: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.ndarray:
-    """Root theta >= 0 of sum phi_j / (1 + theta phi_j) = integral, lane by lane.
+    """Root theta >= 0 of S(theta) = sum phi_j / (1 + theta phi_j) = integral, lane by lane.
 
     ``pv`` holds phi at the jumps of lane 0, then of lane 1, and so on, and
     ``n`` the number of jumps of each lane; `np.add.reduceat` sums per lane.
-    A lane whose score at 0 is <= 0 has its maximizer at the boundary 0.
-    Every other lane takes plain Newton steps from theta = 0: its score is
-    strictly decreasing and convex, so the iterates rise monotonically to the
-    root.  At theta = 0 the ratio phi_j / (1 + theta phi_j) is phi_j itself,
-    so the first step takes the score s0 - integral from the per-lane sums
-    s0 already formed and the slope -sum phi_j^2 from one `reduceat`, bit
-    for bit what `grad(0)` would return, and `grad` serves the later steps.
+    A lane whose score S(0) - integral is <= 0 has its maximizer at the
+    boundary 0.  Every other lane takes Newton steps from theta = 0 on the
+    reciprocal score 1/S - 1/integral, which are
+    theta <- theta + S (S - integral) / (integral s2) with
+    s2 = sum (phi_j / (1 + theta phi_j))^2: the plain Newton step on
+    S - integral times S / integral >= 1, from the same two sums.
+    1/S = 1 / sum_j 1 / (1/phi_j + theta) is the parallel sum of positive
+    affine functions of theta, so it is increasing and concave (the harmonic
+    mean is concave), and the iterates rise monotonically to the root without
+    passing it; for a constant phi the first step lands on it.  At theta = 0
+    the ratio phi_j / (1 + theta phi_j) is phi_j itself, so the first step
+    takes S from the per-lane sums s0 already formed and s2 from one
+    `reduceat` of phi_j^2, bit for bit what `grad(0)` would return, and
+    `grad` serves the later steps.
     A lane stops when the step is below THETA_TOL and the score below
     1e-11 max(1, sum phi_j), or when the score is <= 0, which only rounding
     brings about: that iterate is the root to working precision, and a step
     could only leave it (the rounding of a root near 1e6 or above already
     exceeds the absolute THETA_TOL).  Lanes leave the arrays as they finish,
     so an iteration costs only the active ones; a lane still active after
-    MAX_NEWTON_STEPS steps comes back as NaN.
+    MAX_NEWTON_STEPS steps comes back as NaN, and so does a lane whose step
+    is not finite: its root lies past the largest double, or s2 underflowed.
     """
     theta_hat = np.zeros(n.size)
     s0 = np.zeros(n.size)
@@ -118,25 +128,30 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
         n, s0, integral = n[ids], s0[ids], integral[ids]
 
     def grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # phi_j / (1 + theta phi_j) and its square, built in place in one buffer
+        # S and s2 from phi_j / (1 + theta phi_j) and its square, built in place in one buffer
         starts = np.cumsum(n) - n
         ratio = np.repeat(theta, n)
         ratio *= pv
         ratio += 1.0
         np.divide(pv, ratio, out=ratio)
-        g = np.add.reduceat(ratio, starts) - integral
+        s = np.add.reduceat(ratio, starts)
         ratio *= ratio
-        return g, -np.add.reduceat(ratio, starts)
+        return s, np.add.reduceat(ratio, starts)
 
     theta = np.zeros(ids.size)
     g_tol = 1e-11 * np.maximum(1.0, s0)
     for k in range(MAX_NEWTON_STEPS):
-        g, gp = grad(theta) if k else (s0 - integral, -np.add.reduceat(pv * pv, np.cumsum(n) - n))
-        step = g / gp  # gp < 0: every interior lane has a jump with phi > 0
+        s, s2 = grad(theta) if k else (s0, np.add.reduceat(pv * pv, np.cumsum(n) - n))
+        g = s - integral
+        # a step that overflows or divides by 0 ends its lane as NaN below, with no warning
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = s * g / (integral * s2)
         root = g <= 0.0  # no exact iterate passes the root: this one is on it up to rounding
-        finished = root | ((np.abs(step) <= THETA_TOL) & (np.abs(g) <= g_tol))
-        theta = np.where(root, theta, theta - step)
+        theta = np.where(root, theta, theta + step)
+        lost = ~np.isfinite(theta)  # a root past the largest double, or s2 underflowed to 0
+        finished = root | lost | ((np.abs(step) <= THETA_TOL) & (np.abs(g) <= g_tol))
         if finished.any():
+            theta[lost] = np.nan
             theta_hat[ids[finished]] = theta[finished]
             if finished.all():
                 return theta_hat

@@ -8,8 +8,9 @@ that the package's numpy rule replaced, the weighted-KS core with one
 core replaced, and the fractional kernel row with `np.modf` and an
 out-of-place K that the in-place row replaced, with the Volterra solve
 built on it, and the drift MLE's Newton lanes with a score call on every
-step; the tests use them as oracles and fixtures.  `fpp_lab`
-keeps one path per concept and does not ship them.
+step, both on the reciprocal score and as the plain Newton steps on the
+score that it replaced; the tests use them as oracles and fixtures.
+`fpp_lab` keeps one path per concept and does not ship them.
 """
 
 from __future__ import annotations
@@ -367,6 +368,60 @@ def solve_phi_volterra_modf(H: float, intensity: IntensitySpec, m1: float, grid:
 
 def newton_lanes_grad_first(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.ndarray:
     """`estimator._newton_lanes` with `grad` called on every step, the first included (frozen reference).
+
+    Newton steps on the reciprocal score 1/S - 1/integral.  Reads THETA_TOL
+    and MAX_NEWTON_STEPS from `fpp_lab.estimator` at call time, so a test
+    that patches them patches both solvers.
+    """
+    theta_hat = np.zeros(n.size)
+    s0 = np.zeros(n.size)
+    s0[n > 0] = np.add.reduceat(pv, (np.cumsum(n) - n)[n > 0]) if pv.size else 0.0
+    interior = s0 - integral > 0.0
+    ids = np.flatnonzero(interior)
+    if not ids.size:
+        return theta_hat
+    pv = pv[np.repeat(interior, n)]
+    n, s0, integral = n[ids], s0[ids], integral[ids]
+
+    def grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        starts = np.cumsum(n) - n
+        ratio = np.repeat(theta, n)
+        ratio *= pv
+        ratio += 1.0
+        np.divide(pv, ratio, out=ratio)
+        s = np.add.reduceat(ratio, starts)
+        ratio *= ratio
+        return s, np.add.reduceat(ratio, starts)
+
+    theta = np.zeros(ids.size)
+    g_tol = 1e-11 * np.maximum(1.0, s0)
+    for _ in range(estimator.MAX_NEWTON_STEPS):
+        s, s2 = grad(theta)
+        g = s - integral
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = s * g / (integral * s2)
+        root = g <= 0.0
+        theta = np.where(root, theta, theta + step)
+        lost = ~np.isfinite(theta)
+        finished = root | lost | ((np.abs(step) <= estimator.THETA_TOL) & (np.abs(g) <= g_tol))
+        theta[lost] = np.nan
+        if finished.any():
+            theta_hat[ids[finished]] = theta[finished]
+            keep = ~finished
+            pv = pv[np.repeat(keep, n)]
+            ids, n, theta, g_tol, integral = (v[keep] for v in (ids, n, theta, g_tol, integral))
+            if not ids.size:
+                return theta_hat
+    theta_hat[ids] = np.nan
+    return theta_hat
+
+
+def newton_lanes_plain(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.ndarray:
+    """Plain Newton steps theta <- theta - g / g' on the score g = S - integral (frozen reference).
+
+    The drift MLE's iteration before it stepped on the reciprocal score,
+    with `grad` called on every step, the first included; the same root to
+    rounding, reached in more steps.
 
     Reads THETA_TOL and MAX_NEWTON_STEPS from `fpp_lab.estimator` at call
     time, so a test that patches them patches both solvers.

@@ -411,6 +411,37 @@ class TestRunExperiments:
         assert re.match(message, err["error"]["message"])
         assert not (out / "run_summary.json").exists()
 
+    @pytest.mark.parametrize("integral, code", [(1e-100, 0), (1e-310, 2)])
+    def test_extreme_mle_roots_exit_through_contract(self, tmp_path, capsys, monkeypatch, integral, code):
+        # int phi lambda replaced by a tiny value: the roots are about N_t / integral, found at
+        # 1e-100 and past the largest double at 1e-310, where the run exits 2; no warning either way
+        monkeypatch.setattr(estimator, "phi_lambda_integral", lambda phi, intensity, t: integral)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "estimate",
+                "kernel": {"kind": "fractional", "H": 0.7},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "horizon": 20.0,
+                "theta_true": 1.0,
+                "replicas": 3,
+                "seed": 5,
+                "output_path": str(out),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert json.loads(err)["error"]["type"] == "NumericsError"
+        else:
+            assert not err
+            assert float(json.loads((out / "run_summary.json").read_text())["headline"]["mean_theta_hat"]) > 1e100
+
     def test_non_finite_tabulated_cell_exits_1(self, tmp_path, capsys):
         # K = e^-(t-s) below the diagonal with one non-finite cell, rejected
         # when the table is loaded, so by `validate` too
