@@ -155,13 +155,13 @@ def _fp_guard(stage: str):
         raise NumericsError(f"{stage}: {exc}") from exc
 
 
-def parse_h_spec(obj: dict) -> tuple[float, str]:
+def parse_h_spec(obj: dict) -> tuple[float, bool]:
+    """The shift's scale, and whether it names phi_source "closed_form", which rejects a tabulated kernel."""
     _check_keys(obj, {"scale", "phi_source"}, "h_spec")
     scale = _number(obj, "scale", "h_spec")
-    source = obj.get("phi_source", "closed_form")
-    if source not in ("closed_form", "volterra"):
-        raise ValidationError(f"h_spec.phi_source must be closed_form or volterra, got {source!r}")
-    return scale, source
+    if obj.get("phi_source", "closed_form") != "closed_form":
+        raise ValidationError(f"h_spec.phi_source must be closed_form, got {obj['phi_source']!r}")
+    return scale, "phi_source" in obj
 
 
 class ResolvedConfig:
@@ -196,9 +196,7 @@ class ResolvedConfig:
         self.replicas = _integer(raw, "replicas", "config", required="replicas" in need, default=1)
         if self.replicas < 1:
             raise ValidationError("replicas must be >= 1")
-        self.h_scale, self.phi_source = (
-            parse_h_spec(raw["h_spec"]) if "h_spec" in raw else (None, "closed_form")
-        )
+        self.h_scale, closed_form = parse_h_spec(raw["h_spec"]) if "h_spec" in raw else (None, False)
 
         intensity_obj = _require(raw, "intensity")
         _check_keys(intensity_obj, {"kind", "base_rate", "theta"}, "intensity")
@@ -224,7 +222,7 @@ class ResolvedConfig:
             )
         # what the library rejects only once phi is built or paths are drawn, in the library's words
         builds_phi = exp not in ("simulate", "solve-phi") or self.intensity_kind == "scaled-by-phi"
-        if builds_phi and self.phi_source == "closed_form" and self.kernel.kind == "tabulated":
+        if builds_phi and closed_form and self.kernel.kind == "tabulated":
             raise ValidationError("no closed-form phi for kernel kind 'tabulated'")
         if exp == "verify-girsanov" and not self.kernel.diagonal_degenerate:
             needs = "equality in law requires a diagonal-degenerate kernel (K(t,t) = 0)"
@@ -261,8 +259,8 @@ class ResolvedConfig:
 
     def phi(self) -> PhiFunction:
         horizon = self.horizon if self.horizon is not None else float(self.grid[-1])
-        with _fp_guard("phi solve"):
-            return calibration_phi(self.kernel, self.base_intensity, self.marks.mean, horizon, self.phi_source)
+        with _fp_guard("phi solve or residual check"):
+            return calibration_phi(self.kernel, self.base_intensity, self.marks.mean, horizon)
 
 
 def _summary(cfg: ResolvedConfig, artifacts: list[str], headline: dict, passed: bool) -> dict:

@@ -42,6 +42,9 @@ MAX_NEWTON_STEPS = 200
 #: rise of theta_hat over one grid step without a jump that counts as a
 #: monotonicity violation
 MONOTONE_TOL = 1e-9
+#: Newton lanes solve on phi scaled down when a lane's phi sum s0 exceeds this
+#: cube root of the largest double, since its s2 <= s0^2 and integral * s2 < s0^3
+PHI_SUM_MAX = np.finfo(float).max ** (1.0 / 3.0)
 
 
 def mle_solve_batch(batch: PathBatch, phi: PhiFunction, intensity: IntensitySpec, times) -> np.ndarray:
@@ -115,17 +118,43 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
     so an iteration costs only the active ones; a lane still active after
     MAX_NEWTON_STEPS steps comes back as NaN, and so does a lane whose step
     is not finite: its root lies past the largest double, or s2 underflowed.
+    The root maps to c theta under phi -> phi / c, integral -> integral / c:
+    a lane whose sum of phi exceeds PHI_SUM_MAX solves on phi / c and
+    integral / c, with both tolerances scaled to match, c being the power of
+    2 that brings its sum below the bound, so the division is exact and the
+    lane takes the steps it would take with no overflow.  A lane whose sum
+    overflowed takes a non-finite first step and comes back as NaN, and so
+    does a scaled lane whose theta phi_max, which scaling leaves as it is,
+    lies past the largest double: 1 + theta phi_j overflowed on the way.
     """
-    theta_hat = np.zeros(n.size)
+    starts = (np.cumsum(n) - n)[n > 0]
     s0 = np.zeros(n.size)
-    s0[n > 0] = np.add.reduceat(pv, (np.cumsum(n) - n)[n > 0]) if pv.size else 0.0
+    with np.errstate(over="ignore"):  # a lane whose sum overflows ends as NaN below
+        s0[n > 0] = np.add.reduceat(pv, starts) if pv.size else 0.0
+    big = s0 > PHI_SUM_MAX
+    if not big.any():
+        return _newton_steps(pv, n, integral, s0, 1.0)
+    c = np.ldexp(1.0, np.where(big, np.frexp(s0 / PHI_SUM_MAX)[1], 0))  # frexp gives inf the exponent 0
+    pv, integral, s0 = pv / np.repeat(c, n), integral / c, s0 / c
+    peak = np.zeros(n.size)
+    peak[n > 0] = np.maximum.reduceat(pv, starts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = _newton_steps(pv, n, integral, s0, c)
+        theta[~np.isfinite(theta * peak)] = np.nan
+    return theta / c
+
+
+def _newton_steps(pv: np.ndarray, n: np.ndarray, integral: np.ndarray, s0: np.ndarray, c) -> np.ndarray:
+    """`_newton_lanes` past its scaling: s0 holds the lane sums of pv, and c (per lane) scales both tolerances."""
+    theta_hat = np.zeros(n.size)
+    g_tol, theta_tol = 1e-11 * np.maximum(1.0 / c, s0), np.full(n.size, THETA_TOL) * c
     interior = s0 - integral > 0.0  # the other lanes' maximizer is the boundary 0
     ids = np.flatnonzero(interior)
     if not ids.size:
         return theta_hat
     if ids.size < n.size:
         pv = pv[np.repeat(interior, n)]
-        n, s0, integral = n[ids], s0[ids], integral[ids]
+        n, s0, integral, g_tol, theta_tol = (v[ids] for v in (n, s0, integral, g_tol, theta_tol))
 
     def grad(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # S and s2 from phi_j / (1 + theta phi_j) and its square, built in place in one buffer
@@ -139,7 +168,6 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
         return s, np.add.reduceat(ratio, starts)
 
     theta = np.zeros(ids.size)
-    g_tol = 1e-11 * np.maximum(1.0, s0)
     for k in range(MAX_NEWTON_STEPS):
         s, s2 = grad(theta) if k else (s0, np.add.reduceat(pv * pv, np.cumsum(n) - n))
         g = s - integral
@@ -149,7 +177,7 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
         root = g <= 0.0  # no exact iterate passes the root: this one is on it up to rounding
         theta = np.where(root, theta, theta + step)
         lost = ~np.isfinite(theta)  # a root past the largest double, or s2 underflowed to 0
-        finished = root | lost | ((np.abs(step) <= THETA_TOL) & (np.abs(g) <= g_tol))
+        finished = root | lost | ((np.abs(step) <= theta_tol) & (np.abs(g) <= g_tol))
         if finished.any():
             theta[lost] = np.nan
             theta_hat[ids[finished]] = theta[finished]
@@ -157,7 +185,7 @@ def _newton_lanes(pv: np.ndarray, n: np.ndarray, integral: np.ndarray) -> np.nda
                 return theta_hat
             keep = ~finished
             pv = pv[np.repeat(keep, n)]
-            ids, n, theta, g_tol, integral = (v[keep] for v in (ids, n, theta, g_tol, integral))
+            ids, n, theta, g_tol, theta_tol, integral = (v[keep] for v in (ids, n, theta, g_tol, theta_tol, integral))
     theta_hat[ids] = np.nan
     return theta_hat
 

@@ -8,22 +8,23 @@ For the fractional kernel psi has the closed form
     psi(s) = Gamma(3/2 - H) / Gamma(2 - 2H) * s^(1/2 - H) / m1,
 
 which is in L1 for H in (1/2, 1); under a constant rate the exponential and
-indicator kernels give an affine phi.  `calibration_phi` builds phi from a
-closed form or from a Volterra solve.  The solve discretizes the equation
-for psi by the product-midpoint rule: panels [0, g_0], [g_0, g_1], ...
-between the supplied grid nodes (plus the initial panel down to 0), one
-unknown psi_j per panel midpoint, one equation per grid node, and the
-lower-triangular system is solved by forward substitution.
+indicator kernels give an affine phi.  `calibration_phi` takes these closed
+forms, and a checked Volterra solve for a tabulated kernel.  The solve
+discretizes the equation for psi by the product-midpoint rule: panels
+[0, g_0], [g_0, g_1], ... between the supplied grid nodes (plus the initial
+panel down to 0), one unknown psi_j per panel midpoint, one equation per
+grid node, and the lower-triangular system is solved by forward
+substitution.
 
 First-kind equations are ill-posed; no regularization is applied, so grid
 choice matters.  For diagonal-degenerate kernels a power-graded mesh
 (`power_grid`) keeps the scheme stable and resolves the origin
 singularity.  The residual check (`check_residuals`, at the nodes that
-`residual_spots` picks) runs after the `solve-phi` experiment's solve; the
-Volterra phi of the other CLI experiments is not checked.  Near the origin
-the first panel's unknown is a kernel-weighted panel average, so for
-singular phi the returned values carry an O(1) relative startup error below
-the first grid node; accuracy on the grid span is what the solver
+`residual_spots` picks) runs after every solve of a CLI experiment:
+`solve-phi`'s and `calibration_phi`'s.  Near the origin the first panel's
+unknown is a kernel-weighted panel average, so for singular phi the
+returned values carry an O(1) relative startup error below the first grid
+node; accuracy on the grid span is what the solver
 advertises (see `SOLVER_RTOL`).
 """
 
@@ -182,18 +183,14 @@ def power_grid(stop: float, count: int) -> np.ndarray:
     return stop * (np.arange(1, count + 1) / count) ** 2.0
 
 
-def calibration_phi(
-    kernel: KernelSpec, intensity: IntensitySpec, m1: float, horizon: float, source: str
-) -> PhiFunction:
+def calibration_phi(kernel: KernelSpec, intensity: IntensitySpec, m1: float, horizon: float) -> PhiFunction:
     """Calibration function for `kernel` under the constant rate `intensity`.
 
-    "volterra" solves the equation on `power_grid(horizon, 2000)`; any other
-    source takes the closed form of the three analytic kernels (the affine
-    exponential and indicator forms are exact on a 2-node grid) and raises
-    ValidationError for a tabulated kernel.
+    The three analytic kernels take their closed forms (the affine
+    exponential and indicator forms are exact on a 2-node grid).  A tabulated
+    kernel is solved on `power_grid(horizon, 2000)`, and the solve must pass
+    `check_residuals` (NumericsError otherwise).
     """
-    if source == "volterra":
-        return solve_phi_volterra(kernel, intensity, m1, power_grid(horizon, 2000))
     lam = intensity.base_rate * m1
     if kernel.kind == "fractional":
         return phi_fractional(kernel.H, lam)
@@ -202,7 +199,10 @@ def calibration_phi(
     if kernel.kind == "exp_shot_noise":
         nodes = np.array([0.0, horizon])
         return PhiFunction(kind="grid", nodes=nodes, values=(1.0 + kernel.a * nodes) / lam)
-    raise ValidationError(f"no closed-form phi for kernel kind {kernel.kind!r}")
+    grid = power_grid(horizon, 2000)
+    phi = solve_phi_volterra(kernel, intensity, m1, grid)
+    check_residuals(phi, kernel, intensity, m1, grid)
+    return phi
 
 
 def solve_phi_volterra(

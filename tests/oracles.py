@@ -9,7 +9,8 @@ core replaced, and the fractional kernel row with `np.modf` and an
 out-of-place K that the in-place row replaced, with the Volterra solve
 built on it, and the drift MLE's Newton lanes with a score call on every
 step, both on the reciprocal score and as the plain Newton steps on the
-score that it replaced; the tests use them as oracles and fixtures.
+score that it replaced, and a tabulated exponential kernel; the tests use
+them as oracles and fixtures.
 `fpp_lab` keeps one path per concept and does not ship them.
 """
 
@@ -250,6 +251,20 @@ def phi_from_csv(path) -> PhiFunction:
     """Read a grid phi written by `PhiFunction.to_csv`."""
     arr = read_csv(path, "s,phi")
     return PhiFunction(kind="grid", nodes=arr[:, 0], values=arr[:, 1])
+
+
+def write_exponential_table(path, stop: float, count: int):
+    """Write K(t, s) = e^-(t-s) as "t,s,value" rows on `count` t-nodes up to `stop`; return `path`.
+
+    The s-nodes lie half a step below the t-nodes, as in
+    `test_tabulated_kernel_round_trip`, so the table is not 0 on a common
+    t = s lattice, and above the diagonal it holds the smooth continuation, so
+    bilinear interpolation stays accurate next to it.
+    """
+    tg = np.linspace(stop / count, stop, count)
+    sg = tg - 0.5 * tg[0]
+    write_csv(path, "t,s,value", ((t, s, math.exp(s - t)) for t in tg.tolist() for s in sg.tolist()))
+    return path
 
 
 # ---------------------------------------------------------------------------

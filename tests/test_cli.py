@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import pytest
 from fpp_lab import IntensitySpec, KernelSpec, cli, estimator, volterra_residuals
 from fpp_lab.cli import main
 from fpp_lab.phi_solver import calibration_phi
+
+from oracles import write_exponential_table
 
 
 def write_config(tmp_path: Path, name: str, cfg: dict) -> Path:
@@ -122,7 +125,7 @@ class TestRunSimulate:
     ids=["exp_shot_noise", "indicator", "fractional"],
 )
 def test_closed_form_phi_solves_the_calibration_equation(kernel, b, m1):
-    phi = calibration_phi(kernel, IntensitySpec.constant(b), m1, 5.0, "closed_form")
+    phi = calibration_phi(kernel, IntensitySpec.constant(b), m1, 5.0)
     times = [0.01, 0.5, 1.0, 3.0, 5.0]
     assert volterra_residuals(phi, kernel, IntensitySpec.constant(b), m1, times).max() <= 1e-10
 
@@ -442,6 +445,56 @@ class TestRunExperiments:
             assert not err
             assert float(json.loads((out / "run_summary.json").read_text())["headline"]["mean_theta_hat"]) > 1e100
 
+    def test_huge_phi_mle_lanes_do_not_overflow(self, tmp_path, capsys):
+        # base_rate 1e-160 makes phi about 1e160 at the jumps: sum phi^2 overflowed, and the run
+        # printed a numpy overflow warning and exited 2; at 1e-150 it passed
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "estimate",
+                "kernel": {"kind": "fractional", "H": 0.7},
+                "intensity": {"kind": "constant", "base_rate": 1e-160},
+                "marks": {"kind": "unit"},
+                "horizon": 10.0,
+                "theta_true": 1.0,
+                "replicas": 20,
+                "seed": 0,
+                "output_path": str(out),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg)]) == 0
+        assert not capsys.readouterr().err
+        assert abs(json.loads((out / "run_summary.json").read_text())["headline"]["mean_theta_hat"] - 1.0) < 0.3
+
+    def test_mle_lanes_whose_phi_sum_overflows_exit_2(self, tmp_path, capsys):
+        # indicator phi = 1 / base_rate is about 1e307, so a lane's sum of phi overflows to
+        # inf although each phi is finite: that lane is NaN and the run exits 2, not a traceback
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "estimate",
+                "kernel": {"kind": "indicator"},
+                "intensity": {"kind": "constant", "base_rate": 1e-307},
+                "marks": {"kind": "unit"},
+                "horizon": 10.0,
+                "theta_true": 1.0,
+                "replicas": 20,
+                "seed": 0,
+                "output_path": str(tmp_path / "o"),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "NumericsError"
+        assert "the drift MLE did not converge" in err["error"]["message"]
+
     def test_non_finite_tabulated_cell_exits_1(self, tmp_path, capsys):
         # K = e^-(t-s) below the diagonal with one non-finite cell, rejected
         # when the table is loaded, so by `validate` too
@@ -479,16 +532,17 @@ class TestRunExperiments:
         # subnormal values: every draw passes (0) or fails with one JSON
         # record, and no overflow warning escapes.  solve-phi only passes or
         # fails as a numerical failure (2).  The first 20 draws also go
-        # through the Volterra phi of trajectory and consistency; two of them
-        # leaked overflow warnings from that solve and from the expected jump
-        # count of the phi-tilted rate.
-        volterra = {"h_spec": {"scale": 0.5, "phi_source": "volterra"}, "horizon": 2.0, "theta_true": 0.5}
+        # through the Volterra phi of trajectory and consistency, which is
+        # checked: each fails its solve or its residual check (2).  Before
+        # the check, two of them leaked overflow warnings from that solve and
+        # from the expected jump count of the phi-tilted rate.
+        volterra = {"horizon": 2.0, "theta_true": 0.5}
         inputs = [
             ({"experiment": "solve-phi", "grid": {"start": 0.5, "stop": 2.0, "count": 4}}, 400, {0, 2}),
             (
                 {"experiment": "trajectory", "grid": {"start": 0.5, "stop": 2.0, "count": 4}, **volterra},
                 20,
-                {0, 1, 2},
+                {2},
             ),
             (
                 {
@@ -498,7 +552,7 @@ class TestRunExperiments:
                     **volterra,
                 },
                 20,
-                {1, 2, 3},
+                {2},
             ),
         ]
         cells = [(t, s) for t in (0.5, 1.0, 2.0) for s in (0.0, 0.5, 1.0, 2.0)]
@@ -555,6 +609,112 @@ class TestRunExperiments:
         )
         assert main(["run", str(cfg)]) == 0
         assert (out / "path.csv").exists()
+
+
+class TestPhiFollowsTheKernelKind:
+    """phi is the closed form of an analytic kernel, and a checked Volterra solve of a tabulated one."""
+
+    @pytest.mark.parametrize(
+        "experiment, artifact",
+        [
+            ("estimate", "estimates.csv"),
+            ("trajectory", "trace.csv"),
+            ("consistency", "consistency_report.json"),
+            ("simulate", "path_0000.csv"),
+        ],
+    )
+    def test_tabulated_kernel_needs_no_h_spec(self, tmp_path, capsys, experiment, artifact):
+        # these exited 1 with "no closed-form phi" unless h_spec named the Volterra source
+        out = tmp_path / "out"
+        raw = {
+            "experiment": experiment,
+            "kernel": {"kind": "tabulated", "path": str(write_exponential_table(tmp_path / "k.csv", 20.0, 100))},
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "horizon": 20.0,
+            "grid": {"start": 5.0, "stop": 20.0, "count": 2},
+            "theta_true": 0.5,
+            "replicas": 20,
+            "seed": 0,
+            "output_path": str(out),
+        }
+        if experiment == "simulate":
+            raw.update(intensity={"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 0.5}, replicas=2)
+            del raw["grid"], raw["theta_true"]
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["run", str(cfg)]) == 0
+        assert not capsys.readouterr().err
+        assert (out / artifact).stat().st_size > 0
+
+    def test_volterra_phi_that_fails_its_check_exits_2(self, tmp_path, capsys):
+        # draw 5 of the extreme-cell test: two cells at 1e200 gave a phi whose
+        # residual reached 7e192, and trajectory used to exit 0 with it
+        table = tmp_path / "k.csv"
+        rows = ["t,s,value"]
+        for t in (0.5, 1.0, 2.0):
+            for s in (0.0, 0.5, 1.0, 2.0):
+                value = 1e200 if s == 0.0 and t < 2.0 else (math.exp(s - t) if s <= t else 0.0)
+                rows.append(f"{t},{s},{value!r}")
+        table.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "trajectory",
+                "kernel": {"kind": "tabulated", "path": str(table)},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "horizon": 2.0,
+                "grid": {"start": 0.5, "stop": 2.0, "count": 4},
+                "theta_true": 0.5,
+                "seed": 1,
+                "output_path": str(out),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "NumericsError"
+        assert err["message"].startswith("Volterra residual check failed")
+        assert not (out / "trace.csv").exists()
+
+    @staticmethod
+    def law_config(out: Path, h_spec: dict) -> dict:
+        return {
+            "experiment": "verify-girsanov",
+            "kernel": {"kind": "fractional", "H": 0.7},
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "horizon": 3.0,
+            "grid": {"start": 1.0, "stop": 3.0, "count": 2},
+            "h_spec": h_spec,
+            "replicas": 400,
+            "seed": 3,
+            "output_path": str(out),
+        }
+
+    @pytest.mark.parametrize("experiment", ["verify-girsanov", "estimate"])
+    def test_closed_form_key_changes_no_byte(self, tmp_path, capsys, experiment):
+        # the key stays accepted while the benchmark's law-check config carries
+        # it; only its own line in the echoed config differs
+        out = tmp_path / "out"
+        runs = []
+        for h_spec in ({"scale": 0.3, "phi_source": "closed_form"}, {"scale": 0.3}):
+            raw = self.law_config(out, h_spec)
+            if experiment == "estimate":
+                raw.update(experiment="estimate", theta_true=1.0)
+                del raw["grid"]
+            cfg = write_config(tmp_path, "c.json", raw)
+            code = main(["run", str(cfg)])
+            key_line = rb'\n *"phi_source": "closed_form",'
+            files = {name: re.sub(key_line, b"", data) for name, data in artifact_bytes(out).items()}
+            runs.append((code, files, capsys.readouterr()))
+            shutil.rmtree(out)
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (3 if experiment == "verify-girsanov" else 0)
 
 
 class TestBadInputExitsThroughContract:
@@ -656,7 +816,7 @@ class TestBadInputExitsThroughContract:
             "marks": {"kind": "unit"},
             "horizon": 3.0,
             "grid": {"start": 1.0, "stop": 3.0, "count": 2},
-            "h_spec": {"scale": scale, "phi_source": "volterra"},
+            "h_spec": {"scale": scale},
             "replicas": replicas,
             "seed": 3,
             "output_path": str(out),
@@ -778,6 +938,11 @@ class TestBadInputExitsThroughContract:
         # 100 nodes from 1 to 1 + 1e-15, about 4.5 ulps, round to 6 distinct values
         "trajectory:rounded-repeats": ({"grid": ROUNDED_REPEATS}, ROUNDED_REPEATS_MESSAGE),
         "consistency:rounded-repeats": ({"grid": ROUNDED_REPEATS}, ROUNDED_REPEATS_MESSAGE),
+        # phi follows from the kernel kind: the Volterra source, which both used to accept, is gone
+        "verify-girsanov:phi-source-volterra": (
+            {"h_spec": {"scale": 0.3, "phi_source": "volterra"}},
+            "h_spec.phi_source must be closed_form, got 'volterra'",
+        ),
     }
 
     @pytest.mark.parametrize("case", list(REJECTED_AT_RUN))

@@ -1,7 +1,7 @@
 """Cold start: importing the package, a drift-MLE run, the fractional kernel's
-F table, a closed-form-phi verify-girsanov run, and the solve-phi, estimate
-and verify-girsanov runs that solve for a Volterra phi (and integrate
-against it) load no scipy submodule.
+F table, a closed-form-phi verify-girsanov run, and the solve-phi run and the
+tabulated-kernel estimate run that solve for a Volterra phi (and check it by
+quadrature) load no scipy submodule.
 
 The check runs in a fresh interpreter: pytest's `filterwarnings` setting
 imports `scipy.integrate` when the test session starts.  A scan of the
@@ -23,6 +23,8 @@ from pathlib import Path
 import pytest
 
 import fpp_lab
+
+from oracles import write_exponential_table
 
 # evaluated in both processes; the subprocess runs it after the checks above it
 PROBES = """
@@ -139,20 +141,10 @@ def test_fractional_table_and_closed_form_law_check_load_no_scipy():
     }
 
 
+#: "TABLE" stands for a tabulated exponential kernel, the one kind whose phi is a Volterra solve
 QUADRATURE_CONFIGS = {
     "solve-phi": {"grid": {"start": 0.01, "stop": 2.0, "count": 200}},
-    "estimate": {
-        "horizon": 5.0,
-        "theta_true": 1.0,
-        "replicas": 20,
-        "h_spec": {"scale": 1.0, "phi_source": "volterra"},
-    },
-    "verify-girsanov": {
-        "horizon": 3.0,
-        "grid": {"start": 1.0, "stop": 3.0, "count": 2},
-        "replicas": 400,
-        "h_spec": {"scale": 0.3, "phi_source": "volterra"},
-    },
+    "estimate": {"kernel": "TABLE", "horizon": 5.0, "theta_true": 1.0, "replicas": 20},
 }
 
 QUADRATURE_SCRIPT = """
@@ -162,12 +154,12 @@ from pathlib import Path
 SCIPY = ("scipy.special", "scipy.integrate", "scipy.interpolate")
 import fpp_lab.cli
 
-cfg = dict(json.loads(sys.argv[1]), **{
+cfg = dict({
     "kernel": {"kind": "fractional", "H": 0.7},
     "intensity": {"kind": "constant", "base_rate": 1.0},
     "marks": {"kind": "unit"},
     "seed": 3,
-})
+}, **json.loads(sys.argv[1]))
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "c.json"
     path.write_text(json.dumps(dict(cfg, output_path=str(Path(tmp) / "out"))))
@@ -178,17 +170,15 @@ print(json.dumps({"code": code, "loaded": [m for m in SCIPY if m in sys.modules]
 """
 
 
-@pytest.mark.parametrize(
-    "experiment, artifact",
-    [("solve-phi", "phi.csv"), ("estimate", "estimates.csv"), ("verify-girsanov", "law_report.json")],
-)
-def test_volterra_phi_runs_load_no_scipy(experiment, artifact):
-    # solve-phi's residual check and the shift of a Volterra-phi
-    # verify-girsanov run are quadratures of K phi lambda; the estimate run
-    # solves for phi too.  Each runs in its own fresh interpreter.
-    cfg = json.dumps(dict(QUADRATURE_CONFIGS[experiment], experiment=experiment))
-    result = json.loads(run_fresh(QUADRATURE_SCRIPT, cfg).stdout.splitlines()[-1])
-    assert result["code"] in (0, 3)  # 3: the deterministic-shift comparison is red for h != 0
+@pytest.mark.parametrize("experiment, artifact", [("solve-phi", "phi.csv"), ("estimate", "estimates.csv")])
+def test_volterra_phi_runs_load_no_scipy(tmp_path, experiment, artifact):
+    # the residual check that follows each solve is a quadrature of
+    # K phi lambda.  Each runs in its own fresh interpreter.
+    cfg = dict(QUADRATURE_CONFIGS[experiment], experiment=experiment)
+    if cfg.get("kernel") == "TABLE":
+        cfg["kernel"] = {"kind": "tabulated", "path": str(write_exponential_table(tmp_path / "k.csv", 5.0, 100))}
+    result = json.loads(run_fresh(QUADRATURE_SCRIPT, json.dumps(cfg)).stdout.splitlines()[-1])
+    assert result["code"] == 0
     assert result["loaded"] == []
     assert artifact in result["artifacts"]
 

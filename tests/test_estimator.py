@@ -214,6 +214,41 @@ class TestNewtonLanesMatchFrozen:
         assert np.isnan(got[0]) or got[0] == pytest.approx(1.0 / integral - 1.0 / phi, rel=1e-14)
 
 
+class TestHugePhiLanes:
+    @pytest.mark.parametrize(
+        "pv, n, integral, root", [([1e200], [1], [1e199], 9e-200), ([1e160, 1e160], [2], [1e160], 1e-160)]
+    )
+    def test_roots_of_ordinary_size_are_found(self, pv, n, integral, root):
+        # sum phi^2 overflowed, and these lanes came back NaN after overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimator._newton_lanes(np.array(pv), np.array(n), np.array(integral))
+        assert got[0] == pytest.approx(root, rel=1e-15)
+
+    def test_scaled_lanes_take_the_unscaled_steps(self):
+        # phi near 1e150 puts the first lane's sum past PHI_SUM_MAX before anything
+        # overflows: scaling by a power of 2 is exact, so both lanes are the frozen
+        # reference's, bit for bit
+        pv = np.concatenate([np.linspace(0.5, 2.0, 5) * 1e150, np.linspace(0.5, 2.0, 4)])
+        n, integral = np.array([5, 4]), np.array([1.0, 0.5])
+        assert pv[:5].sum() > estimator.PHI_SUM_MAX
+        got = estimator._newton_lanes(pv, n, integral)
+        assert got.tobytes() == newton_lanes_grad_first(pv, n, integral).tobytes()
+        assert 0.0 < got[1] and got[0] == pytest.approx(5.0, rel=1e-3)
+
+    def test_a_lane_whose_sum_overflows_is_nan_and_its_neighbours_are_not_scaled(self):
+        # [1e308, 1e308] sums to inf, and its root 2 puts theta phi past the largest
+        # double; [1e300] has root 1e10 and theta phi = 1e310; the unit lanes beside
+        # them must keep their roots, which dividing by a block-wide scale underflows
+        pv = np.array([1e308, 1e308, 1.0, 1e300, 1.0])
+        n, integral = np.array([2, 1, 1, 1]), np.array([1.0, 0.5, 1e-10, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimator._newton_lanes(pv, n, integral)
+        assert np.isnan(got[0]) and np.isnan(got[2])
+        assert got[1] == 1.0 and got[3] == 3.0
+
+
 class TestTrajectory:
     def test_empty_path_identically_zero(self, unit_rate):
         path = MarkedPath(np.empty(0), np.empty(0), 5.0)
