@@ -294,7 +294,7 @@ def _run_estimate(cfg: ResolvedConfig) -> dict:
     for rows, batch in simulate_replicas(perturbed, cfg.marks, cfg.horizon, cfg.replicas, cfg.seed):
         est[rows] = mle_solve_batch(batch, phi, cfg.intensity, cfg.horizon)[:, 0]
         del batch  # before the next block is simulated: one block in memory at a time
-    write_csv(cfg.output_path / "estimates.csv", "replica,theta_hat", enumerate(est))
+    write_csv(cfg.output_path / "estimates.csv", "replica,theta_hat", (np.arange(est.size), est))
     headline = {
         "theta_true": cfg.theta_true,
         "mean_theta_hat": float(est.mean()),
@@ -355,7 +355,7 @@ def _run_consistency(cfg: ResolvedConfig) -> dict:
     write_csv(
         cfg.output_path / "consistency_rmse.csv",
         "horizon,mae,rmse",
-        zip(report.horizons, report.mae, report.rmse),
+        (report.horizons, report.mae, report.rmse),
     )
     headline = {"rmse": list(report.rmse), "final_rmse": report.rmse[-1]}
     return _summary(cfg, ["consistency_report.json", "consistency_rmse.csv"], headline, report.passed)

@@ -225,7 +225,7 @@ class EstimateTrace:
     def to_csv(self, path) -> None:
         flags = np.zeros(self.times.size, dtype=int)
         flags[self.jump_epochs] = 1
-        write_csv(path, "t,theta_hat,jump_epoch", zip(self.times, self.theta_hat, flags))
+        write_csv(path, "t,theta_hat,jump_epoch", (self.times, self.theta_hat, flags))
 
 
 def trajectory(

@@ -45,8 +45,11 @@ The nodes are within 1e-14 relative of `hyp2f1` and the table within 1e-12
 between them (measured for H from 0.5001 to 0.99; 7.6e-13 at H = 0.9999,
 where Gamma(-2a) nears its pole), far inside the 1e-8 kernel accuracy
 contract.  A row of points wholly below the diagonal and inside the table
-(every row of the Volterra solve) is evaluated on the input array itself,
-without the masked gather and scatter that the general case needs.
+is evaluated on the input array itself (`_fractional_row`), without the
+masked gather and scatter that the general case needs.  Every row of the
+Volterra solve is such a row unless its grid reaches past t / s = e^32;
+the solve knows it from two scalar comparisons against its fixed, sorted
+panel midpoints and calls `_fractional_row` directly, with no reductions.
 
 No code path of an experiment imports scipy: importing `scipy.special`
 or `scipy.integrate` takes longer than most runs.  Only
@@ -173,6 +176,9 @@ _F_TABLE_XMAX = 32.0
 _F_TABLE_NODES = 4096
 #: nodes per unit x; (nodes - 1) / xmax = 127.96875 is exact, so x = xmax maps to the last node
 _F_TABLE_INV_H = (_F_TABLE_NODES - 1) / _F_TABLE_XMAX
+#: t / s up to this lies inside the table: ln of it is 32 - 1e-12, and the
+#: margin is far above the few ulps of 32 (7.1e-15 each) that np.log may err by
+_F_TABLE_RATIO = math.exp(_F_TABLE_XMAX) * (1.0 - 1e-12)
 _SERIES_TERMS = 64
 _f_tables: dict[float, tuple[np.ndarray, ...]] = {}
 
@@ -297,6 +303,16 @@ def _fractional_table_f(H: float, x: np.ndarray) -> np.ndarray:
     return f
 
 
+def _fractional_row(H: float, t: float, s: np.ndarray) -> np.ndarray:
+    """K_H(t, s) on points with s < t <= s _F_TABLE_RATIO: the table row, in place on t / s.
+
+    No masks and no reductions: the caller has checked both bounds.
+    """
+    x = t / s
+    np.log(x, out=x)
+    return _fractional_k(H, t, s, _fractional_table_f(H, x))
+
+
 def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
     """K(t, s), exactly 0 for s > t; scalar, full-accuracy path.
 
@@ -326,23 +342,21 @@ def kernel_eval_at(spec: KernelSpec, t: float, s: np.ndarray) -> np.ndarray:
     (`_fractional_f_series`), and points so far below the diagonal that
     t / s overflows take `_fractional_k_far`; `kernel_eval` sends those
     points here.
-    When every point lies below the diagonal and inside the table, the
-    fractional kind works on `s` itself, with no masked copies, and gives
-    the same values (==).  The tabulated kind interpolates all points with
-    s <= t in one bilinear call, equal (==) to `kernel_eval` point by point.
+    When every point lies below the diagonal and t / s <= _F_TABLE_RATIO,
+    just inside the table, the fractional kind works on `s` itself
+    (`_fractional_row`), with no masked copies, and gives the same values
+    (==).  The tabulated kind interpolates all points with s <= t in one
+    bilinear call, equal (==) to `kernel_eval` point by point.
     """
     s = np.asarray(s, dtype=float)
     if not t > 0:
         raise ValidationError(f"kernel_eval_at requires t > 0, got t={t}")
-    lo = s.min(initial=math.inf)
+    lo = float(s.min(initial=math.inf))
     if not lo > 0:  # a NaN minimum fails too
         raise ValidationError("kernel_eval_at requires s > 0")
-    # where s >= t e^-xmax, t / s cannot overflow: no np.errstate on this path
-    if spec.kind == "fractional" and s.size and t * math.exp(-_F_TABLE_XMAX) <= lo and s.max() < t:
-        x = t / s
-        np.log(x, out=x)
-        if x.max() <= _F_TABLE_XMAX:
-            return _fractional_k(spec.H, t, s, _fractional_table_f(spec.H, x))
+    # lo * _F_TABLE_RATIO is a Python product, which overflows to inf with no numpy warning
+    if spec.kind == "fractional" and s.size and t <= lo * _F_TABLE_RATIO and s.max() < t:
+        return _fractional_row(spec.H, t, s)
     out = np.zeros(s.shape)
     if spec.kind != "fractional":
         sel = s <= t

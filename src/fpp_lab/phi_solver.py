@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .kernels import KernelSpec, kernel_eval_at, kernel_phi_lambda_integral
+from .kernels import _F_TABLE_RATIO, KernelSpec, _fractional_row, kernel_eval_at, kernel_phi_lambda_integral
 from .point_process import IntensitySpec
 from .serialize import write_csv
 
@@ -164,7 +164,7 @@ class PhiFunction:
     def to_csv(self, path) -> None:
         if self.kind != "grid":
             raise ValidationError("only grid phi functions serialize to CSV")
-        write_csv(path, "s,phi", zip(self.nodes.tolist(), self.values.tolist()))
+        write_csv(path, "s,phi", (self.nodes, self.values))
 
 
 def phi_fractional(H: float, lam: float) -> PhiFunction:
@@ -217,7 +217,11 @@ def solve_phi_volterra(
     phi lambda: the j-th unknown is psi at the midpoint of panel j (the
     first panel runs from 0 to the first grid node), the i-th equation
     collocates the integral at grid node i, the lower-triangular system is
-    solved by forward substitution, and phi = psi / lambda.  Raises
+    solved by forward substitution, and phi = psi / lambda.  Row i is
+    K(grid[i], .) on the first i + 1 midpoints: for the fractional kind
+    with mids[i] < grid[i] <= mids[0] e^32 (1 - 1e-12), `kernels._fractional_row`
+    (the midpoints are sorted, so the row lies below the diagonal and
+    inside the F table), otherwise `kernel_eval_at`, with the same floats.  Raises
     NumericsError when a diagonal weight falls below 1e-14 (kernel too
     degenerate near the diagonal for the chosen grid), or when the computed
     phi is not finite (say from an infinite tabulated kernel value) or
@@ -247,11 +251,16 @@ def solve_phi_volterra(
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     # each row is K * (m1 * widths), in place; one rounded product commutes
     factors = m1 * np.diff(bounds)
+    # rows up to t_lean need none of kernel_eval_at's checks and reductions
+    lean, t_lean = kernel.kind == "fractional", float(mids[0]) * _F_TABLE_RATIO
     n = grid.size
     psi = np.empty(n)
     for i in range(n):
         t = grid[i]
-        w = kernel_eval_at(kernel, t, mids[: i + 1])
+        if lean and mids[i] < t <= t_lean:
+            w = _fractional_row(kernel.H, t, mids[: i + 1])
+        else:
+            w = kernel_eval_at(kernel, t, mids[: i + 1])
         w *= factors[: i + 1]
         if w[i] < SINGULAR_WEIGHT_TOL:
             raise NumericsError(

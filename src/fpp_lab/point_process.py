@@ -177,7 +177,7 @@ class MarkedPath:
         return int(self.jump_times.size)
 
     def to_csv(self, path) -> None:
-        write_csv(path, "t,z", zip(self.jump_times, self.marks))
+        write_csv(path, "t,z", (self.jump_times, self.marks))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ non-finite JSON value is `NaN`, `Infinity` or `-Infinity`, as Python's
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -34,13 +34,27 @@ def write_json(path, obj: Any) -> None:
         fh.write(dumps_json(obj))
 
 
-def write_csv(path, header: str, rows: Iterable[tuple]) -> None:
-    """Write rows under a one-line header; floats as their round-trip `repr`."""
+#: rows formatted per write, so that a file of any length needs memory for this many rows only
+CSV_CHUNK_ROWS = 1024
+
+
+def write_csv(path, header: str, columns: Sequence) -> None:
+    """Write equal-length columns under a one-line header, row i of the file holding cell i of each.
+
+    The rows go out in chunks of CSV_CHUNK_ROWS: each column's slice is
+    `.tolist()` once, so its cells are Python floats and ints, written as
+    their `repr` (a float's shortest round-trip form), and each chunk is
+    joined and written in one piece.
+    """
+    cols = [np.asarray(c) for c in columns]
+    if len({len(c) for c in cols}) > 1:
+        raise ValidationError(f"CSV columns under {header!r} differ in length")
+    rows = len(cols[0]) if cols else 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            cells = (map(repr, c[lo : lo + CSV_CHUNK_ROWS].tolist()) for c in cols)
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_csv(path, expected_header: str) -> np.ndarray:

@@ -30,6 +30,7 @@ from fpp_lab import (
     ValidationError,
     eval_compensated,
     eval_filtered,
+    kernel_eval_at,
     kernel_lambda_integral,
     kernel_shift_lambda_integral,
     log_density,
@@ -91,7 +92,7 @@ class PathOnGrid:
             raise ValidationError("values must be finite")
 
     def to_csv(self, path) -> None:
-        write_csv(path, "t,value", zip(self.grid, self.values))
+        write_csv(path, "t,value", (self.grid, self.values))
 
 
 def eval_filtered_on_grid(path: MarkedPath, kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
@@ -263,7 +264,8 @@ def write_exponential_table(path, stop: float, count: int):
     """
     tg = np.linspace(stop / count, stop, count)
     sg = tg - 0.5 * tg[0]
-    write_csv(path, "t,s,value", ((t, s, math.exp(s - t)) for t in tg.tolist() for s in sg.tolist()))
+    rows = [(t, s, math.exp(s - t)) for t in tg.tolist() for s in sg.tolist()]
+    write_csv(path, "t,s,value", tuple(zip(*rows)))
     return path
 
 
@@ -343,7 +345,7 @@ def ks_threshold_two_draws(x, wx, y, wy, n_boot: int, level: float, rng: np.rand
 
 
 # ---------------------------------------------------------------------------
-# fractional kernel row and Volterra solve
+# kernel rows and Volterra solves
 
 
 def fractional_row_modf(H: float, t: float, s: np.ndarray) -> np.ndarray:
@@ -373,6 +375,36 @@ def solve_phi_volterra_modf(H: float, intensity: IntensitySpec, m1: float, grid:
     psi = np.empty(grid.size)
     for i, t in enumerate(grid):
         w = factors[: i + 1] * fractional_row_modf(H, t, mids[: i + 1])
+        psi[i] = (t - w[:i] @ psi[:i]) / w[i]
+    return psi / intensity.rate_at(mids)
+
+
+def exponential_table(stop: float, count: int) -> KernelSpec:
+    """K(t, s) = e^-(t-s) tabulated on `count` t-nodes up to `stop`, the s-nodes half a step below them.
+
+    The grids of `write_exponential_table`; above the diagonal the table
+    holds the smooth continuation.
+    """
+    tg = np.linspace(stop / count, stop, count)
+    sg = tg - 0.5 * tg[0]
+    return KernelSpec.tabulated(tg, sg, np.exp(sg[None, :] - tg[:, None]))
+
+
+def solve_phi_volterra_eval_at(
+    kernel: KernelSpec, intensity: IntensitySpec, m1: float, grid: np.ndarray
+) -> np.ndarray:
+    """Grid values of the Volterra solve, each row one `kernel_eval_at` call (frozen reference).
+
+    Row i is K(grid[i], .) on the first i + 1 panel midpoints, checked and
+    evaluated by `kernel_eval_at` on its own.
+    """
+    bounds = np.concatenate(([0.0], grid))
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    factors = m1 * np.diff(bounds)
+    psi = np.empty(grid.size)
+    for i, t in enumerate(grid):
+        w = kernel_eval_at(kernel, t, mids[: i + 1])
+        w *= factors[: i + 1]
         psi[i] = (t - w[:i] @ psi[:i]) / w[i]
     return psi / intensity.rate_at(mids)
 

@@ -339,6 +339,28 @@ class TestRunExperiments:
         phi_lines = (out / "phi.csv").read_text().splitlines()
         assert phi_lines[0] == "s,phi"
 
+    def test_equal_panel_midpoints_exit_2(self, tmp_path, capsys):
+        # nodes one to two ulps apart: two panel midpoints round to the same
+        # double, and the solve meets a zero diagonal weight (numerical failure)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "solve-phi",
+                "kernel": {"kind": "fractional", "H": 0.7},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "grid": {"start": 1.0000000000000002, "stop": 1.0000000000000007, "count": 3},
+                "seed": 1,
+                "output_path": str(out),
+            },
+        )
+        assert main(["run", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "NumericsError"
+        assert "singular Volterra system" in err["error"]["message"]
+
     def test_degenerate_weights_exit_2(self, tmp_path, capsys):
         # an extreme shift collapses the effective sample size: numerical
         # failure, exit code 2, machine-readable error record

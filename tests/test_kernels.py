@@ -318,6 +318,24 @@ class TestLeanRow:
             row = mids[: i + 1]
             assert np.array_equal(kernel_eval_at(spec, t, row), fractional_row_modf(H, t, row))
 
+    @pytest.mark.parametrize("H", [0.55, 0.9])
+    def test_ratio_test_keeps_rows_inside_the_table(self, H):
+        # t <= s _F_TABLE_RATIO, the one test before `_fractional_row` in
+        # kernel_eval_at and in the Volterra solve, leaves ln(t / s) at or
+        # below the table's last node even at the largest t it admits, where
+        # the row still gives the floats of the `np.modf` row
+        s = np.geomspace(1e-300, 1e290, 2001)
+        t = s * kernels._F_TABLE_RATIO
+        assert np.log(t / s).max() <= kernels._F_TABLE_XMAX
+        for ti, si in zip(t.tolist(), s.tolist()):
+            row = np.array([si, 0.5 * (si + ti), np.nextafter(ti, 0.0)])
+            assert np.array_equal(kernels._fractional_row(H, ti, row), fractional_row_modf(H, ti, row))
+        # one step past it, kernel_eval_at leaves the lean row and still gives its floats
+        far = np.nextafter(t[1000], math.inf)
+        row = np.array([s[1000], 1.0])
+        got = kernel_eval_at(KernelSpec.fractional(H), far, row)
+        assert np.array_equal(got[1:], fractional_row_modf(H, far, row[1:]))
+
 
 class TestDiagonalClass:
     def test_analytic_kinds(self):

@@ -11,17 +11,25 @@ from fpp_lab import (
     NumericsError,
     PhiFunction,
     ValidationError,
+    kernel_eval_at,
     phi_fractional,
     phi_lambda_integral,
     power_grid,
     solve_phi_volterra,
     volterra_residuals,
 )
+from fpp_lab import kernels, phi_solver
 from fpp_lab.cli import parse_kernel
 from fpp_lab.kernels import PANEL_BLOCK, kernel_phi_lambda_integral
 from fpp_lab.phi_solver import residual_spots
 
-from oracles import phi_from_csv, solve_phi_volterra_modf, uniform_grid
+from oracles import (
+    exponential_table,
+    phi_from_csv,
+    solve_phi_volterra_eval_at,
+    solve_phi_volterra_modf,
+    uniform_grid,
+)
 
 # gamma-function oracle values (mpmath)
 PHI_1_H07_LAM2 = 0.3908930209156764
@@ -222,6 +230,51 @@ class TestVolterraSolver:
         grid, inten = uniform_grid(0.00125, 5.0, 4000), IntensitySpec.constant(1.0)
         phi = solve_phi_volterra(KernelSpec.fractional(H), inten, 1.0, grid)
         assert np.array_equal(phi.values, solve_phi_volterra_modf(H, inten, 1.0, grid))
+
+    @pytest.mark.parametrize("H", [0.5001, 0.55, 0.7, 0.9, 0.99])
+    def test_power_grid_solve_equals_eval_at_row_solve(self, H):
+        # rows taken straight from the lean table row give the floats of
+        # rows from one kernel_eval_at call each (the bench grid is pinned
+        # to the np.modf row solve above)
+        grid, kernel, inten = power_grid(5.0, 2000), KernelSpec.fractional(H), IntensitySpec.constant(1.0)
+        phi = solve_phi_volterra(kernel, inten, 1.0, grid)
+        assert np.array_equal(phi.values, solve_phi_volterra_eval_at(kernel, inten, 1.0, grid))
+
+    @pytest.mark.parametrize("H", [0.55, 0.9])
+    def test_rows_past_the_table_go_through_kernel_eval_at(self, H, monkeypatch):
+        # from t = 0.5 e^32 (1 - 1e-12) on, a row reaches past the F table
+        # and the solve hands it to kernel_eval_at; the rows before it do not
+        grid, kernel, inten = np.geomspace(1.0, 2e14, 400), KernelSpec.fractional(H), IntensitySpec.constant(1.0)
+        handed = []
+
+        def counted(kernel, t, s):
+            handed.append(t)
+            return kernel_eval_at(kernel, t, s)
+
+        monkeypatch.setattr(phi_solver, "kernel_eval_at", counted)
+        phi = solve_phi_volterra(kernel, inten, 1.0, grid)
+        assert handed == [t for t in grid if t > 0.5 * kernels._F_TABLE_RATIO]
+        assert 0 < len(handed) < grid.size
+        assert np.array_equal(phi.values, solve_phi_volterra_eval_at(kernel, inten, 1.0, grid))
+
+    def test_equal_panel_midpoints_end_in_singular_system(self):
+        # nodes one to two ulps apart, which parse_grid accepts: the last two
+        # panel midpoints round to the same double, so row 1 meets its own
+        # diagonal, where the kernel is 0
+        grid = np.linspace(1.0000000000000002, 1.0000000000000007, 3)
+        bounds = np.concatenate(([0.0], grid))
+        mids = 0.5 * (bounds[:-1] + bounds[1:])
+        assert mids[1] == mids[2] == grid[1]
+        with pytest.raises(NumericsError, match="singular Volterra system"):
+            solve_phi_volterra(KernelSpec.fractional(0.7), IntensitySpec.constant(1.0), 1.0, grid)
+
+    @pytest.mark.parametrize("count", [21, 101, 400])
+    def test_tabulated_solve_equals_eval_at_row_solve(self, count):
+        # exponential tables whose s-nodes lie half a step below their
+        # t-nodes: rows from one kernel_eval_at call each (frozen reference)
+        kernel, grid, inten = exponential_table(2.0, count), power_grid(2.0, 2000), IntensitySpec.constant(1.0)
+        phi = solve_phi_volterra(kernel, inten, 1.0, grid)
+        assert np.array_equal(phi.values, solve_phi_volterra_eval_at(kernel, inten, 1.0, grid))
 
     def test_grid_validation(self):
         k = KernelSpec.indicator()

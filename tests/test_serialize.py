@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpp_lab.errors import ValidationError
-from fpp_lab.serialize import dumps_json, read_csv, write_csv, write_json
+from fpp_lab.serialize import CSV_CHUNK_ROWS, dumps_json, read_csv, write_csv, write_json
 
 FLOATS = [
     0.0,
@@ -138,12 +138,38 @@ class TestCsv:
     def test_values_round_trip(self, tmp_path):
         path = tmp_path / "v.csv"
         xs = np.array(FLOATS)
-        write_csv(path, "i,x", enumerate(xs))
+        write_csv(path, "i,x", (range(xs.size), xs))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[:3] == ["i,x", "0,0.0", "1,-0.0"]
         arr = read_csv(path, "i,x")
         assert arr[:, 0].tolist() == list(range(len(FLOATS)))
         assert all(map(same_double, arr[:, 1].tolist(), FLOATS))
+
+    def test_bytes_equal_cell_by_cell_writer(self, tmp_path):
+        # one repr pass per column and one join per file: the bytes of the
+        # writer that formatted cell by cell, floats by repr and the rest by str
+        x = np.array(FLOATS)
+        columns = (np.arange(x.size), x, x[::-1].tolist(), (np.arange(x.size) % 3 == 0).astype(int))
+        path = tmp_path / "c.csv"
+        write_csv(path, "i,a,b,f", columns)
+        rows = (",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) for row in zip(*columns))
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in ("i,a,b,f", *rows))
+        write_csv(path, "i,a", (np.empty(0, dtype=int), np.empty(0)))
+        assert path.read_text(encoding="utf-8") == "i,a\n"
+
+    @pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 7])
+    def test_chunk_boundaries(self, tmp_path, rows):
+        # the rows go out CSV_CHUNK_ROWS at a time: every row once, in order
+        x = np.random.default_rng(3).standard_normal(rows)
+        path = tmp_path / "c.csv"
+        write_csv(path, "i,x", (np.arange(rows), x))
+        want = "".join(f"{i},{v!r}\n" for i, v in enumerate(x.tolist()))
+        assert path.read_text(encoding="utf-8") == "i,x\n" + want
+
+    def test_columns_of_unequal_length_are_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="differ in length"):
+            write_csv(tmp_path / "c.csv", "a,b", ([1.0, 2.0], [1.0]))
+        assert not (tmp_path / "c.csv").exists()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -154,7 +180,8 @@ class TestCsv:
     )
     def test_drawn_doubles_round_trip(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "rows.csv"
-        write_csv(path, "a,b,n", ([np.float64(a), float(b), n] for a, b, n in rows))
+        columns = ([np.float64(a) for a, _, _ in rows], [float(b) for _, b, _ in rows], [n for _, _, n in rows])
+        write_csv(path, "a,b,n", columns)
         arr = read_csv(path, "a,b,n")
         assert arr.shape == (len(rows), 3)
         for got, (a, b, n) in zip(arr.tolist(), rows):
