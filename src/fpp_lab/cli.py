@@ -59,11 +59,11 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, where: str, required: bool = True, default=None):
+def _number(obj: dict, key: str, where: str, required: bool = True):
     if key not in obj:
         if required:
             raise ValidationError(f"missing {key!r} in {where}")
-        return default
+        return None
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValidationError(f"{where}.{key} must be a number, got {val!r}")
@@ -104,9 +104,7 @@ def parse_kernel(obj: dict) -> KernelSpec:
     raise ValidationError(f"unknown kernel kind {kind!r}")
 
 
-def parse_marks(obj: dict | None) -> MarkDistributionSpec:
-    if obj is None:
-        return MarkDistributionSpec.unit()
+def parse_marks(obj: dict) -> MarkDistributionSpec:
     _check_keys(obj, {"kind", "mean", "mu", "sigma"}, "marks")
     kind = _require(obj, "kind")
     if kind == "unit":
@@ -188,7 +186,7 @@ class ResolvedConfig:
         for key in need:
             _require(raw, key)
 
-        self.marks = parse_marks(raw.get("marks"))
+        self.marks = parse_marks(raw["marks"])
         self.kernel = parse_kernel(raw["kernel"]) if "kernel" in raw else None
         self.horizon = _number(raw, "horizon", "config", required="horizon" in need)
         self.grid = parse_grid(raw["grid"]) if "grid" in raw else None

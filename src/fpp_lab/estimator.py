@@ -37,6 +37,8 @@ from .serialize import write_csv
 
 #: absolute tolerance on theta for the Newton solve
 THETA_TOL = 1e-10
+#: the consistency check passes only if the RMSE at the last horizon is below this
+RMSE_THRESHOLD = 0.15
 #: Newton steps after which a lane that has not converged raises NumericsError
 MAX_NEWTON_STEPS = 200
 #: rise of theta_hat over one grid step without a jump that counts as a
@@ -284,7 +286,7 @@ def fractional_hypothesis_note(H: float) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class ConsistencyConfig:
-    """Simulate under the theta-perturbed law and track the estimator error."""
+    """Simulate under the theta-perturbed law and track the estimator error against `RMSE_THRESHOLD`."""
 
     intensity: IntensitySpec  # the base (reference-measure) intensity
     phi: PhiFunction
@@ -292,7 +294,6 @@ class ConsistencyConfig:
     horizons: tuple
     replicas: int
     seed: int
-    rmse_threshold: float = 0.15
     marks: MarkDistributionSpec | None = None
 
     def __post_init__(self):
@@ -332,7 +333,7 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
     compensator of the observed process under the perturbed measure --
     while the estimator is fed the constant base intensity.  Passes when
     the RMSE decreases strictly across horizons and the final RMSE is
-    below the configured threshold.
+    below `RMSE_THRESHOLD`.
     """
     perturbed = cfg.intensity.tilted(cfg.theta_true, cfg.phi)
     t_max = cfg.horizons[-1]
@@ -352,7 +353,7 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
     else:
         note = {"analytic_exponents": "not applicable to this phi/intensity pair"}
     decreasing = all(rmse[k + 1] < rmse[k] for k in range(len(rmse) - 1))
-    passed = decreasing and rmse[-1] < cfg.rmse_threshold
+    passed = decreasing and rmse[-1] < RMSE_THRESHOLD
     return ConsistencyReport(
         horizons=cfg.horizons,
         mae=mae,
@@ -361,7 +362,7 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
         theta_true=cfg.theta_true,
         replicas=cfg.replicas,
         seed=cfg.seed,
-        rmse_threshold=cfg.rmse_threshold,
+        rmse_threshold=RMSE_THRESHOLD,
         hypothesis_note=note,
         passed=passed,
     )

@@ -49,6 +49,10 @@ from .weighted_ks import ks_bootstrap_threshold, weighted_ks_statistic
 
 #: reject importance-sampling runs whose effective sample size drops below this
 MIN_EFFECTIVE_SAMPLE = 100.0
+#: pooled bootstrap resamples behind each KS threshold
+KS_BOOTSTRAP = 1000
+#: the KS threshold is the 1 - KS_LEVEL quantile of the bootstrap statistic
+KS_LEVEL = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +118,7 @@ def kernel_shift_lambda_integral(
 
 @dataclass(frozen=True, eq=False)
 class GirsanovCheckConfig:
-    """Inputs of the Monte-Carlo equality-in-law verification."""
+    """Inputs of the Monte-Carlo law checks; every KS threshold uses `KS_BOOTSTRAP` and `KS_LEVEL`."""
 
     kernel: KernelSpec
     h: ShiftFunction
@@ -123,8 +127,6 @@ class GirsanovCheckConfig:
     eval_times: tuple
     replicas: int
     seed: int
-    ks_bootstrap: int = 1000
-    ks_level: float = 0.01
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.eval_times)
@@ -133,11 +135,6 @@ class GirsanovCheckConfig:
             raise ValidationError("eval_times must be strictly increasing positives")
         if self.replicas < 2:
             raise ValidationError("need at least 2 replicas")
-        n_boot = self.ks_bootstrap
-        if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
-            raise ValidationError(f"ks_bootstrap must be a positive integer, got {n_boot!r}")
-        if not 0 < self.ks_level < 1:
-            raise ValidationError(f"ks_level must be in (0, 1), got {self.ks_level}")
 
 
 @dataclass(frozen=True)
@@ -207,9 +204,7 @@ def _compare_laws(
         se_var = float(psi_var.std(ddof=1) / np.sqrt(R))
         stat = weighted_ks_statistic(xa, w, yb, np.ones(R))
         rng = np.random.default_rng([cfg.seed, 7_716_493, k])
-        thr = ks_bootstrap_threshold(
-            xa, w, yb, np.ones(R), cfg.ks_bootstrap, cfg.ks_level, rng
-        )
+        thr = ks_bootstrap_threshold(xa, w, yb, np.ones(R), KS_BOOTSTRAP, KS_LEVEL, rng)
         ok = abs(ma - mb) <= 4.0 * se_mean and abs(va - vb) <= 4.0 * se_var and stat < thr
         stats.append((ma, mse_a, mb, ma - mb, se_mean, va, vb, va - vb, se_var, stat, thr, bool(ok)))
     m_A, mse_A, m_B, dm, dm_se, v_A, v_B, dv, dv_se, ks, ks_thr, ok = zip(*stats)

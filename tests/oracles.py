@@ -315,9 +315,10 @@ def _ks_pool(x, wx, y, wy) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _cdf_at_ranks(rank: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    cdf = np.bincount(rank, weights=w, minlength=k).cumsum()
-    if cdf[-1] <= 0:
-        raise ValidationError("weights must be nonnegative with positive totals")
+    with np.errstate(over="ignore"):  # finite weights may sum to inf, rejected below
+        cdf = np.bincount(rank, weights=w, minlength=k).cumsum()
+    if not 0 < cdf[-1] < np.inf:
+        raise ValidationError("weights must be nonnegative with positive, finite totals")
     return cdf / cdf[-1]
 
 

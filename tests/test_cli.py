@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpp_lab import IntensitySpec, KernelSpec, cli, estimator, volterra_residuals
+from fpp_lab import IntensitySpec, KernelSpec, cli, estimator, girsanov, volterra_residuals
 from fpp_lab.cli import main
 from fpp_lab.phi_solver import calibration_phi
 
@@ -78,6 +78,14 @@ class TestValidate:
         example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
         cfg = write_config(tmp_path, "readme.json", json.loads(example))
         assert main(["validate", str(cfg)]) == 0
+
+    def test_null_marks(self, tmp_path, capsys):
+        # marks is required, and null is not a marks object
+        raw = simulate_config(tmp_path / "out")
+        raw["marks"] = None
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert main(["validate", str(cfg)]) == 1
+        assert "marks must be a JSON object" in json.loads(capsys.readouterr().err)["error"]["message"]
 
     def test_unknown_experiment(self, tmp_path):
         raw = simulate_config(tmp_path / "out")
@@ -284,7 +292,7 @@ class TestRunExperiments:
         ok = dict(base, horizon=900.0, grid={"start": 100.0, "stop": 900.0, "count": 3}, output_path=str(out1))
         cfg = write_config(tmp_path, "ok.json", ok)
         assert main(["run", str(cfg)]) == 0
-        # short horizons leave the RMSE above the default threshold: exit 3
+        # short horizons leave the RMSE above estimator.RMSE_THRESHOLD: exit 3
         bad = dict(base, horizon=4.0, grid={"start": 2.0, "stop": 4.0, "count": 2}, output_path=str(out2))
         cfg = write_config(tmp_path, "bad.json", bad)
         assert main(["run", str(cfg)]) == 3
@@ -631,6 +639,59 @@ class TestRunExperiments:
         )
         assert main(["run", str(cfg)]) == 0
         assert (out / "path.csv").exists()
+
+
+class TestFixedMonteCarloSettings:
+    """The law check's KS bootstrap size and level, and the consistency RMSE bound, are fixed."""
+
+    def test_verify_girsanov_thresholds_use_1000_resamples_at_level_001(self, tmp_path, monkeypatch):
+        calls, threshold = [], girsanov.ks_bootstrap_threshold
+
+        def spy(*args):
+            calls.append(args[4:6])  # (n_boot, level)
+            return threshold(*args)
+
+        monkeypatch.setattr(girsanov, "ks_bootstrap_threshold", spy)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "verify-girsanov",
+                "kernel": {"kind": "fractional", "H": 0.7},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "horizon": 3.0,
+                "grid": {"start": 1.0, "stop": 3.0, "count": 3},
+                "h_spec": {"scale": 0.0},
+                "replicas": 200,
+                "seed": 31,
+                "output_path": str(out),
+            },
+        )
+        assert main(["run", str(cfg)]) == 0
+        assert calls == [(1000, 0.01)] * 3  # one threshold per evaluation time
+
+    def test_consistency_report_records_the_015_bound(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "consistency",
+                "kernel": {"kind": "indicator"},
+                "intensity": {"kind": "constant", "base_rate": 1.0},
+                "marks": {"kind": "unit"},
+                "horizon": 4.0,
+                "grid": {"start": 2.0, "stop": 4.0, "count": 2},
+                "theta_true": 1.0,
+                "replicas": 20,
+                "seed": 12,
+                "output_path": str(out),
+            },
+        )
+        assert main(["run", str(cfg)]) == 3  # short horizons leave the RMSE above the bound
+        assert json.loads((out / "consistency_report.json").read_text())["rmse_threshold"] == 0.15
 
 
 class TestPhiFollowsTheKernelKind:

@@ -307,7 +307,6 @@ class TestConsistency:
             horizons=(100.0, 400.0),
             replicas=150,
             seed=2030,
-            rmse_threshold=0.2,
         )
         report = consistency_experiment(cfg)
         assert report.passed
@@ -369,7 +368,6 @@ class TestConsistency:
             horizons=(20.0, 60.0),
             replicas=40,
             seed=11,
-            rmse_threshold=1.0,
         )
         report = consistency_experiment(cfg)
         assert report.hypothesis_note["phi2_integral_diverges"]

@@ -163,25 +163,6 @@ class TestVerifyEqualityInLaw:
         with pytest.raises(ValidationError):
             verify_tilted_law(not_tiltable)
 
-    @pytest.mark.parametrize(
-        "ks",
-        [{"ks_bootstrap": 0}, {"ks_bootstrap": 2.5}, {"ks_bootstrap": True}, {"ks_level": 0.0}, {"ks_level": 1.5}],
-        ids=["bootstrap-0", "bootstrap-2.5", "bootstrap-True", "level-0", "level-1.5"],
-    )
-    def test_ks_settings_rejected_at_construction(self, unit_rate, unit_marks, frac_kernel, ks):
-        # rejected at construction, before any replica is simulated
-        with pytest.raises(ValidationError, match="ks_"):
-            GirsanovCheckConfig(
-                kernel=frac_kernel,
-                h=shift_constant(0.1),
-                intensity=unit_rate,
-                marks=unit_marks,
-                eval_times=(1.0, 2.0),
-                replicas=10,
-                seed=1,
-                **ks,
-            )
-
     def test_zero_shift_identical_samples(self, unit_rate, unit_marks, frac_kernel):
         cfg = GirsanovCheckConfig(
             kernel=frac_kernel,
@@ -191,7 +172,6 @@ class TestVerifyEqualityInLaw:
             eval_times=(1.0, 2.0),
             replicas=300,
             seed=5,
-            ks_bootstrap=200,
         )
         report = verify_equality_in_law(cfg)
         assert report.passed
@@ -212,7 +192,6 @@ class TestVerifyEqualityInLaw:
             eval_times=(1.0, 2.5),
             replicas=4000,
             seed=21,
-            ks_bootstrap=300,
         )
         report = verify_equality_in_law(cfg)
         assert report.effective_sample_size > 2000.0
@@ -233,7 +212,6 @@ class TestVerifyEqualityInLaw:
             eval_times=(1.0, 2.5),
             replicas=4000,
             seed=22,
-            ks_bootstrap=300,
         )
         report = verify_equality_in_law(cfg)
         assert not report.passed
@@ -252,7 +230,6 @@ class TestVerifyEqualityInLaw:
             eval_times=(1.0, 5.0),
             replicas=150,
             seed=3,
-            ks_bootstrap=100,
         )
         with pytest.raises(NumericsError):
             verify_equality_in_law(cfg)

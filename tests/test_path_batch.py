@@ -413,7 +413,6 @@ class TestReplicaLoops:
             eval_times=(1.0, 3.0, 5.0),
             replicas=replicas,
             seed=123,
-            ks_bootstrap=50,
         )
 
     def test_equality_in_law(self):
@@ -437,7 +436,6 @@ class TestReplicaLoops:
             horizons=(20.0, 45.0, 80.0),
             replicas=37,  # 112.5 expected jumps per replica: blocks of 17, 17 and 3
             seed=51,
-            rmse_threshold=1.0,
         )
         perturbed = IntensitySpec.scaled_by_phi(1.0, 1.0, PHI)
         paths = [oracle_simulate(perturbed, cfg.marks, 80.0, cfg.seed + i) for i in range(cfg.replicas)]

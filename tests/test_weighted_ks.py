@@ -388,6 +388,18 @@ class TestMatchesFrozenCore:
         assert spy.calls < bad + 1
         assert np.array_equal(spy.weights, wts[rows[bad]])
 
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            pytest.param(([0.1, 0.2], [1e308, 1e308], [0.3], [1.0]), id="pooled-total-overflows"),
+            pytest.param(([0.1, 0.2], [1e308, 1.0], [0.3], [1.0]), id="a-resample-total-overflows"),
+        ],
+    )
+    def test_overflowing_totals_raise_in_both(self, pool):
+        # the pools of TestOverflowingTotals: both end in ValidationError, not in NaN or an overflow warning
+        self.assert_identical(*pool, 50, 0)
+        assert outcome(ks_threshold_two_draws, *pool, 50, 0.05, np.random.default_rng(0)) is ValidationError
+
     def test_law_check_sized_ties(self):
         # 2 000 + 2 000 values draw 16 resamples per block; 37 is not a multiple
         rng = np.random.default_rng(4)
