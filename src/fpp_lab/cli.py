@@ -1,10 +1,11 @@
 """Experiment runner: `fpp-lab run <config.json>` / `fpp-lab validate <config.json>`.
 
-A config is one JSON document describing one experiment.  Unknown keys are
-rejected anywhere in the document.  Every run writes a `run_summary.json`
-embedding the fully resolved config and seed next to the data artifacts,
-and serialization is canonical (sorted keys, floats as their shortest
-round-trip `repr`), so identical configs produce byte-identical outputs.
+A config is one JSON document describing one experiment.  It carries only
+the keys that experiment reads: any other key, anywhere in the document, is
+rejected.  Every run writes a `run_summary.json` embedding the fully resolved
+config and seed next to the data artifacts, and serialization is canonical
+(sorted keys, floats as their shortest round-trip `repr`), so identical
+configs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
 3 statistical-test failure.  Failures emit a JSON error record on stderr.
@@ -59,11 +60,9 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, where: str, required: bool = True):
+def _number(obj: dict, key: str, where: str):
     if key not in obj:
-        if required:
-            raise ValidationError(f"missing {key!r} in {where}")
-        return None
+        raise ValidationError(f"missing {key!r} in {where}")
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValidationError(f"{where}.{key} must be a number, got {val!r}")
@@ -121,6 +120,19 @@ def parse_marks(obj: dict) -> MarkDistributionSpec:
     raise ValidationError(f"unknown marks kind {kind!r}")
 
 
+def parse_intensity(obj: dict) -> tuple[IntensitySpec, str, float | None]:
+    """The constant base intensity, the kind, and the tilt theta that only a scaled-by-phi intensity takes."""
+    _check_keys(obj, {"kind", "base_rate", "theta"}, "intensity")
+    kind = obj.get("kind", "constant")
+    base = IntensitySpec.constant(_number(obj, "base_rate", "intensity"))
+    if kind == "constant":
+        _check_keys(obj, {"kind", "base_rate"}, "intensity(constant)")
+        return base, kind, None
+    if kind == "scaled-by-phi":
+        return base, kind, _number(obj, "theta", "intensity")
+    raise ValidationError(f"unknown intensity kind {kind!r}")
+
+
 def parse_grid(obj: dict) -> np.ndarray:
     _check_keys(obj, {"start", "stop", "count"}, "grid")
     start = _number(obj, "start", "grid")
@@ -166,10 +178,13 @@ class ResolvedConfig:
     """Validated config plus the library objects it describes."""
 
     def __init__(self, raw: dict, seed_override: int | None, out_override: str | None):
-        _check_keys(raw, _TOP_KEYS, "config")
-        self.experiment = _require(raw, "experiment")
-        if self.experiment not in EXPERIMENTS:
-            raise ValidationError(f"unknown experiment {self.experiment!r}; one of {tuple(EXPERIMENTS)}")
+        exp = self.experiment = _require(raw, "experiment")
+        if not isinstance(exp, str) or exp not in EXPERIMENTS:
+            raise ValidationError(f"unknown experiment {exp!r}; one of {tuple(EXPERIMENTS)}")
+        _, need, optional = EXPERIMENTS[exp]
+        _check_keys(raw, {"experiment", "seed", "output_path", *need, *optional}, f"{exp} config")
+        for key in need:
+            _require(raw, key)
         self.seed = _integer(raw, "seed", "config") if seed_override is None else int(seed_override)
         if self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
@@ -177,41 +192,28 @@ class ResolvedConfig:
         if not isinstance(out, str) or not out:
             raise ValidationError("output_path must be a non-empty string (or pass --out)")
         self.output_path = Path(out)
-        self.raw = dict(raw)
-        self.raw["seed"] = self.seed
-        self.raw["output_path"] = str(out)
-
-        exp = self.experiment
-        _, need = EXPERIMENTS[exp]
-        for key in need:
-            _require(raw, key)
+        self.raw = dict(raw, seed=self.seed, output_path=str(out))
 
         self.marks = parse_marks(raw["marks"])
         self.kernel = parse_kernel(raw["kernel"]) if "kernel" in raw else None
-        self.horizon = _number(raw, "horizon", "config", required="horizon" in need)
+        self.horizon = _number(raw, "horizon", "config") if "horizon" in raw else None
         self.grid = parse_grid(raw["grid"]) if "grid" in raw else None
-        self.theta_true = _number(raw, "theta_true", "config", required="theta_true" in need)
-        self.replicas = _integer(raw, "replicas", "config", required="replicas" in need, default=1)
+        self.theta_true = _number(raw, "theta_true", "config") if "theta_true" in raw else None
+        self.replicas = _integer(raw, "replicas", "config", required=False, default=1)
         if self.replicas < 1:
             raise ValidationError("replicas must be >= 1")
         self.h_scale, closed_form = parse_h_spec(raw["h_spec"]) if "h_spec" in raw else (None, False)
 
-        intensity_obj = _require(raw, "intensity")
-        _check_keys(intensity_obj, {"kind", "base_rate", "theta"}, "intensity")
-        self.base_intensity = IntensitySpec.constant(_number(intensity_obj, "base_rate", "intensity"))
-        self.intensity_kind = intensity_obj.get("kind", "constant")
-        self.intensity_theta = _number(intensity_obj, "theta", "intensity", required=False)
+        self.base_intensity, self.intensity_kind, self.intensity_theta = parse_intensity(raw["intensity"])
         if self.intensity_kind == "scaled-by-phi":
             if exp not in ("simulate", "solve-phi"):  # the others run at the constant base_rate
                 raise ValidationError(f"only simulate and solve-phi read a scaled-by-phi intensity, not {exp}")
             if self.kernel is None:
                 raise ValidationError("scaled-by-phi intensity needs a kernel to define phi")
-            if self.intensity_theta is None:
-                raise ValidationError("scaled-by-phi intensity requires theta")
             if self.intensity_theta < 0:
                 raise ValidationError(f"intensity theta must be >= 0, got {self.intensity_theta}")
-        elif self.intensity_kind != "constant":
-            raise ValidationError(f"unknown intensity kind {self.intensity_kind!r}")
+        elif exp == "simulate" and self.kernel is not None:
+            raise ValidationError("simulate reads a kernel only to define phi for a scaled-by-phi intensity")
         # the ESS is at most the replica count, and equals it only when every weight agrees (h = 0)
         if exp == "verify-girsanov" and self.replicas < MIN_EFFECTIVE_SAMPLE + (self.h_scale != 0):
             raise ValidationError(
@@ -219,8 +221,7 @@ class ResolvedConfig:
                 f"effective sample size floor MIN_EFFECTIVE_SAMPLE = {MIN_EFFECTIVE_SAMPLE:g}"
             )
         # what the library rejects only once phi is built or paths are drawn, in the library's words
-        builds_phi = exp not in ("simulate", "solve-phi") or self.intensity_kind == "scaled-by-phi"
-        if builds_phi and closed_form and self.kernel.kind == "tabulated":
+        if closed_form and self.kernel.kind == "tabulated":
             raise ValidationError("no closed-form phi for kernel kind 'tabulated'")
         if exp == "verify-girsanov" and not self.kernel.diagonal_degenerate:
             needs = "equality in law requires a diagonal-degenerate kernel (K(t,t) = 0)"
@@ -368,24 +369,23 @@ def _run_solve_phi(cfg: ResolvedConfig) -> dict:
     return _summary(cfg, ["phi.csv"], headline, True)
 
 
-#: experiment name -> (runner, the config keys it requires)
+#: experiment name -> (runner, the config keys it requires, the config keys it may also carry)
 EXPERIMENTS = {
-    "simulate": (_run_simulate, ("intensity", "marks", "horizon")),
-    "estimate": (_run_estimate, ("kernel", "intensity", "marks", "horizon", "theta_true", "replicas")),
-    "trajectory": (_run_trajectory, ("kernel", "intensity", "marks", "horizon", "grid", "theta_true")),
+    "simulate": (_run_simulate, ("intensity", "marks", "horizon"), ("kernel", "replicas")),
+    "estimate": (_run_estimate, ("kernel", "intensity", "marks", "horizon", "theta_true", "replicas"), ()),
+    "trajectory": (_run_trajectory, ("kernel", "intensity", "marks", "horizon", "grid", "theta_true"), ()),
     "verify-girsanov": (
         _run_verify_girsanov,
         ("kernel", "intensity", "marks", "horizon", "grid", "h_spec", "replicas"),
+        (),
     ),
     "consistency": (
         _run_consistency,
         ("kernel", "intensity", "marks", "horizon", "grid", "theta_true", "replicas"),
+        (),
     ),
-    "solve-phi": (_run_solve_phi, ("kernel", "intensity", "marks", "grid")),
+    "solve-phi": (_run_solve_phi, ("kernel", "intensity", "marks", "grid"), ("horizon",)),
 }
-
-#: the keys a config may carry: the run's own, and every key an experiment requires
-_TOP_KEYS = {"experiment", "seed", "output_path"}.union(*(need for _, need in EXPERIMENTS.values()))
 
 
 def _load_config(path: str) -> dict:

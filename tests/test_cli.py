@@ -35,6 +35,26 @@ def simulate_config(out: Path, seed: int = 42) -> dict:
     }
 
 
+#: the keys each experiment reads, besides experiment, seed and output_path; simulate
+#: also reads a kernel, but only to define phi for a scaled-by-phi intensity
+READS = {
+    "simulate": {"intensity", "marks", "horizon", "replicas"},
+    "estimate": {"kernel", "intensity", "marks", "horizon", "theta_true", "replicas"},
+    "trajectory": {"kernel", "intensity", "marks", "horizon", "grid", "theta_true"},
+    "verify-girsanov": {"kernel", "intensity", "marks", "horizon", "grid", "h_spec", "replicas"},
+    "consistency": {"kernel", "intensity", "marks", "horizon", "grid", "theta_true", "replicas"},
+    "solve-phi": {"kernel", "intensity", "marks", "grid", "horizon"},
+}
+
+
+def reads_only(raw: dict) -> dict:
+    """`raw` without the keys that its experiment does not read."""
+    keep = READS[raw["experiment"]] | {"experiment", "seed", "output_path"}
+    if raw["experiment"] == "simulate" and raw["intensity"].get("kind") == "scaled-by-phi":
+        keep = keep | {"kernel"}
+    return {key: value for key, value in raw.items() if key in keep}
+
+
 def artifact_bytes(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -88,10 +108,12 @@ class TestValidate:
         assert "marks must be a JSON object" in json.loads(capsys.readouterr().err)["error"]["message"]
 
     def test_unknown_experiment(self, tmp_path):
-        raw = simulate_config(tmp_path / "out")
-        raw["experiment"] = "frobnicate"
-        cfg = write_config(tmp_path, "c.json", raw)
-        assert main(["validate", str(cfg)]) == 1
+        # a list used to leave as a raw TypeError (unhashable type)
+        for experiment in ("frobnicate", ["simulate"]):
+            raw = simulate_config(tmp_path / "out")
+            raw["experiment"] = experiment
+            cfg = write_config(tmp_path, "c.json", raw)
+            assert main(["validate", str(cfg)]) == 1
 
 
 class TestRunSimulate:
@@ -151,7 +173,6 @@ class TestRunExperiments:
                 "marks": {"kind": "unit"},
                 "horizon": 200.0,
                 "theta_true": 1.0,
-                "h_spec": {"scale": 1.0, "phi_source": "closed_form"},
                 "replicas": 20,
                 "seed": 5,
                 "output_path": str(out),
@@ -174,7 +195,6 @@ class TestRunExperiments:
                 "marks": {"kind": "unit"},
                 "horizon": 50.0,
                 "theta_true": 1.0,
-                "h_spec": {"scale": 1.0, "phi_source": "closed_form"},
                 "replicas": 10,
                 "seed": 3,
                 "output_path": str(out),
@@ -285,7 +305,6 @@ class TestRunExperiments:
             "intensity": {"kind": "constant", "base_rate": 1.0},
             "marks": {"kind": "unit"},
             "theta_true": 1.0,
-            "h_spec": {"scale": 1.0, "phi_source": "closed_form"},
             "replicas": 80,
             "seed": 12,
         }
@@ -631,7 +650,6 @@ class TestRunExperiments:
                 "intensity": {"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 0.5},
                 "marks": {"kind": "unit"},
                 "horizon": 10.0,
-                "h_spec": {"scale": 0.5, "phi_source": "closed_form"},
                 "replicas": 1,
                 "seed": 8,
                 "output_path": str(out),
@@ -723,8 +741,7 @@ class TestPhiFollowsTheKernelKind:
         }
         if experiment == "simulate":
             raw.update(intensity={"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 0.5}, replicas=2)
-            del raw["grid"], raw["theta_true"]
-        cfg = write_config(tmp_path, "c.json", raw)
+        cfg = write_config(tmp_path, "c.json", reads_only(raw))
         assert main(["validate", str(cfg)]) == 0
         assert main(["run", str(cfg)]) == 0
         assert not capsys.readouterr().err
@@ -779,25 +796,20 @@ class TestPhiFollowsTheKernelKind:
             "output_path": str(out),
         }
 
-    @pytest.mark.parametrize("experiment", ["verify-girsanov", "estimate"])
-    def test_closed_form_key_changes_no_byte(self, tmp_path, capsys, experiment):
+    def test_closed_form_key_changes_no_byte(self, tmp_path, capsys):
         # the key stays accepted while the benchmark's law-check config carries
         # it; only its own line in the echoed config differs
         out = tmp_path / "out"
         runs = []
         for h_spec in ({"scale": 0.3, "phi_source": "closed_form"}, {"scale": 0.3}):
-            raw = self.law_config(out, h_spec)
-            if experiment == "estimate":
-                raw.update(experiment="estimate", theta_true=1.0)
-                del raw["grid"]
-            cfg = write_config(tmp_path, "c.json", raw)
+            cfg = write_config(tmp_path, "c.json", self.law_config(out, h_spec))
             code = main(["run", str(cfg)])
             key_line = rb'\n *"phi_source": "closed_form",'
             files = {name: re.sub(key_line, b"", data) for name, data in artifact_bytes(out).items()}
             runs.append((code, files, capsys.readouterr()))
             shutil.rmtree(out)
         assert runs[0] == runs[1]
-        assert runs[0][0] == (3 if experiment == "verify-girsanov" else 0)
+        assert runs[0][0] == 3
 
 
 class TestBadInputExitsThroughContract:
@@ -862,7 +874,7 @@ class TestBadInputExitsThroughContract:
             h_spec={"scale": 0.3, "phi_source": "closed_form"},
             replicas=5,
         )
-        cfg = write_config(tmp_path, "c.json", raw)
+        cfg = write_config(tmp_path, "c.json", reads_only(raw))
         assert main([command, str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
@@ -883,7 +895,7 @@ class TestBadInputExitsThroughContract:
             h_spec={"scale": 0.3, "phi_source": "closed_form"},
             replicas=10**20,
         )
-        cfg = write_config(tmp_path, "c.json", raw)
+        cfg = write_config(tmp_path, "c.json", reads_only(raw))
         assert main([command, str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
@@ -991,17 +1003,15 @@ class TestBadInputExitsThroughContract:
         assert (path if isinstance(path, str) else "kernel.path") in err["error"]["message"]
 
     #: config edits that the library rejects only at run (most of them once phi
-    #: is built), and the message that validate and run now both give; "TABLE"
-    #: stands for a tabulated kernel
+    #: is built), or that it used to ignore, and the message that validate and
+    #: run now both give; "TABLE" stands for a tabulated kernel
     ONE_NODE = {"start": 2.0, "stop": 2.0, "count": 1}
     ROUNDED_REPEATS = {"start": 1.0, "stop": 1.000000000000001, "count": 100}
     ROUNDED_REPEATS_MESSAGE = "grid nodes repeat after rounding: 100 nodes from 1.0 to 1.000000000000001"
+    GRID = {"start": 1.0, "stop": 5.0, "count": 3}
+    H_SPEC = {"scale": 0.3, "phi_source": "closed_form"}
     REJECTED_AT_RUN = {
-        "estimate:tabulated": ({"kernel": "TABLE"}, "no closed-form phi for kernel kind 'tabulated'"),
-        "simulate:scaled-tabulated": (
-            {"kernel": "TABLE", "intensity": {"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 1.0}},
-            "no closed-form phi for kernel kind 'tabulated'",
-        ),
+        "verify-girsanov:tabulated": ({"kernel": "TABLE"}, "no closed-form phi for kernel kind 'tabulated'"),
         "verify-girsanov:indicator": (
             {"kernel": {"kind": "indicator"}},
             "equality in law requires a diagonal-degenerate kernel (K(t,t) = 0); got kind 'indicator'",
@@ -1012,8 +1022,8 @@ class TestBadInputExitsThroughContract:
         "estimate:negative-theta": ({"theta_true": -1.0}, "theta must be >= 0, got -1.0"),
         "trajectory:negative-theta": ({"theta_true": -1.0}, "theta must be >= 0, got -1.0"),
         "solve-phi:one-node": ({"grid": ONE_NODE}, "grid must be a 1-d array with at least 2 nodes"),
-        "simulate:zero-horizon": ({"horizon": 0.0, "grid": None}, "horizon must be positive, got 0.0"),
-        "estimate:negative-horizon": ({"horizon": -1.0, "grid": None}, "horizon must be positive, got -1.0"),
+        "simulate:zero-horizon": ({"horizon": 0.0}, "horizon must be positive, got 0.0"),
+        "estimate:negative-horizon": ({"horizon": -1.0}, "horizon must be positive, got -1.0"),
         "trajectory:repeated-node": (
             {"grid": {"start": 2.0, "stop": 2.0, "count": 2}},
             "grid requires 0 < start <= stop, count >= 1, and start == stop iff count == 1",
@@ -1025,6 +1035,27 @@ class TestBadInputExitsThroughContract:
         "verify-girsanov:phi-source-volterra": (
             {"h_spec": {"scale": 0.3, "phi_source": "volterra"}},
             "h_spec.phi_source must be closed_form, got 'volterra'",
+        ),
+        # each experiment accepts only the keys it reads: these were accepted, echoed and ignored
+        "simulate:grid": ({"grid": GRID}, "unknown keys in simulate config: ['grid']"),
+        "simulate:theta_true": ({"theta_true": 1.0}, "unknown keys in simulate config: ['theta_true']"),
+        "simulate:h_spec": ({"h_spec": H_SPEC}, "unknown keys in simulate config: ['h_spec']"),
+        "simulate:constant-rate-kernel": (
+            {"kernel": {"kind": "fractional", "H": 0.7}},
+            "simulate reads a kernel only to define phi for a scaled-by-phi intensity",
+        ),
+        "estimate:grid": ({"grid": GRID}, "unknown keys in estimate config: ['grid']"),
+        "estimate:h_spec": ({"h_spec": H_SPEC}, "unknown keys in estimate config: ['h_spec']"),
+        "trajectory:replicas": ({"replicas": 500}, "unknown keys in trajectory config: ['replicas']"),
+        "trajectory:h_spec": ({"h_spec": H_SPEC}, "unknown keys in trajectory config: ['h_spec']"),
+        "verify-girsanov:theta_true": ({"theta_true": 1.0}, "unknown keys in verify-girsanov config: ['theta_true']"),
+        "consistency:h_spec": ({"h_spec": H_SPEC}, "unknown keys in consistency config: ['h_spec']"),
+        "solve-phi:theta_true": ({"theta_true": -5.0}, "unknown keys in solve-phi config: ['theta_true']"),
+        "solve-phi:replicas": ({"replicas": 7}, "unknown keys in solve-phi config: ['replicas']"),
+        "solve-phi:h_spec": ({"h_spec": {"scale": 99.0}}, "unknown keys in solve-phi config: ['h_spec']"),
+        "estimate:constant-rate-theta": (
+            {"intensity": {"kind": "constant", "base_rate": 1.0, "theta": 5.0}},
+            "unknown keys in intensity(constant): ['theta']",
         ),
     }
 
@@ -1040,17 +1071,17 @@ class TestBadInputExitsThroughContract:
             "intensity": {"kind": "constant", "base_rate": 1.0},
             "marks": {"kind": "unit"},
             "horizon": 5.0,
-            "grid": {"start": 1.0, "stop": 5.0, "count": 3},
+            "grid": self.GRID,
             "theta_true": 1.0,
-            "h_spec": {"scale": 0.3, "phi_source": "closed_form"},
+            "h_spec": self.H_SPEC,
             "replicas": 200,
             "seed": 1,
             "output_path": str(tmp_path / "out"),
         }
-        raw.update(edit)
-        if raw["kernel"] == "TABLE":
+        raw = dict(reads_only(raw), **edit)
+        if raw.get("kernel") == "TABLE":
             raw["kernel"] = {"kind": "tabulated", "path": str(table)}
-        cfg = write_config(tmp_path, "c.json", {key: value for key, value in raw.items() if value is not None})
+        cfg = write_config(tmp_path, "c.json", raw)
         monkeypatch.setattr(cli, "calibration_phi", lambda *args: pytest.fail("phi built for a rejected config"))
         for command in ("validate", "run"):
             assert main([command, str(cfg)]) == 1

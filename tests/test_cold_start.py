@@ -60,7 +60,6 @@ with tempfile.TemporaryDirectory() as tmp:
         "horizon": 50.0,
         "grid": {"start": 10.0, "stop": 50.0, "count": 2},
         "theta_true": 1.0,
-        "h_spec": {"scale": 1.0, "phi_source": "closed_form"},
         "replicas": 20,
         "seed": 5,
         "output_path": str(Path(tmp) / "out"),

@@ -17,26 +17,25 @@ from fpp_lab.cli import main
 TEMPLATES = [
     {
         "experiment": "consistency",
-        "kernel": {"kind": "fractional", "H": 0.7},
+        "kernel": {"kind": "exp_shot_noise", "a": 1.0},
         "intensity": {"kind": "constant", "base_rate": 1.0},
         "marks": {"kind": "lognormal", "mu": 0.0, "sigma": 0.5},
         "horizon": 20.0,
         "grid": {"start": 1.0, "stop": 20.0, "count": 3},
         "theta_true": 1.0,
-        "h_spec": {"scale": 0.3, "phi_source": "closed_form"},
         "replicas": 10,
         "seed": 1,
         "output_path": "unused",
     },
     {
         "experiment": "verify-girsanov",
-        "kernel": {"kind": "exp_shot_noise", "a": 1.0},
+        "kernel": {"kind": "fractional", "H": 0.7},
         "intensity": {"kind": "constant", "base_rate": 2.0},
         "marks": {"kind": "exponential", "mean": 1.5},
         "horizon": 5.0,
         "grid": {"start": 1.0, "stop": 5.0, "count": 2},
         "h_spec": {"scale": 0.2},
-        "replicas": 100,
+        "replicas": 200,
         "seed": 2,
         "output_path": "unused",
     },
@@ -94,3 +93,14 @@ def test_validate_exits_through_contract(raw):
     else:
         assert code == 1
         assert json.loads(err.getvalue())["error"]["type"] == "ValidationError"
+
+
+def test_every_template_validates():
+    # a template that exits 1 unperturbed would make every draw from it exit 1 too,
+    # and the fuzz above would pass without reaching a single numeric check
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, template in enumerate(TEMPLATES):
+            cfg = Path(tmp) / f"c{i}.json"
+            cfg.write_text(json.dumps(template))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["validate", str(cfg)]) == 0, template["experiment"]
