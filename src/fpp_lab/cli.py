@@ -26,7 +26,7 @@ from .errors import FppError, NumericsError, ValidationError
 from .estimator import (
     ConsistencyConfig,
     consistency_experiment,
-    mle_solve_batch,
+    drift_estimates,
     monotonicity_violations,
     trajectory,
 )
@@ -287,12 +287,9 @@ def _run_simulate(cfg: ResolvedConfig) -> dict:
 
 
 def _run_estimate(cfg: ResolvedConfig) -> dict:
-    phi = cfg.phi()
-    perturbed = cfg.intensity.tilted(cfg.theta_true, phi)
-    est = np.empty(cfg.replicas)
-    for rows, batch in simulate_replicas(perturbed, cfg.marks, cfg.horizon, cfg.replicas, cfg.seed):
-        est[rows] = mle_solve_batch(batch, phi, cfg.intensity, cfg.horizon)[:, 0]
-        del batch  # before the next block is simulated: one block in memory at a time
+    est = drift_estimates(
+        cfg.intensity, cfg.phi(), cfg.theta_true, cfg.marks, cfg.horizon, [cfg.horizon], cfg.replicas, cfg.seed
+    )[0][:, 0]
     write_csv(cfg.output_path / "estimates.csv", "replica,theta_hat", (np.arange(est.size), est))
     headline = {
         "theta_true": cfg.theta_true,
@@ -303,10 +300,7 @@ def _run_estimate(cfg: ResolvedConfig) -> dict:
 
 
 def _run_trajectory(cfg: ResolvedConfig) -> dict:
-    phi = cfg.phi()
-    perturbed = cfg.intensity.tilted(cfg.theta_true, phi)
-    [(_, batch)] = simulate_replicas(perturbed, cfg.marks, cfg.horizon, 1, cfg.seed)  # replica 0, stream seed
-    trace = trajectory(batch.row(0), phi, cfg.intensity, cfg.grid)
+    trace = trajectory(cfg.intensity, cfg.phi(), cfg.theta_true, cfg.marks, cfg.horizon, cfg.grid, cfg.seed)
     trace.to_csv(cfg.output_path / "trace.csv")
     headline = {
         "final_theta_hat": float(trace.theta_hat[-1]),
@@ -338,18 +332,11 @@ def _run_verify_girsanov(cfg: ResolvedConfig) -> dict:
 
 
 def _run_consistency(cfg: ResolvedConfig) -> dict:
-    phi = cfg.phi()
-    report = consistency_experiment(
-        ConsistencyConfig(
-            intensity=cfg.intensity,
-            phi=phi,
-            theta_true=cfg.theta_true,
-            horizons=tuple(float(t) for t in cfg.grid),
-            replicas=cfg.replicas,
-            seed=cfg.seed,
-            marks=cfg.marks,
-        )
+    check = ConsistencyConfig(
+        intensity=cfg.intensity, phi=cfg.phi(), theta_true=cfg.theta_true, horizons=cfg.grid,
+        replicas=cfg.replicas, seed=cfg.seed, marks=cfg.marks,
     )
+    report = consistency_experiment(check)
     write_json(cfg.output_path / "consistency_report.json", dict(report.to_dict(), config_echo=cfg.raw))
     write_csv(
         cfg.output_path / "consistency_rmse.csv",

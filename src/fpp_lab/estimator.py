@@ -12,9 +12,10 @@ and otherwise the unique positive root of
 found by Newton iteration from theta = 0 on 1/S - 1/integral, S being the
 left side: 1/S is increasing and concave in theta, so the iterates rise
 monotonically to the root.  `mle_solve_batch` runs it for many (path, time)
-lanes at once.  Between consecutive jumps the estimator
-trajectory is nonincreasing (the left side is frozen while the right side
-grows), which `monotonicity_violations` checks on traces.
+lanes at once; a lane with no jump estimates the boundary 0.  `drift_estimates`
+draws and solves the replicas of `estimate`, `trajectory` and `consistency`.
+Between consecutive jumps the estimator trajectory is nonincreasing (the left
+side is frozen while the right side grows), checked by `monotonicity_violations`.
 """
 
 from __future__ import annotations
@@ -49,19 +50,20 @@ MONOTONE_TOL = 1e-9
 PHI_SUM_MAX = np.finfo(float).max ** (1.0 / 3.0)
 
 
-def mle_solve_batch(batch: PathBatch, phi: PhiFunction, intensity: IntensitySpec, times) -> np.ndarray:
-    """Drift estimates of every row of a batch at every time: a (rows, times) array.
+def mle_solve_batch(batch: PathBatch, phi: PhiFunction, intensity: IntensitySpec, times) -> tuple:
+    """Drift estimates of every row of a batch at every time, and the row's jump count N_t there.
 
-    Each (row, time) pair is a lane: the argmax over theta >= 0 of the
-    concave log-likelihood of the row's jumps up to that time.  phi is
+    Both are (rows, times) arrays.  Each (row, time) pair is a lane: the
+    argmax over theta >= 0 of the concave log-likelihood of the row's N_t
+    jumps up to that time, 0 for a lane with no jump.  phi is
     evaluated once at the jumps of all rows, and the lanes are solved
     together by `_newton_lanes`, in blocks of about JUMP_BLOCK
     (lane, jump) terms.  A lane that has not converged within
     MAX_NEWTON_STEPS raises NumericsError naming its replica and time.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.ndim != 1 or not np.all(times > 0):
-        raise ValidationError(f"t must be positive, got {times}")
+    if times.ndim != 1 or not np.all((times > 0) & (times <= batch.horizon)):
+        raise ValidationError(f"t must lie in (0, horizon] = (0, {batch.horizon}], got {times}")
     pv = np.asarray(phi(batch.jump_times), dtype=float)
     integral = np.array([phi_lambda_integral(phi, intensity, t) for t in times])
     off = batch.offsets
@@ -83,7 +85,7 @@ def mle_solve_batch(batch: PathBatch, phi: PhiFunction, intensity: IntensitySpec
         row, k = divmod(int(np.flatnonzero(np.isnan(theta))[0]), times.size)
         where = f"{batch.describe(row)}: the drift MLE did not converge at t = {times[k]}"
         raise NumericsError(f"{where} within {MAX_NEWTON_STEPS} Newton steps")
-    return theta.reshape(batch.replicas, times.size)
+    return theta.reshape(batch.replicas, times.size), counts.reshape(batch.replicas, times.size)
 
 
 def _lane_jumps(starts: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -194,9 +196,26 @@ def _newton_steps(pv: np.ndarray, n: np.ndarray, integral: np.ndarray, s0: np.nd
 
 def mle_solve(path: MarkedPath, phi: PhiFunction, intensity: IntensitySpec, t: float) -> float:
     """Drift estimate at time t, the argmax over theta >= 0: the one-lane `mle_solve_batch`."""
-    if not t > 0:
-        raise ValidationError(f"t must be positive, got {t}")
-    return float(mle_solve_batch(PathBatch.from_path(path), phi, intensity, [t])[0, 0])
+    return float(mle_solve_batch(PathBatch.from_path(path), phi, intensity, [t])[0][0, 0])
+
+
+def drift_estimates(
+    intensity: IntensitySpec, phi: PhiFunction, theta: float, marks: MarkDistributionSpec,
+    horizon: float, times, replicas: int, seed: int,
+) -> tuple:
+    """The (replicas, times) drift estimates, and N_t, of replicas drawn under the tilt by theta.
+
+    Replica i is drawn on [0, horizon] from the stream seed + i at the rate
+    (1 + theta phi) lambda, and solved against the base ``intensity`` lambda
+    by `mle_solve_batch`, one `simulate_replicas` block in memory at a time.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    theta_hat = np.empty((replicas, times.size))
+    jumps = np.empty((replicas, times.size), dtype=np.intp)
+    for rows, batch in simulate_replicas(intensity.tilted(theta, phi), marks, horizon, replicas, seed):
+        theta_hat[rows], jumps[rows] = mle_solve_batch(batch, phi, intensity, times)
+        del batch  # before the next block is simulated: one block in memory at a time
+    return theta_hat, jumps
 
 
 @dataclass(frozen=True)
@@ -231,24 +250,18 @@ class EstimateTrace:
 
 
 def trajectory(
-    path: MarkedPath,
-    phi: PhiFunction,
-    intensity: IntensitySpec,
-    grid: np.ndarray,
+    intensity: IntensitySpec, phi: PhiFunction, theta: float, marks: MarkDistributionSpec,
+    horizon: float, grid: np.ndarray, seed: int,
 ) -> EstimateTrace:
-    """theta-hat evaluated at each grid time."""
+    """theta-hat at each grid time along replica 0 of `drift_estimates`, the path of stream seed."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid[0] <= 0 or grid[-1] > path.horizon:
+    if grid.size == 0 or grid[0] <= 0 or grid[-1] > horizon:
         raise ValidationError("grid must lie inside (0, horizon]")
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing")
-    theta = mle_solve_batch(PathBatch.from_path(path), phi, intensity, grid)[0]
-    prev = np.concatenate(([0.0], grid[:-1]))
-    counts = np.searchsorted(path.jump_times, grid, side="right") - np.searchsorted(
-        path.jump_times, prev, side="right"
-    )
-    epochs = np.nonzero(counts > 0)[0]
-    return EstimateTrace(times=grid, theta_hat=theta, jump_epochs=epochs)
+    theta_hat, jumps = drift_estimates(intensity, phi, theta, marks, horizon, grid, 1, seed)
+    epochs = np.flatnonzero(np.diff(jumps[0], prepend=0))
+    return EstimateTrace(times=grid, theta_hat=theta_hat[0], jump_epochs=epochs)
 
 
 def monotonicity_violations(trace: EstimateTrace) -> int:
@@ -331,19 +344,13 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
 
     Jump times are simulated with rate lambda(s) (1 + theta phi(s)) -- the
     compensator of the observed process under the perturbed measure --
-    while the estimator is fed the constant base intensity.  Passes when
-    the RMSE decreases strictly across horizons and the final RMSE is
-    below `RMSE_THRESHOLD`.
+    while the estimator is fed the constant base intensity; a replica with
+    no jump by a horizon estimates 0 there.  Passes when the RMSE decreases
+    strictly across horizons and the final RMSE is below `RMSE_THRESHOLD`.
     """
-    perturbed = cfg.intensity.tilted(cfg.theta_true, cfg.phi)
-    t_max = cfg.horizons[-1]
-    est = np.empty((cfg.replicas, len(cfg.horizons)))
-    for rows, batch in simulate_replicas(perturbed, cfg.marks, t_max, cfg.replicas, cfg.seed):
-        empty = np.flatnonzero(batch.counts == 0)
-        if empty.size:
-            raise NumericsError(f"{batch.describe(empty[0])} produced zero jumps at horizon {t_max}")
-        est[rows] = mle_solve_batch(batch, cfg.phi, cfg.intensity, cfg.horizons)
-        del batch  # before the next block is simulated: one block in memory at a time
+    est, _ = drift_estimates(
+        cfg.intensity, cfg.phi, cfg.theta_true, cfg.marks, cfg.horizons[-1], cfg.horizons, cfg.replicas, cfg.seed
+    )
     err = est - cfg.theta_true
     mae = tuple(float(v) for v in np.abs(err).mean(axis=0))
     rmse = tuple(float(v) for v in np.sqrt(np.square(err).mean(axis=0)))

@@ -229,16 +229,14 @@ def test_criterion_7_trajectory_monotonicity():
         # expected gap 0.5, grid step 0.025 gives 20 points per gap
         phi_one = PhiFunction.constant(1.0)
         for i in range(50):
-            path = simulate(IntensitySpec.scaled_by_phi(1.0, 1.0, phi_one), marks, 25.0, 700_000 + i)
             grid = np.linspace(0.025, 25.0, 1000)
-            trace = trajectory(path, phi_one, base, grid)
+            trace = trajectory(base, phi_one, 1.0, marks, 25.0, grid, 700_000 + i)
             violations += monotonicity_violations(trace)
         # 50 fractional traces, theta = 0.5
         frac = phi_fractional(0.7, 1.0)
         for i in range(50):
-            path = simulate(IntensitySpec.scaled_by_phi(1.0, 0.5, frac), marks, 15.0, 800_000 + i)
             grid = np.linspace(0.025, 15.0, 600)
-            trace = trajectory(path, frac, base, grid)
+            trace = trajectory(base, frac, 0.5, marks, 15.0, grid, 800_000 + i)
             violations += monotonicity_violations(trace)
         assert violations == 0
 

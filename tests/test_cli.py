@@ -712,6 +712,65 @@ class TestFixedMonteCarloSettings:
         assert json.loads((out / "consistency_report.json").read_text())["rmse_threshold"] == 0.15
 
 
+#: 20 replicas at base rate 0.001 on [0, 1]: replica 2 (stream 2) has no jump
+ZERO_JUMP = {
+    "kernel": {"kind": "indicator"},
+    "intensity": {"kind": "constant", "base_rate": 0.001},
+    "marks": {"kind": "unit"},
+    "horizon": 1.0,
+    "theta_true": 1.0,
+    "replicas": 20,
+    "seed": 0,
+}
+
+
+class TestOneEstimationEngine:
+    """estimate, trajectory and consistency draw and solve through `estimator.drift_estimates`."""
+
+    @pytest.mark.parametrize(
+        "experiment, extra, replicas",
+        [
+            ("estimate", {}, 20),
+            ("trajectory", {"grid": {"start": 0.5, "stop": 1.0, "count": 2}}, 1),
+            ("consistency", {"grid": {"start": 0.5, "stop": 1.0, "count": 2}}, 20),
+        ],
+        ids=["estimate", "trajectory", "consistency"],
+    )
+    def test_one_engine_call_per_run(self, tmp_path, monkeypatch, experiment, extra, replicas):
+        calls, engine = [], estimator.drift_estimates
+
+        def spy(*args):
+            calls.append(args[6])  # replicas
+            return engine(*args)
+
+        # cli binds the engine for estimate; trajectory and consistency_experiment look it up in estimator
+        monkeypatch.setattr(cli, "drift_estimates", spy)
+        monkeypatch.setattr(estimator, "drift_estimates", spy)
+        raw = reads_only(dict(ZERO_JUMP, experiment=experiment, output_path=str(tmp_path / "o"), **extra))
+        assert main(["run", str(write_config(tmp_path, "c.json", raw))]) in (0, 3)
+        assert calls == [replicas]
+        assert not hasattr(cli, "mle_solve_batch")
+
+    def test_zero_jump_replica_estimates_zero_in_every_experiment(self, tmp_path, capsys):
+        # consistency used to exit 2 on replica 2's zero jumps; now it estimates 0 there, as
+        # estimate does, and its short horizons leave the RMSE above the bound: exit 3
+        est_out, cons_out = tmp_path / "estimate", tmp_path / "consistency"
+        estimate = dict(ZERO_JUMP, experiment="estimate", output_path=str(est_out))
+        assert main(["run", str(write_config(tmp_path, "e.json", estimate))]) == 0
+        assert "2,0.0" in (est_out / "estimates.csv").read_text().splitlines()
+        consistency = dict(
+            ZERO_JUMP, experiment="consistency", grid={"start": 0.5, "stop": 1.0, "count": 2}, output_path=str(cons_out)
+        )
+        capsys.readouterr()
+        assert main(["run", str(write_config(tmp_path, "c.json", consistency))]) == 3
+        assert "produced zero jumps" not in capsys.readouterr().err
+        report = json.loads((cons_out / "consistency_report.json").read_text())
+        assert report["passed"] is False
+        assert report["rmse"] == [1.1827934730966347, 0.7068950770800431]
+        headline = json.loads((est_out / "run_summary.json").read_text())["headline"]
+        assert report["rmse"][-1] == headline["rmse"]
+
+
 class TestPhiFollowsTheKernelKind:
     """phi is the closed form of an analytic kernel, and a checked Volterra solve of a tabulated one."""
 

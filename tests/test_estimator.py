@@ -16,6 +16,7 @@ from fpp_lab import (
     PhiFunction,
     ValidationError,
     consistency_experiment,
+    drift_estimates,
     fractional_hypothesis_note,
     mle_solve,
     mle_solve_batch,
@@ -24,7 +25,7 @@ from fpp_lab import (
     simulate,
     trajectory,
 )
-from fpp_lab import estimator
+from fpp_lab import estimator, point_process
 
 from oracles import newton_lanes_grad_first, newton_lanes_plain, score
 
@@ -250,43 +251,69 @@ class TestHugePhiLanes:
 
 
 class TestTrajectory:
-    def test_empty_path_identically_zero(self, unit_rate):
-        path = MarkedPath(np.empty(0), np.empty(0), 5.0)
-        trace = trajectory(path, PHI_ONE, unit_rate, np.linspace(0.5, 5.0, 20))
+    UNIT = MarkDistributionSpec.unit()
+
+    def test_empty_path_identically_zero(self):
+        # at rate 2e-9 on [0, 5] replica 0 of stream 0 has no jump
+        tiny = IntensitySpec.constant(1e-9)
+        assert simulate(tiny.tilted(1.0, PHI_ONE), self.UNIT, 5.0, 0).count == 0
+        trace = trajectory(tiny, PHI_ONE, 1.0, self.UNIT, 5.0, np.linspace(0.5, 5.0, 20), 0)
         assert np.all(trace.theta_hat == 0.0)
         assert trace.jump_epochs.size == 0
 
     def test_nonincreasing_between_jumps(self, unit_rate):
-        path = path_with([1.0, 3.0], 6.0)
+        assert simulate(unit_rate.tilted(1.0, PHI_ONE), self.UNIT, 6.0, 12).count >= 2
         grid = np.linspace(0.5, 6.0, 45)
-        trace = trajectory(path, PHI_ONE, unit_rate, grid)
+        trace = trajectory(unit_rate, PHI_ONE, 1.0, self.UNIT, 6.0, grid, 12)
+        assert trace.jump_epochs.size >= 2
         assert monotonicity_violations(trace) == 0
 
     def test_increases_only_at_jump_epochs(self, unit_rate):
-        # indicator/constant closed form jumps upward exactly at arrivals
-        path = simulate(IntensitySpec.constant(2.0), MarkDistributionSpec.unit(), 10.0, 31)
+        # indicator/constant closed form jumps upward exactly at arrivals; rate 2 under the tilt
         grid = np.linspace(0.25, 10.0, 200)
-        trace = trajectory(path, PHI_ONE, IntensitySpec.constant(1.0), grid)
+        trace = trajectory(unit_rate, PHI_ONE, 1.0, self.UNIT, 10.0, grid, 31)
         epochs = set(trace.jump_epochs.tolist())
+        assert epochs
         for i in range(1, grid.size):
             if trace.theta_hat[i] > trace.theta_hat[i - 1] + 1e-9:
                 assert i in epochs
 
     def test_grid_validation(self, unit_rate):
-        path = path_with([1.0], 2.0)
         with pytest.raises(ValidationError):
-            trajectory(path, PHI_ONE, unit_rate, np.array([0.0, 1.0]))
+            trajectory(unit_rate, PHI_ONE, 1.0, self.UNIT, 2.0, np.array([0.0, 1.0]), 0)
         with pytest.raises(ValidationError):
-            trajectory(path, PHI_ONE, unit_rate, np.array([1.0, 3.0]))
+            trajectory(unit_rate, PHI_ONE, 1.0, self.UNIT, 2.0, np.array([1.0, 3.0]), 0)
 
     def test_csv(self, tmp_path, unit_rate):
-        path = path_with([1.0], 2.0)
-        trace = trajectory(path, PHI_ONE, unit_rate, np.array([0.5, 1.5, 2.0]))
+        assert simulate(unit_rate.tilted(1.0, PHI_ONE), self.UNIT, 2.0, 1).count >= 1
+        trace = trajectory(unit_rate, PHI_ONE, 1.0, self.UNIT, 2.0, np.array([0.5, 1.5, 2.0]), 1)
         f = tmp_path / "trace.csv"
         trace.to_csv(f)
         lines = f.read_text().splitlines()
         assert lines[0] == "t,theta_hat,jump_epoch"
         assert len(lines) == 4
+
+
+class TestDriftEstimates:
+    def test_blocks_match_the_one_row_route(self, monkeypatch, frac_phi):
+        # blocks of 8 replicas: 20 replicas at rate 0.5 (1 + phi) on [0, 1] span 3 blocks, and
+        # some replicas have no jump by t = 0.25 or by t = 1
+        monkeypatch.setattr(point_process, "JUMP_BLOCK", 8)
+        base, marks = IntensitySpec.constant(0.5), MarkDistributionSpec.exponential(1.3)
+        tilted, times = base.tilted(1.0, frac_phi), np.array([0.25, 0.6, 1.0])
+        assert len(list(point_process.replica_blocks(20, point_process.expected_jumps(tilted, 1.0)))) >= 2
+        theta_hat, jumps = drift_estimates(base, frac_phi, 1.0, marks, 1.0, times, 20, 40)
+        assert theta_hat.shape == jumps.shape == (20, 3)
+        for i in range(20):
+            path = simulate(tilted, marks, 1.0, 40 + i)
+            assert jumps[i].tolist() == np.searchsorted(path.jump_times, times, side="right").tolist()
+            assert theta_hat[i].tolist() == [mle_solve(path, frac_phi, base, t) for t in times]
+        assert (jumps[:, -1] == 0).any() and (jumps[:, -1] > 0).any()
+        assert np.all(theta_hat[jumps == 0] == 0.0)
+
+    def test_times_past_the_horizon_are_rejected(self, unit_rate):
+        with pytest.raises(ValidationError, match=r"t must lie in \(0, horizon\]"):
+            drift_estimates(unit_rate, PHI_ONE, 1.0, MarkDistributionSpec.unit(), 1.0, [0.5, 1.5], 2, 0)
 
 
 class TestHypothesisNote:
@@ -322,6 +349,7 @@ class TestConsistency:
             )
 
     def test_degenerate_zero_jump_replica(self):
+        # no replica jumps at rate 2e-9: every estimate is the boundary 0, an error of 1
         cfg = ConsistencyConfig(
             intensity=IntensitySpec.constant(1e-9),
             phi=PHI_ONE,
@@ -330,25 +358,19 @@ class TestConsistency:
             replicas=5,
             seed=4,
         )
-        with pytest.raises(NumericsError):
-            consistency_experiment(cfg)
+        report = consistency_experiment(cfg)
+        assert report.rmse == report.mae == (1.0, 1.0)
+        assert report.passed is False
 
-    def test_zero_jump_error_names_replica_and_seed(self):
+    def test_zero_jump_replica_estimates_zero(self):
         # rate 0.5 (1 + 1): about a third of the paths on [0, 1] have no jump
-        cfg = ConsistencyConfig(
-            intensity=IntensitySpec.constant(0.5),
-            phi=PHI_ONE,
-            theta_true=1.0,
-            horizons=(0.5, 1.0),
-            replicas=20,
-            seed=4,
-        )
+        base, marks = IntensitySpec.constant(0.5), MarkDistributionSpec.unit()
         perturbed = IntensitySpec.scaled_by_phi(0.5, 1.0, PHI_ONE)
-        first = next(i for i in range(20) if simulate(perturbed, cfg.marks, 1.0, 4 + i).count == 0)
+        first = next(i for i in range(20) if simulate(perturbed, marks, 1.0, 4 + i).count == 0)
         assert first > 0
-        message = rf"^replica {first} \(seed {4 + first}\) produced zero jumps"
-        with pytest.raises(NumericsError, match=message):
-            consistency_experiment(cfg)
+        theta_hat, jumps = drift_estimates(base, PHI_ONE, 1.0, marks, 1.0, (0.5, 1.0), 20, 4)
+        assert theta_hat[first].tolist() == [0.0, 0.0]
+        assert jumps[first].tolist() == [0, 0]
 
     def test_null_case_concentrates_near_zero(self, unit_rate):
         # theta = 0: paths come from the base measure, and the estimate

@@ -383,8 +383,9 @@ class TestBatchedLayers:
         base = IntensitySpec.constant(1.0)
         _, _, batch, oracle = batch_and_paths(p)
         times = p["horizon"] * np.array([0.1, 0.35, 0.6, 1.0])
-        got = mle_solve_batch(batch, phi, base, times)
+        got, counts = mle_solve_batch(batch, phi, base, times)
         for i, path in enumerate(oracle):
+            assert counts[i].tolist() == np.searchsorted(path.jump_times, times, side="right").tolist()
             for k, t in enumerate(times):
                 want = oracle_mle_solve(path, phi, base, t)
                 assert abs(got[i, k] - want) <= 1e-12 * abs(want)
@@ -396,7 +397,7 @@ class TestBatchedLayers:
         base = IntensitySpec.constant(1.0)
         times = np.array([5.0, 60.0, 150.0, 400.0])
         batch = simulate_batch(perturbed, MARKS["unit"], 400.0, range(300, 317))
-        got = mle_solve_batch(batch, PHI, base, times)
+        got, _ = mle_solve_batch(batch, PHI, base, times)
         for i in range(batch.replicas):
             for k, t in enumerate(times):
                 want = oracle_mle_solve(batch.row(i), PHI, base, t)

@@ -63,3 +63,11 @@ def test_benchmark_only_names_are_not_exported():
 def test_one_value_knobs_are_gone():
     assert list(inspect.signature(power_grid).parameters) == ["stop", "count"]
     assert list(inspect.signature(monotonicity_violations).parameters) == ["trace"]
+
+
+def test_estimation_draws_through_one_engine():
+    engine = ["intensity", "phi", "theta", "marks", "horizon", "times", "replicas", "seed"]
+    assert "drift_estimates" in fpp_lab.__all__
+    assert list(inspect.signature(fpp_lab.drift_estimates).parameters) == engine
+    one_replica = ["intensity", "phi", "theta", "marks", "horizon", "grid", "seed"]
+    assert list(inspect.signature(fpp_lab.trajectory).parameters) == one_replica
