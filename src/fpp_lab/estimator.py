@@ -302,12 +302,11 @@ class ConsistencyConfig:
     """Simulate under the theta-perturbed law and track the estimator error against `RMSE_THRESHOLD`."""
 
     intensity: IntensitySpec  # the base (reference-measure) intensity
-    phi: PhiFunction
     theta_true: float
     horizons: tuple
     replicas: int
     seed: int
-    marks: MarkDistributionSpec | None = None
+    marks: MarkDistributionSpec
 
     def __post_init__(self):
         hz = tuple(float(t) for t in self.horizons)
@@ -318,8 +317,6 @@ class ConsistencyConfig:
             raise ValidationError("horizons must be >= 2 strictly increasing positives")
         if self.replicas < 2:
             raise ValidationError("need at least 2 replicas")
-        if self.marks is None:
-            object.__setattr__(self, "marks", MarkDistributionSpec.unit())
 
 
 @dataclass(frozen=True)
@@ -339,7 +336,7 @@ class ConsistencyReport:
         return asdict(self)
 
 
-def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
+def consistency_experiment(cfg: ConsistencyConfig, phi: PhiFunction) -> ConsistencyReport:
     """Monte-Carlo check that theta_hat converges to the true drift.
 
     Jump times are simulated with rate lambda(s) (1 + theta phi(s)) -- the
@@ -349,14 +346,14 @@ def consistency_experiment(cfg: ConsistencyConfig) -> ConsistencyReport:
     strictly across horizons and the final RMSE is below `RMSE_THRESHOLD`.
     """
     est, _ = drift_estimates(
-        cfg.intensity, cfg.phi, cfg.theta_true, cfg.marks, cfg.horizons[-1], cfg.horizons, cfg.replicas, cfg.seed
+        cfg.intensity, phi, cfg.theta_true, cfg.marks, cfg.horizons[-1], cfg.horizons, cfg.replicas, cfg.seed
     )
     err = est - cfg.theta_true
     mae = tuple(float(v) for v in np.abs(err).mean(axis=0))
     rmse = tuple(float(v) for v in np.sqrt(np.square(err).mean(axis=0)))
     frac = float(np.mean(np.abs(err[:, -1]) < np.abs(err[:, 0])))
-    if cfg.phi.kind == "closed_form_fractional":
-        note = fractional_hypothesis_note(cfg.phi.H)
+    if phi.kind == "closed_form_fractional":
+        note = fractional_hypothesis_note(phi.H)
     else:
         note = {"analytic_exponents": "not applicable to this phi/intensity pair"}
     decreasing = all(rmse[k + 1] < rmse[k] for k in range(len(rmse) - 1))

@@ -116,12 +116,21 @@ def kernel_shift_lambda_integral(
     return h.scale * kernel_phi_lambda_integral(t, intensity, kernel, h.phi) if h.scale else 0.0
 
 
+def require_diagonal_degenerate(kernel: KernelSpec) -> None:
+    """Raise ValidationError unless K(t,t) = 0, which `verify_equality_in_law` requires."""
+    if not kernel.diagonal_degenerate:
+        raise ValidationError(
+            "equality in law requires a diagonal-degenerate kernel (K(t,t) = 0); "
+            f"got kind {kernel.kind!r}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class GirsanovCheckConfig:
-    """Inputs of the Monte-Carlo law checks; every KS threshold uses `KS_BOOTSTRAP` and `KS_LEVEL`."""
+    """Inputs of the law checks, which take phi at run (h = scale * phi); KS uses `KS_BOOTSTRAP`, `KS_LEVEL`."""
 
     kernel: KernelSpec
-    h: ShiftFunction
+    scale: float
     intensity: IntensitySpec
     marks: MarkDistributionSpec
     eval_times: tuple
@@ -133,8 +142,12 @@ class GirsanovCheckConfig:
         object.__setattr__(self, "eval_times", times)
         if not times or any(t <= 0 for t in times) or list(times) != sorted(set(times)):
             raise ValidationError("eval_times must be strictly increasing positives")
-        if self.replicas < 2:
-            raise ValidationError("need at least 2 replicas")
+        # the ESS is at most the replica count, and equals it only when every weight agrees (h = 0)
+        if self.replicas < MIN_EFFECTIVE_SAMPLE + (self.scale != 0):
+            raise ValidationError(
+                f"{self.replicas} replicas with h_spec.scale {self.scale:g} cannot reach the "
+                f"effective sample size floor MIN_EFFECTIVE_SAMPLE = {MIN_EFFECTIVE_SAMPLE:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -234,16 +247,16 @@ def _compare_laws(
     )
 
 
-def _shifts(cfg: GirsanovCheckConfig) -> list:
+def _shifts(cfg: GirsanovCheckConfig, h: ShiftFunction) -> list:
     """m1 int_0^t K(t,s) h(s) lambda(s) ds at every evaluation time."""
     m1 = cfg.marks.mean
     return [
-        m1 * kernel_shift_lambda_integral(cfg.kernel, cfg.h, cfg.intensity, t)
+        m1 * kernel_shift_lambda_integral(cfg.kernel, h, cfg.intensity, t)
         for t in cfg.eval_times
     ]
 
 
-def verify_equality_in_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
+def verify_equality_in_law(cfg: GirsanovCheckConfig, phi: PhiFunction) -> LawComparisonReport:
     """Monte-Carlo comparison of the reweighted and shifted laws.
 
     Both samples are built on the same simulated paths (common random
@@ -258,17 +271,14 @@ def verify_equality_in_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
     through per-replica influence terms, and the KS threshold comes from a
     pooled bootstrap, which ignores pairing and is therefore conservative.
     """
-    if not cfg.kernel.diagonal_degenerate:
-        raise ValidationError(
-            "equality in law requires a diagonal-degenerate kernel (K(t,t) = 0); "
-            f"got kind {cfg.kernel.kind!r}"
-        )
-    shifts = _shifts(cfg)
-    logw, x = _weighted_sample(cfg)
+    require_diagonal_degenerate(cfg.kernel)
+    h = ShiftFunction.scaled_phi(cfg.scale, phi)
+    shifts = _shifts(cfg, h)
+    logw, x = _weighted_sample(cfg, h)
     return _compare_laws(cfg, shifts, logw, x, x - np.array(shifts))
 
 
-def verify_tilted_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
+def verify_tilted_law(cfg: GirsanovCheckConfig, phi: PhiFunction) -> LawComparisonReport:
     """Monte-Carlo check of the intensity tilt produced by the density.
 
     Under the measure with density at t* = max(eval_times), the marked
@@ -283,20 +293,22 @@ def verify_tilted_law(cfg: GirsanovCheckConfig) -> LawComparisonReport:
     replica i simulated under the tilted intensity with seed
     `seed + replicas + i` and unit weight.  The tilted intensity is
     `IntensitySpec.tilted`, which requires a constant base intensity and
-    h.scale >= 0; any other config raises ValidationError.
+    scale >= 0; any other config raises ValidationError.  Unlike
+    `verify_equality_in_law`, it holds for any kernel.
 
     The report's standard errors pair the samples by index.  For two
     independent samples of equal size the paired influence terms have zero
     cross-covariance in expectation, so their variance is the sum of the
     two samples' variances and the same formula applies.
     """
-    tilted = cfg.intensity.tilted(cfg.h.scale, cfg.h.phi)
+    h = ShiftFunction.scaled_phi(cfg.scale, phi)
+    tilted = cfg.intensity.tilted(cfg.scale, phi)
     horizon = max(cfg.eval_times)
-    logw, x = _weighted_sample(cfg)
+    logw, x = _weighted_sample(cfg, h)
     y = np.empty_like(x)
     for rows, ref in simulate_replicas(tilted, cfg.marks, horizon, cfg.replicas, cfg.seed + cfg.replicas):
         y[rows] = _compensated_values(ref, cfg)
-    return _compare_laws(cfg, _shifts(cfg), logw, x, y)
+    return _compare_laws(cfg, _shifts(cfg, h), logw, x, y)
 
 
 def _compensated_values(batch: PathBatch, cfg: GirsanovCheckConfig) -> np.ndarray:
@@ -306,7 +318,7 @@ def _compensated_values(batch: PathBatch, cfg: GirsanovCheckConfig) -> np.ndarra
     )
 
 
-def _weighted_sample(cfg: GirsanovCheckConfig) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_sample(cfg: GirsanovCheckConfig, h: ShiftFunction) -> tuple[np.ndarray, np.ndarray]:
     """Log-densities at max(eval_times) and compensated values of replicas simulated under lambda.
 
     Replica i uses seed `seed + i`; replicas are simulated and evaluated in
@@ -316,6 +328,6 @@ def _weighted_sample(cfg: GirsanovCheckConfig) -> tuple[np.ndarray, np.ndarray]:
     logw = np.empty(cfg.replicas)
     x = np.empty((cfg.replicas, len(cfg.eval_times)))
     for rows, batch in simulate_replicas(cfg.intensity, cfg.marks, horizon, cfg.replicas, cfg.seed):
-        logw[rows] = log_density_batch(batch, cfg.h, cfg.intensity, horizon)
+        logw[rows] = log_density_batch(batch, h, cfg.intensity, horizon)
         x[rows] = _compensated_values(batch, cfg)
     return logw, x

@@ -147,14 +147,14 @@ def test_criterion_5_girsanov_equality_in_law():
     with criterion(5, "equality in law under the change of measure", 120.0):
         cfg = GirsanovCheckConfig(
             kernel=KernelSpec.fractional(0.7),
-            h=ShiftFunction.scaled_phi(0.3, phi_fractional(0.7, 1.0)),
+            scale=0.3,
             intensity=IntensitySpec.constant(1.0),
             marks=MarkDistributionSpec.unit(),
             eval_times=(1.0, 2.5, 5.0),
             replicas=20_000,
             seed=2_024_05,
         )
-        report = verify_tilted_law(cfg)
+        report = verify_tilted_law(cfg, phi_fractional(0.7, 1.0))
         assert report.effective_sample_size >= 100.0
         for k in range(3):
             t = report.eval_times[k]
@@ -248,12 +248,13 @@ def test_criterion_8_consistency():
         report = consistency_experiment(
             ConsistencyConfig(
                 intensity=base,
-                phi=PhiFunction.constant(1.0),
                 theta_true=1.0,
                 horizons=(100.0, 1000.0),
                 replicas=500,
                 seed=900_000,
-            )
+                marks=MarkDistributionSpec.unit(),
+            ),
+            PhiFunction.constant(1.0),
         )
         for T, rmse in zip(report.horizons, report.rmse):
             analytic = math.sqrt(2.0 / T)
@@ -263,12 +264,13 @@ def test_criterion_8_consistency():
         report = consistency_experiment(
             ConsistencyConfig(
                 intensity=base,
-                phi=phi_fractional(0.7, 1.0),
                 theta_true=1.0,
                 horizons=(50.0, 200.0, 1000.0),
                 replicas=200,
                 seed=910_000,
-            )
+                marks=MarkDistributionSpec.unit(),
+            ),
+            phi_fractional(0.7, 1.0),
         )
         assert report.rmse[0] > report.rmse[1] > report.rmse[2]
         assert report.rmse[-1] < 0.15

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpp_lab import IntensitySpec, KernelSpec, cli, estimator, girsanov, volterra_residuals
+from fpp_lab import IntensitySpec, KernelSpec, ValidationError, cli, estimator, girsanov, volterra_residuals
 from fpp_lab.cli import main
 from fpp_lab.phi_solver import calibration_phi
 
@@ -1146,4 +1146,35 @@ class TestBadInputExitsThroughContract:
             assert main([command, str(cfg)]) == 1
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == {"type": "ValidationError", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("experiment", "library_config"),
+        [("verify-girsanov", girsanov.GirsanovCheckConfig), ("consistency", estimator.ConsistencyConfig)],
+    )
+    def test_validate_builds_the_library_config(self, tmp_path, capsys, monkeypatch, experiment, library_config):
+        # the library config's own checks are the ones validate and run give, before phi is built
+        def reject(config):
+            raise ValidationError(f"sentinel from {type(config).__name__}")
+
+        monkeypatch.setattr(library_config, "__post_init__", reject)
+        monkeypatch.setattr(cli, "calibration_phi", lambda *args: pytest.fail("phi built for a rejected config"))
+        raw = {
+            "experiment": experiment,
+            "kernel": {"kind": "fractional", "H": 0.7},
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "horizon": 5.0,
+            "grid": self.GRID,
+            "theta_true": 1.0,
+            "h_spec": self.H_SPEC,
+            "replicas": 200,
+            "seed": 1,
+            "output_path": str(tmp_path / "out"),
+        }
+        cfg = write_config(tmp_path, "c.json", reads_only(raw))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == {"type": "ValidationError", "message": f"sentinel from {library_config.__name__}"}
         assert not (tmp_path / "out").exists()

@@ -179,13 +179,13 @@ class TestNewtonLanesMatchFrozen:
         monkeypatch.setattr(estimator, "_newton_lanes", checking)
         cfg = ConsistencyConfig(
             intensity=unit_rate,
-            phi=frac_phi,
             theta_true=1.0,
             horizons=tuple(np.linspace(50.0, 1000.0, 10)),
             replicas=1000,
             seed=0,
+            marks=MarkDistributionSpec.unit(),
         )
-        consistency_experiment(cfg)
+        consistency_experiment(cfg, frac_phi)
         assert unconverged[1] >= unconverged[3] > unconverged[4] > unconverged[cap] == 0
         assert worst <= 1e-14
 
@@ -329,13 +329,13 @@ class TestConsistency:
     def test_indicator_case_matches_analytic_scale(self, unit_rate):
         cfg = ConsistencyConfig(
             intensity=unit_rate,
-            phi=PHI_ONE,
             theta_true=1.0,
             horizons=(100.0, 400.0),
             replicas=150,
             seed=2030,
+            marks=MarkDistributionSpec.unit(),
         )
-        report = consistency_experiment(cfg)
+        report = consistency_experiment(cfg, PHI_ONE)
         assert report.passed
         for T, rmse in zip(report.horizons, report.rmse):
             analytic = math.sqrt(2.0 / T)  # sqrt(lam (1 + theta) / T)
@@ -344,21 +344,21 @@ class TestConsistency:
     def test_zero_theta_not_allowed(self, unit_rate):
         with pytest.raises(ValidationError):
             ConsistencyConfig(
-                intensity=unit_rate, phi=PHI_ONE, theta_true=0.0,
-                horizons=(10.0, 20.0), replicas=10, seed=1,
+                intensity=unit_rate, theta_true=0.0,
+                horizons=(10.0, 20.0), replicas=10, seed=1, marks=MarkDistributionSpec.unit(),
             )
 
     def test_degenerate_zero_jump_replica(self):
         # no replica jumps at rate 2e-9: every estimate is the boundary 0, an error of 1
         cfg = ConsistencyConfig(
             intensity=IntensitySpec.constant(1e-9),
-            phi=PHI_ONE,
             theta_true=1.0,
             horizons=(0.5, 1.0),
             replicas=5,
             seed=4,
+            marks=MarkDistributionSpec.unit(),
         )
-        report = consistency_experiment(cfg)
+        report = consistency_experiment(cfg, PHI_ONE)
         assert report.rmse == report.mae == (1.0, 1.0)
         assert report.passed is False
 
@@ -385,13 +385,13 @@ class TestConsistency:
     def test_report_has_hypothesis_note_for_fractional(self, unit_rate, frac_phi):
         cfg = ConsistencyConfig(
             intensity=unit_rate,
-            phi=frac_phi,
             theta_true=1.0,
             horizons=(20.0, 60.0),
             replicas=40,
             seed=11,
+            marks=MarkDistributionSpec.unit(),
         )
-        report = consistency_experiment(cfg)
+        report = consistency_experiment(cfg, frac_phi)
         assert report.hypothesis_note["phi2_integral_diverges"]
         assert len(report.rmse) == 2
         d = report.to_dict()

@@ -29,6 +29,8 @@ from fpp_lab import (
 from oracles import density, shift_constant, shifted_compensated, witness
 
 TWO_JUMPS = MarkedPath(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 3.0)
+PHI_ONE = PhiFunction.constant(1.0)
+PHI_FRAC = phi_fractional(0.7, 1.0)
 
 
 class TestLogDensity:
@@ -136,44 +138,88 @@ class TestShiftedCompensated:
             assert abs(got - 0.3 * t) <= 4 * math.ulp(0.3 * t), t
 
 
+class TestGirsanovCheckConfig:
+    @staticmethod
+    def config(replicas: int, scale: float) -> GirsanovCheckConfig:
+        return GirsanovCheckConfig(
+            kernel=KernelSpec.fractional(0.7),
+            scale=scale,
+            intensity=IntensitySpec.constant(1.0),
+            marks=MarkDistributionSpec.unit(),
+            eval_times=(1.0, 3.0),
+            replicas=replicas,
+            seed=3,
+        )
+
+    @pytest.mark.parametrize(("replicas", "scale"), [(99, 0.0), (100, 0.3)])
+    def test_replicas_below_effective_sample_floor(self, replicas, scale):
+        # the effective sample size is at most the replica count, and equals it only when h = 0
+        message = (
+            f"{replicas} replicas with h_spec.scale {scale:g} cannot reach the "
+            "effective sample size floor MIN_EFFECTIVE_SAMPLE = 100"
+        )
+        with pytest.raises(ValidationError, match=message):
+            self.config(replicas, scale)
+
+    def test_equal_weights_reach_the_floor(self):
+        cfg = self.config(100, 0.0)
+        assert (cfg.replicas, cfg.scale) == (100, 0.0)
+
+
 class TestVerifyEqualityInLaw:
     def test_indicator_kernel_rejected(self, unit_rate, unit_marks):
         cfg = GirsanovCheckConfig(
             kernel=KernelSpec.indicator(),
-            h=shift_constant(0.1),
+            scale=0.1,
             intensity=unit_rate,
             marks=unit_marks,
             eval_times=(1.0, 2.0),
-            replicas=10,
+            replicas=200,
             seed=1,
         )
         with pytest.raises(ValidationError):
-            verify_equality_in_law(cfg)
+            verify_equality_in_law(cfg, PHI_ONE)
         # the intensity tilt (1 + h) lambda is representable only for a
         # constant base intensity
         not_tiltable = GirsanovCheckConfig(
             kernel=KernelSpec.fractional(0.7),
-            h=shift_constant(0.1),
+            scale=0.1,
             intensity=IntensitySpec.scaled_by_phi(1.0, 0.5, phi_fractional(0.7, 1.0)),
             marks=unit_marks,
             eval_times=(1.0, 2.0),
-            replicas=10,
+            replicas=200,
             seed=1,
         )
         with pytest.raises(ValidationError):
-            verify_tilted_law(not_tiltable)
+            verify_tilted_law(not_tiltable, PHI_ONE)
+
+    def test_tilted_law_holds_for_any_kernel(self, unit_rate, unit_marks):
+        # the diagonal-degenerate rule belongs to the deterministic-shift comparison only
+        cfg = GirsanovCheckConfig(
+            kernel=KernelSpec.indicator(),
+            scale=0.1,
+            intensity=unit_rate,
+            marks=unit_marks,
+            eval_times=(1.0, 2.0),
+            replicas=200,
+            seed=1,
+        )
+        report = verify_tilted_law(cfg, PHI_ONE)
+        assert (report.eval_times, report.replicas) == ((1.0, 2.0), 200)
+        # m1 int_0^t K h lambda = 0.1 t for K = 1, h = 0.1 and lambda = 1
+        assert report.shift == pytest.approx((0.1, 0.2), rel=1e-12)
 
     def test_zero_shift_identical_samples(self, unit_rate, unit_marks, frac_kernel):
         cfg = GirsanovCheckConfig(
             kernel=frac_kernel,
-            h=ShiftFunction.scaled_phi(0.0, phi_fractional(0.7, 1.0)),
+            scale=0.0,
             intensity=unit_rate,
             marks=unit_marks,
             eval_times=(1.0, 2.0),
             replicas=300,
             seed=5,
         )
-        report = verify_equality_in_law(cfg)
+        report = verify_equality_in_law(cfg, PHI_FRAC)
         assert report.passed
         assert report.mean_weight == 1.0
         assert max(abs(d) for d in report.mean_diff) == 0.0
@@ -186,14 +232,14 @@ class TestVerifyEqualityInLaw:
         # (the calibrated shift), and its variance exceeds the base variance.
         cfg = GirsanovCheckConfig(
             kernel=frac_kernel,
-            h=ShiftFunction.scaled_phi(0.3, phi_fractional(0.7, 1.0)),
+            scale=0.3,
             intensity=unit_rate,
             marks=unit_marks,
             eval_times=(1.0, 2.5),
             replicas=4000,
             seed=21,
         )
-        report = verify_equality_in_law(cfg)
+        report = verify_equality_in_law(cfg, PHI_FRAC)
         assert report.effective_sample_size > 2000.0
         for k in range(2):
             assert report.shift[k] == pytest.approx(0.3 * report.eval_times[k], rel=1e-5)
@@ -206,14 +252,14 @@ class TestVerifyEqualityInLaw:
         # 2 * shift) and the verifier must say so.
         cfg = GirsanovCheckConfig(
             kernel=frac_kernel,
-            h=ShiftFunction.scaled_phi(0.3, phi_fractional(0.7, 1.0)),
+            scale=0.3,
             intensity=unit_rate,
             marks=unit_marks,
             eval_times=(1.0, 2.5),
             replicas=4000,
             seed=22,
         )
-        report = verify_equality_in_law(cfg)
+        report = verify_equality_in_law(cfg, PHI_FRAC)
         assert not report.passed
         for k in range(2):
             gap = 2.0 * report.shift[k]
@@ -224,7 +270,7 @@ class TestVerifyEqualityInLaw:
         # an extreme shift makes a handful of paths dominate the weights
         cfg = GirsanovCheckConfig(
             kernel=frac_kernel,
-            h=ShiftFunction.scaled_phi(40.0, phi_fractional(0.7, 1.0)),
+            scale=40.0,
             intensity=unit_rate,
             marks=unit_marks,
             eval_times=(1.0, 5.0),
@@ -232,4 +278,4 @@ class TestVerifyEqualityInLaw:
             seed=3,
         )
         with pytest.raises(NumericsError):
-            verify_equality_in_law(cfg)
+            verify_equality_in_law(cfg, PHI_FRAC)

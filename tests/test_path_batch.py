@@ -404,14 +404,14 @@ class TestBatchedLayers:
                 assert abs(got[i, k] - want) <= 1e-12 * abs(want)
 
 
-def oracle_law_samples(cfg, tilted=None):
-    """(logw, x, y) by the per-replica loop; y is None without a tilted intensity."""
+def oracle_law_samples(cfg, h, tilted=None):
+    """(logw, x, y) by the per-replica loop under the shift h; y is None without a tilted intensity."""
     horizon = max(cfg.eval_times)
     comp = compensators(cfg.kernel, cfg.intensity, cfg.marks.mean, cfg.eval_times)
     logw, x, y = [], [], []
     for i in range(cfg.replicas):
         path = oracle_simulate(cfg.intensity, cfg.marks, horizon, cfg.seed + i)
-        logw.append(oracle_log_density(path, cfg.h, cfg.intensity, horizon))
+        logw.append(oracle_log_density(path, h, cfg.intensity, horizon))
         x.append([oracle_eval_compensated(path, cfg.kernel, c, t) for t, c in zip(cfg.eval_times, comp)])
         if tilted is not None:
             ref = oracle_simulate(tilted, cfg.marks, horizon, cfg.seed + cfg.replicas + i)
@@ -441,7 +441,7 @@ class TestReplicaLoops:
     def law_config(self, replicas=1001):
         return GirsanovCheckConfig(
             kernel=KernelSpec.fractional(0.7),
-            h=ShiftFunction.scaled_phi(0.3, PHI),
+            scale=0.3,
             intensity=IntensitySpec.constant(1.0),
             marks=MarkDistributionSpec.unit(),
             eval_times=(1.0, 3.0, 5.0),
@@ -451,30 +451,32 @@ class TestReplicaLoops:
 
     def test_equality_in_law(self):
         cfg = self.law_config()
-        logw, x, _ = oracle_law_samples(cfg)
-        want = _compare_laws(cfg, _shifts(cfg), logw, x, x - np.array(_shifts(cfg)))
-        assert_reports_close(verify_equality_in_law(cfg), want)
+        h = ShiftFunction.scaled_phi(cfg.scale, PHI)
+        logw, x, _ = oracle_law_samples(cfg, h)
+        want = _compare_laws(cfg, _shifts(cfg, h), logw, x, x - np.array(_shifts(cfg, h)))
+        assert_reports_close(verify_equality_in_law(cfg, PHI), want)
 
     def test_tilted_law(self):
         cfg = self.law_config()
-        tilted = IntensitySpec.scaled_by_phi(1.0, cfg.h.scale, cfg.h.phi)
-        logw, x, y = oracle_law_samples(cfg, tilted)
-        want = _compare_laws(cfg, _shifts(cfg), logw, x, y)
-        assert_reports_close(verify_tilted_law(cfg), want)
+        h = ShiftFunction.scaled_phi(cfg.scale, PHI)
+        tilted = IntensitySpec.scaled_by_phi(1.0, h.scale, h.phi)
+        logw, x, y = oracle_law_samples(cfg, h, tilted)
+        want = _compare_laws(cfg, _shifts(cfg, h), logw, x, y)
+        assert_reports_close(verify_tilted_law(cfg, PHI), want)
 
     def test_consistency(self):
         cfg = ConsistencyConfig(
             intensity=IntensitySpec.constant(1.0),
-            phi=PHI,
             theta_true=1.0,
             horizons=(20.0, 45.0, 80.0),
             replicas=37,  # 112.5 expected jumps per replica: blocks of 17, 17 and 3
             seed=51,
+            marks=MarkDistributionSpec.unit(),
         )
         perturbed = IntensitySpec.scaled_by_phi(1.0, 1.0, PHI)
         paths = [oracle_simulate(perturbed, cfg.marks, 80.0, cfg.seed + i) for i in range(cfg.replicas)]
         est = np.array([[oracle_mle_solve(p, PHI, cfg.intensity, t) for t in cfg.horizons] for p in paths])
-        report = consistency_experiment(cfg)
+        report = consistency_experiment(cfg, PHI)
         rmse = np.sqrt(np.square(est - 1.0).mean(axis=0))
         mae = np.abs(est - 1.0).mean(axis=0)
         assert np.allclose(report.rmse, rmse, rtol=1e-12, atol=0)

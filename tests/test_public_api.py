@@ -7,6 +7,7 @@ back into its old module.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 
@@ -71,3 +72,11 @@ def test_estimation_draws_through_one_engine():
     assert list(inspect.signature(fpp_lab.drift_estimates).parameters) == engine
     one_replica = ["intensity", "phi", "theta", "marks", "horizon", "grid", "seed"]
     assert list(inspect.signature(fpp_lab.trajectory).parameters) == one_replica
+
+
+def test_law_and_consistency_checks_take_phi_at_run():
+    for check in (fpp_lab.verify_equality_in_law, fpp_lab.verify_tilted_law, fpp_lab.consistency_experiment):
+        assert list(inspect.signature(check).parameters) == ["cfg", "phi"], check.__name__
+    law = {field.name for field in dataclasses.fields(fpp_lab.GirsanovCheckConfig)}
+    assert "scale" in law and "h" not in law
+    assert "phi" not in {field.name for field in dataclasses.fields(fpp_lab.ConsistencyConfig)}
