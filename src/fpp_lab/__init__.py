@@ -22,7 +22,6 @@ from .filtered_process import (
 from .girsanov import (
     GirsanovCheckConfig,
     LawComparisonReport,
-    ShiftFunction,
     kernel_shift_lambda_integral,
     log_density,
     log_density_batch,
@@ -73,7 +72,6 @@ __all__ = [
     "NumericsError",
     "PathBatch",
     "PhiFunction",
-    "ShiftFunction",
     "ValidationError",
     "consistency_experiment",
     "drift_estimates",

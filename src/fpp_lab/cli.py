@@ -33,7 +33,7 @@ from .estimator import (
 from .girsanov import GirsanovCheckConfig, require_diagonal_degenerate, verify_equality_in_law
 from .kernels import KernelSpec
 from .phi_solver import PhiFunction, calibration_phi, check_residuals, solve_phi_volterra
-from .point_process import IntensitySpec, MarkDistributionSpec, simulate_replicas
+from .point_process import IntensitySpec, MarkDistributionSpec, require_tilt, simulate_replicas
 from .serialize import dumps_json, write_csv, write_json
 
 # Pre-flight cost caps, checked before anything is allocated; each is more than
@@ -208,19 +208,17 @@ class ResolvedConfig:
                 raise ValidationError(f"only simulate and solve-phi read a scaled-by-phi intensity, not {exp}")
             if self.kernel is None:
                 raise ValidationError("scaled-by-phi intensity needs a kernel to define phi")
-            if self.intensity_theta < 0:
-                raise ValidationError(f"intensity theta must be >= 0, got {self.intensity_theta}")
+            require_tilt(self.intensity_theta)
         elif exp == "simulate" and self.kernel is not None:
             raise ValidationError("simulate reads a kernel only to define phi for a scaled-by-phi intensity")
-        # three checks restated because the library makes them only at run, or not at all: a
+        if exp in ("estimate", "trajectory"):  # the drift is the tilt of the base by theta_true
+            require_tilt(self.theta_true)
+        # two checks restated because the library makes them only at run, or not at all: a
         # tabulated kernel under phi_source "closed_form", a key kept only because the bench's
-        # law-check config sends it (the library solves a tabulated phi); theta >= 0, which
-        # IntensitySpec checks only as it tilts by a built phi; and the 1-node grid, which the
-        # Volterra solve checks inside the solve
+        # law-check config sends it (the library solves a tabulated phi); and the 1-node grid,
+        # which the Volterra solve checks inside the solve
         if closed_form and self.kernel.kind == "tabulated":
             raise ValidationError("no closed-form phi for kernel kind 'tabulated'")
-        if exp in ("estimate", "trajectory") and self.theta_true < 0:
-            raise ValidationError(f"theta must be >= 0, got {self.theta_true}")
         if exp == "solve-phi" and self.grid.size < 2:
             raise ValidationError("grid must be a 1-d array with at least 2 nodes")
         # the library config of the law or consistency check, built here so that validate

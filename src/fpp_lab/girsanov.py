@@ -55,65 +55,46 @@ KS_BOOTSTRAP = 1000
 KS_LEVEL = 0.01
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftFunction:
-    """h(s) = scale * phi(s), with phi >= 0 supplying the time profile.
+def log_density_batch(
+    batch: PathBatch, scale: float, phi: PhiFunction, intensity: IntensitySpec, t: float
+) -> np.ndarray:
+    """Log Radon-Nikodym density at time t of h = scale * phi along every row of a batch.
 
-    Admissibility (1 + h > 0 at every jump) holds automatically for
-    scale >= 0 and is re-checked pointwise by `log_density_batch` otherwise.
-    """
-
-    phi: PhiFunction
-    scale: float
-
-    @classmethod
-    def scaled_phi(cls, scale: float, phi: PhiFunction) -> "ShiftFunction":
-        return cls(phi=phi, scale=float(scale))
-
-    def __call__(self, s):
-        return self.scale * self.phi(s)
-
-    def lambda_integral(self, intensity: IntensitySpec, t: float) -> float:
-        """int_0^t h(s) lambda(s) ds."""
-        return self.scale * phi_lambda_integral(self.phi, intensity, t)
-
-
-def log_density_batch(batch: PathBatch, h: ShiftFunction, intensity: IntensitySpec, t: float) -> np.ndarray:
-    """Log Radon-Nikodym density at time t along every row of a batch.
-
-    One `h` call on the jumps of all rows up to t; `np.bincount` adds each
-    row's ln(1 + h(T_j)) left to right.  Raises ValidationError naming the
-    first row, and its seed, where 1 + h vanishes or goes negative at a jump.
+    One `phi` call on the jumps of all rows up to t; `np.bincount` adds each
+    row's ln(1 + h(T_j)) left to right.  Admissibility (1 + h > 0 at every
+    jump) holds automatically for scale >= 0, as phi >= 0, and is checked at
+    the jumps otherwise: raises ValidationError naming the first row, and its
+    seed, where 1 + h vanishes or goes negative at a jump.
     """
     if t < 0 or t > batch.horizon:
         raise ValidationError(f"t={t} outside [0, horizon={batch.horizon}]")
     sel = batch.jump_times <= t
     rows = batch.rows[sel]
-    hv = np.asarray(h(batch.jump_times[sel]), dtype=float)
+    hv = scale * np.asarray(phi(batch.jump_times[sel]), dtype=float)
     bad = 1.0 + hv <= 0.0
     if bad.any():
         raise ValidationError(
             f"1 + h(T_j) <= 0 at a jump of {batch.describe(rows[bad.argmax()])}; density undefined"
         )
     jump_sum = np.bincount(rows, weights=np.log1p(hv), minlength=batch.replicas)
-    return jump_sum - h.lambda_integral(intensity, t)
+    return jump_sum - scale * phi_lambda_integral(phi, intensity, t)
 
 
-def log_density(path: MarkedPath, h: ShiftFunction, intensity: IntensitySpec, t: float) -> float:
+def log_density(path: MarkedPath, scale: float, phi: PhiFunction, intensity: IntensitySpec, t: float) -> float:
     """Log Radon-Nikodym density at time t along one path: the one-row `log_density_batch`.
 
     Raises ValidationError if 1 + h vanishes or goes negative at a jump.
     """
-    return float(log_density_batch(PathBatch.from_path(path), h, intensity, t)[0])
+    return float(log_density_batch(PathBatch.from_path(path), scale, phi, intensity, t)[0])
 
 
 def kernel_shift_lambda_integral(
-    kernel: KernelSpec, h: ShiftFunction, intensity: IntensitySpec, t: float
+    kernel: KernelSpec, scale: float, phi: PhiFunction, intensity: IntensitySpec, t: float
 ) -> float:
-    """int_0^t K(t,s) h(s) lambda(s) ds: h.scale times `kernel_phi_lambda_integral` of h.phi."""
+    """int_0^t K(t,s) h(s) lambda(s) ds for h = scale * phi: scale times `kernel_phi_lambda_integral`."""
     if not t > 0:
         raise ValidationError(f"t must be positive, got {t}")
-    return h.scale * kernel_phi_lambda_integral(t, intensity, kernel, h.phi) if h.scale else 0.0
+    return scale * kernel_phi_lambda_integral(t, intensity, kernel, phi) if scale else 0.0
 
 
 def require_diagonal_degenerate(kernel: KernelSpec) -> None:
@@ -145,7 +126,7 @@ class GirsanovCheckConfig:
         # the ESS is at most the replica count, and equals it only when every weight agrees (h = 0)
         if self.replicas < MIN_EFFECTIVE_SAMPLE + (self.scale != 0):
             raise ValidationError(
-                f"{self.replicas} replicas with h_spec.scale {self.scale:g} cannot reach the "
+                f"{self.replicas} replicas with shift scale {self.scale:g} cannot reach the "
                 f"effective sample size floor MIN_EFFECTIVE_SAMPLE = {MIN_EFFECTIVE_SAMPLE:g}"
             )
 
@@ -247,11 +228,11 @@ def _compare_laws(
     )
 
 
-def _shifts(cfg: GirsanovCheckConfig, h: ShiftFunction) -> list:
-    """m1 int_0^t K(t,s) h(s) lambda(s) ds at every evaluation time."""
+def _shifts(cfg: GirsanovCheckConfig, phi: PhiFunction) -> list:
+    """m1 int_0^t K(t,s) h(s) lambda(s) ds at every evaluation time, for h = cfg.scale * phi."""
     m1 = cfg.marks.mean
     return [
-        m1 * kernel_shift_lambda_integral(cfg.kernel, h, cfg.intensity, t)
+        m1 * kernel_shift_lambda_integral(cfg.kernel, cfg.scale, phi, cfg.intensity, t)
         for t in cfg.eval_times
     ]
 
@@ -272,9 +253,8 @@ def verify_equality_in_law(cfg: GirsanovCheckConfig, phi: PhiFunction) -> LawCom
     pooled bootstrap, which ignores pairing and is therefore conservative.
     """
     require_diagonal_degenerate(cfg.kernel)
-    h = ShiftFunction.scaled_phi(cfg.scale, phi)
-    shifts = _shifts(cfg, h)
-    logw, x = _weighted_sample(cfg, h)
+    shifts = _shifts(cfg, phi)
+    logw, x = _weighted_sample(cfg, phi)
     return _compare_laws(cfg, shifts, logw, x, x - np.array(shifts))
 
 
@@ -301,14 +281,13 @@ def verify_tilted_law(cfg: GirsanovCheckConfig, phi: PhiFunction) -> LawComparis
     cross-covariance in expectation, so their variance is the sum of the
     two samples' variances and the same formula applies.
     """
-    h = ShiftFunction.scaled_phi(cfg.scale, phi)
     tilted = cfg.intensity.tilted(cfg.scale, phi)
     horizon = max(cfg.eval_times)
-    logw, x = _weighted_sample(cfg, h)
+    logw, x = _weighted_sample(cfg, phi)
     y = np.empty_like(x)
     for rows, ref in simulate_replicas(tilted, cfg.marks, horizon, cfg.replicas, cfg.seed + cfg.replicas):
         y[rows] = _compensated_values(ref, cfg)
-    return _compare_laws(cfg, _shifts(cfg, h), logw, x, y)
+    return _compare_laws(cfg, _shifts(cfg, phi), logw, x, y)
 
 
 def _compensated_values(batch: PathBatch, cfg: GirsanovCheckConfig) -> np.ndarray:
@@ -318,16 +297,17 @@ def _compensated_values(batch: PathBatch, cfg: GirsanovCheckConfig) -> np.ndarra
     )
 
 
-def _weighted_sample(cfg: GirsanovCheckConfig, h: ShiftFunction) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_sample(cfg: GirsanovCheckConfig, phi: PhiFunction) -> tuple[np.ndarray, np.ndarray]:
     """Log-densities at max(eval_times) and compensated values of replicas simulated under lambda.
 
-    Replica i uses seed `seed + i`; replicas are simulated and evaluated in
-    the blocks of `simulate_replicas`.
+    The density is that of h = cfg.scale * phi.  Replica i uses seed
+    `seed + i`; replicas are simulated and evaluated in the blocks of
+    `simulate_replicas`.
     """
     horizon = max(cfg.eval_times)
     logw = np.empty(cfg.replicas)
     x = np.empty((cfg.replicas, len(cfg.eval_times)))
     for rows, batch in simulate_replicas(cfg.intensity, cfg.marks, horizon, cfg.replicas, cfg.seed):
-        logw[rows] = log_density_batch(batch, h, cfg.intensity, horizon)
+        logw[rows] = log_density_batch(batch, cfg.scale, phi, cfg.intensity, horizon)
         x[rows] = _compensated_values(batch, cfg)
     return logw, x

@@ -96,6 +96,12 @@ class MarkDistributionSpec:
         return rng.lognormal(self.mu, self.sigma, n)
 
 
+def require_tilt(theta: float) -> None:
+    """Raise ValidationError unless theta >= 0, the rule of a tilt (1 + theta phi) lambda; needs no phi."""
+    if theta < 0:
+        raise ValidationError(f"theta must be >= 0, got {theta}")
+
+
 @dataclass(frozen=True)
 class IntensitySpec:
     """Deterministic rate lambda(s): constant, or base_rate * (1 + theta*phi(s))."""
@@ -111,8 +117,7 @@ class IntensitySpec:
         if not self.base_rate > 0:
             raise ValidationError(f"base_rate must be positive, got {self.base_rate}")
         if self.kind == "scaled-by-phi":
-            if self.theta < 0:
-                raise ValidationError(f"theta must be >= 0, got {self.theta}")
+            require_tilt(self.theta)
             if self.phi_ref is None:
                 raise ValidationError("scaled-by-phi intensity requires phi_ref")
 
@@ -120,15 +125,11 @@ class IntensitySpec:
     def constant(cls, base_rate: float) -> "IntensitySpec":
         return cls(kind="constant", base_rate=float(base_rate))
 
-    @classmethod
-    def scaled_by_phi(cls, base_rate: float, theta: float, phi: "PhiFunction") -> "IntensitySpec":
-        return cls(kind="scaled-by-phi", base_rate=float(base_rate), theta=float(theta), phi_ref=phi)
-
     def tilted(self, theta: float, phi: "PhiFunction") -> "IntensitySpec":
         """(1 + theta phi) lambda, the one constructor of a tilt; only a constant base has one."""
         if self.kind != "constant":
             raise ValidationError(f"the intensity tilt requires a constant base intensity; got kind {self.kind!r}")
-        return IntensitySpec.scaled_by_phi(self.base_rate, theta, phi)
+        return IntensitySpec("scaled-by-phi", self.base_rate, float(theta), phi)
 
     @property
     def origin_exponent(self) -> float:

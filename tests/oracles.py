@@ -26,7 +26,6 @@ from fpp_lab import (
     KernelSpec,
     MarkedPath,
     PhiFunction,
-    ShiftFunction,
     ValidationError,
     eval_compensated,
     eval_filtered,
@@ -144,44 +143,45 @@ def eval_observed(
 # change of measure
 
 
-def shift_constant(value: float) -> ShiftFunction:
-    """The constant shift h = value."""
-    return ShiftFunction(phi=PhiFunction.constant(1.0), scale=float(value))
+def shift_constant(value: float) -> tuple[float, PhiFunction]:
+    """(scale, phi) of the constant shift h = value."""
+    return float(value), PhiFunction.constant(1.0)
 
 
-def witness(h: ShiftFunction, intensity: IntensitySpec, horizon: float) -> tuple[str, float]:
-    """Integrability witness: ('closed_form'|'numeric_check', int |h| lambda).
+def witness(scale: float, phi: PhiFunction, intensity: IntensitySpec, horizon: float) -> tuple[str, float]:
+    """Integrability witness of h = scale * phi: ('closed_form'|'numeric_check', int |h| lambda).
 
     Also checks admissibility 1 + h > 0 on the horizon; a negative scale
     with unbounded phi always fails it.
     """
-    if h.scale < 0.0 and h.scale * h.phi.sup_on(0.0, horizon) <= -1.0:
+    if scale < 0.0 and scale * phi.sup_on(0.0, horizon) <= -1.0:
         raise ValidationError("shift function reaches -1 on the horizon; density undefined")
-    value = abs(h.scale) * phi_lambda_integral(h.phi, intensity, horizon)
+    value = abs(scale) * phi_lambda_integral(phi, intensity, horizon)
     if not np.isfinite(value):
         raise ValidationError("shift function is not integrable against the intensity")
-    closed = h.phi.kind == "closed_form_fractional" and intensity.kind == "constant"
+    closed = phi.kind == "closed_form_fractional" and intensity.kind == "constant"
     return ("closed_form" if closed else "numeric_check", value)
 
 
-def density(path: MarkedPath, h: ShiftFunction, intensity: IntensitySpec, t: float) -> float:
-    """The density itself; strictly positive for admissible h."""
-    return float(np.exp(log_density(path, h, intensity, t)))
+def density(path: MarkedPath, scale: float, phi: PhiFunction, intensity: IntensitySpec, t: float) -> float:
+    """The density of h = scale * phi itself; strictly positive for admissible h."""
+    return float(np.exp(log_density(path, scale, phi, intensity, t)))
 
 
 def shifted_compensated(
     path: MarkedPath,
     kernel: KernelSpec,
-    h: ShiftFunction,
+    scale: float,
+    phi: PhiFunction,
     intensity: IntensitySpec,
     m1: float,
     t: float,
 ) -> float:
-    """N^{h,K}_t: the compensated process minus the deterministic h-shift."""
+    """N^{h,K}_t: the compensated process minus the deterministic shift of h = scale * phi."""
     base = eval_compensated(path, kernel, intensity, m1, t)
     if t == 0:
         return base
-    return base - m1 * kernel_shift_lambda_integral(kernel, h, intensity, t)
+    return base - m1 * kernel_shift_lambda_integral(kernel, scale, phi, intensity, t)
 
 
 # ---------------------------------------------------------------------------

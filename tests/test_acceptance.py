@@ -22,7 +22,6 @@ from fpp_lab import (
     KernelSpec,
     MarkDistributionSpec,
     PhiFunction,
-    ShiftFunction,
     consistency_experiment,
     kernel_eval,
     log_density,
@@ -118,12 +117,12 @@ def test_criterion_4_doleans_unit_expectation():
     with criterion(4, "stochastic exponential has unit mean", 30.0):
         inten = IntensitySpec.constant(1.0)
         marks = MarkDistributionSpec.unit()
-        h = ShiftFunction.scaled_phi(0.5, phi_fractional(0.7, 1.0))
+        scale, phi = 0.5, phi_fractional(0.7, 1.0)
         T, reps = 5.0, 100_000
         log_weights = np.empty(reps)
         for rows, batch in simulate_replicas(inten, marks, T, reps, 100_000):
-            log_weights[rows] = log_density_batch(batch, h, inten, T)
-        scalar = [log_density(simulate(inten, marks, T, 100_000 + i), h, inten, T) for i in range(1000)]
+            log_weights[rows] = log_density_batch(batch, scale, phi, inten, T)
+        scalar = [log_density(simulate(inten, marks, T, 100_000 + i), scale, phi, inten, T) for i in range(1000)]
         assert np.array_equal(log_weights[:1000], scalar)
         w = np.exp(log_weights)
         se = w.std(ddof=1) / math.sqrt(reps)
@@ -133,9 +132,9 @@ def test_criterion_4_doleans_unit_expectation():
             path = simulate(inten, marks, T, 100_000 + i)
             r = 1.0
             for tj in path.jump_times:
-                r *= 1.0 + h(tj)
-            r *= math.exp(-h.lambda_integral(inten, T))
-            got = density(path, h, inten, T)
+                r *= 1.0 + scale * phi(tj)
+            r *= math.exp(-scale * phi_lambda_integral(phi, inten, T))
+            got = density(path, scale, phi, inten, T)
             assert abs(got - r) <= 1e-12 * max(1.0, abs(r))
 
 
@@ -194,7 +193,7 @@ def test_criterion_6_mle_correctness():
         frac = phi_fractional(0.7, 1.0)
         interior = 0
         for i in range(200):
-            path = simulate(IntensitySpec.scaled_by_phi(1.0, 1.0, frac), marks, 20.0, 400_000 + i)
+            path = simulate(inten.tilted(1.0, frac), marks, 20.0, 400_000 + i)
             theta = mle_solve(path, frac, inten, 20.0)
             if theta > 0:
                 interior += 1

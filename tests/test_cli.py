@@ -10,7 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpp_lab import IntensitySpec, KernelSpec, ValidationError, cli, estimator, girsanov, volterra_residuals
+from fpp_lab import (
+    IntensitySpec,
+    KernelSpec,
+    PhiFunction,
+    ValidationError,
+    cli,
+    estimator,
+    girsanov,
+    point_process,
+    volterra_residuals,
+)
 from fpp_lab.cli import main
 from fpp_lab.phi_solver import calibration_phi
 
@@ -1069,6 +1079,10 @@ class TestBadInputExitsThroughContract:
     ROUNDED_REPEATS_MESSAGE = "grid nodes repeat after rounding: 100 nodes from 1.0 to 1.000000000000001"
     GRID = {"start": 1.0, "stop": 5.0, "count": 3}
     H_SPEC = {"scale": 0.3, "phi_source": "closed_form"}
+    NEGATIVE_TILT = {
+        "intensity": {"kind": "scaled-by-phi", "base_rate": 1.0, "theta": -1.0},
+        "kernel": {"kind": "fractional", "H": 0.7},
+    }
     REJECTED_AT_RUN = {
         "verify-girsanov:tabulated": ({"kernel": "TABLE"}, "no closed-form phi for kernel kind 'tabulated'"),
         "verify-girsanov:indicator": (
@@ -1080,6 +1094,8 @@ class TestBadInputExitsThroughContract:
         "consistency:zero-theta": ({"theta_true": 0.0}, "theta_true must be positive, got 0.0"),
         "estimate:negative-theta": ({"theta_true": -1.0}, "theta must be >= 0, got -1.0"),
         "trajectory:negative-theta": ({"theta_true": -1.0}, "theta must be >= 0, got -1.0"),
+        "simulate:negative-intensity-theta": (NEGATIVE_TILT, "theta must be >= 0, got -1.0"),
+        "solve-phi:negative-intensity-theta": (NEGATIVE_TILT, "theta must be >= 0, got -1.0"),
         "solve-phi:one-node": ({"grid": ONE_NODE}, "grid must be a 1-d array with at least 2 nodes"),
         "simulate:zero-horizon": ({"horizon": 0.0}, "horizon must be positive, got 0.0"),
         "estimate:negative-horizon": ({"horizon": -1.0}, "horizon must be positive, got -1.0"),
@@ -1178,3 +1194,34 @@ class TestBadInputExitsThroughContract:
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == {"type": "ValidationError", "message": f"sentinel from {library_config.__name__}"}
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["estimate", "trajectory", "simulate"])
+    def test_tilt_rule_has_one_home(self, tmp_path, capsys, monkeypatch, experiment):
+        # theta >= 0 of a tilt, theta_true's or a scaled-by-phi intensity's, is point_process.require_tilt's
+        def reject(theta):
+            raise ValidationError("sentinel from require_tilt")
+
+        monkeypatch.setattr(cli, "require_tilt", reject)
+        monkeypatch.setattr(point_process, "require_tilt", reject)
+        monkeypatch.setattr(cli, "calibration_phi", lambda *args: pytest.fail("phi built for a rejected config"))
+        tilt = {"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 0.5}
+        raw = {
+            "experiment": experiment,
+            "kernel": {"kind": "fractional", "H": 0.7},
+            "intensity": tilt if experiment == "simulate" else {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "horizon": 5.0,
+            "grid": self.GRID,
+            "theta_true": 1.0,
+            "replicas": 2,
+            "seed": 1,
+            "output_path": str(tmp_path / "out"),
+        }
+        cfg = write_config(tmp_path, "c.json", reads_only(raw))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == {"type": "ValidationError", "message": "sentinel from require_tilt"}
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValidationError, match="sentinel from require_tilt"):
+            IntensitySpec.constant(1.0).tilted(-1.0, PhiFunction.constant(1.0))

@@ -127,14 +127,14 @@ class TestMleSolve:
     def test_exact_root_is_kept(self, unit_rate, frac_phi):
         # on this drift path the iterate 0.45254119004438... has a score of
         # exactly 0.0; stepping on from it used to move the estimate by 2e-10
-        perturbed = IntensitySpec.scaled_by_phi(1.0, 1.0, frac_phi)
+        perturbed = IntensitySpec.constant(1.0).tilted(1.0, frac_phi)
         path = simulate(perturbed, MarkDistributionSpec.unit(), 1000.0, 75)
         got = mle_solve(path, frac_phi, unit_rate, 50.0)
         assert abs(got - 0.4525411900443826) <= 1e-13 * 0.4525411900443826
 
     def test_non_convergence_names_replica_and_time(self, monkeypatch, unit_rate, frac_phi):
         monkeypatch.setattr(estimator, "MAX_NEWTON_STEPS", 1)
-        drift = IntensitySpec.scaled_by_phi(1.0, 1.0, frac_phi)
+        drift = IntensitySpec.constant(1.0).tilted(1.0, frac_phi)
         batch = PathBatch.from_path(simulate(drift, MarkDistributionSpec.unit(), 20.0, 9000))
         message = r"replica 0: the drift MLE did not converge at t = 10\.0 within 1 Newton step"
         with pytest.raises(NumericsError, match=message):
@@ -142,7 +142,7 @@ class TestMleSolve:
 
     def test_root_residual_and_concavity(self, unit_rate, frac_phi):
         marks = MarkDistributionSpec.unit()
-        drift = IntensitySpec.scaled_by_phi(1.0, 1.0, frac_phi)
+        drift = IntensitySpec.constant(1.0).tilted(1.0, frac_phi)
         cases = [(simulate(drift, marks, 20.0, 9000 + i), 20.0) for i in range(50)]
         cases.append((path_with([0.5e-9, 0.9e-9], 1.0), 1e-9))  # a root near 3.2e7
         for path, t in cases:
@@ -365,7 +365,7 @@ class TestConsistency:
     def test_zero_jump_replica_estimates_zero(self):
         # rate 0.5 (1 + 1): about a third of the paths on [0, 1] have no jump
         base, marks = IntensitySpec.constant(0.5), MarkDistributionSpec.unit()
-        perturbed = IntensitySpec.scaled_by_phi(0.5, 1.0, PHI_ONE)
+        perturbed = IntensitySpec.constant(0.5).tilted(1.0, PHI_ONE)
         first = next(i for i in range(20) if simulate(perturbed, marks, 1.0, 4 + i).count == 0)
         assert first > 0
         theta_hat, jumps = drift_estimates(base, PHI_ONE, 1.0, marks, 1.0, (0.5, 1.0), 20, 4)

@@ -11,7 +11,6 @@ from fpp_lab import (
     MarkDistributionSpec,
     MarkedPath,
     PathBatch,
-    ShiftFunction,
     ValidationError,
     eval_compensated,
     eval_compensated_batch,
@@ -166,11 +165,10 @@ class TestObserved:
         H, theta = 0.7, 0.6
         k = KernelSpec.fractional(H)
         phi = phi_fractional(H, 1.0)
-        h = ShiftFunction.scaled_phi(theta, phi)
         path = simulate(unit_rate, MarkDistributionSpec.unit(), 5.0, 11)
         for t in (1.0, 3.0, 5.0):
             a = eval_observed(path, k, unit_rate, 1.0, theta, t)
-            b = shifted_compensated(path, k, h, unit_rate, 1.0, t)
+            b = shifted_compensated(path, k, theta, phi, unit_rate, 1.0, t)
             assert a == pytest.approx(b, abs=2e-6)
 
 

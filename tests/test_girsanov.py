@@ -13,13 +13,13 @@ from fpp_lab import (
     MarkedPath,
     NumericsError,
     PhiFunction,
-    ShiftFunction,
     ValidationError,
     eval_compensated,
     kernel_shift_lambda_integral,
     log_density,
     log_density_batch,
     phi_fractional,
+    phi_lambda_integral,
     simulate,
     simulate_batch,
     verify_equality_in_law,
@@ -36,19 +36,19 @@ PHI_FRAC = phi_fractional(0.7, 1.0)
 class TestLogDensity:
     def test_zero_shift_gives_zero(self, unit_rate):
         h = shift_constant(0.0)
-        assert log_density(TWO_JUMPS, h, unit_rate, 3.0) == 0.0
-        assert density(TWO_JUMPS, h, unit_rate, 3.0) == 1.0
+        assert log_density(TWO_JUMPS, *h, unit_rate, 3.0) == 0.0
+        assert density(TWO_JUMPS, *h, unit_rate, 3.0) == 1.0
 
     def test_direct_arithmetic_example(self, unit_rate):
         # jumps at {1, 2}, h == 1, lambda = 1, t = 3: 2 ln 2 - 3
         h = shift_constant(1.0)
-        got = log_density(TWO_JUMPS, h, unit_rate, 3.0)
+        got = log_density(TWO_JUMPS, *h, unit_rate, 3.0)
         assert got == pytest.approx(2.0 * math.log(2.0) - 3.0, rel=1e-12)
 
     def test_domain_error_when_shift_hits_minus_one(self, unit_rate):
         h = shift_constant(-1.0)
         with pytest.raises(ValidationError):
-            log_density(TWO_JUMPS, h, unit_rate, 3.0)
+            log_density(TWO_JUMPS, *h, unit_rate, 3.0)
 
     def test_batch_domain_error_names_replica_and_seed(self):
         # rate 0.3 on [0, 1]: most rows have no jump, and h = -1 fails at any jump
@@ -58,48 +58,44 @@ class TestLogDensity:
         assert first > 0
         message = rf"replica {5 + first} \(seed {18 + first}\); density undefined"
         with pytest.raises(ValidationError, match=message):
-            log_density_batch(batch, shift_constant(-1.0), rate, 1.0)
+            log_density_batch(batch, *shift_constant(-1.0), rate, 1.0)
 
     def test_density_positive(self, unit_rate):
         h = shift_constant(-0.5)
-        assert density(TWO_JUMPS, h, unit_rate, 3.0) > 0.0
+        assert density(TWO_JUMPS, *h, unit_rate, 3.0) > 0.0
 
     def test_matches_jump_recursion_oracle(self, unit_rate):
         # Doleans SDE solution: R = prod (1 + h(T_j)) * exp(-int h lambda)
-        h = ShiftFunction.scaled_phi(0.5, phi_fractional(0.7, 1.0))
+        scale, phi = 0.5, phi_fractional(0.7, 1.0)
         marks = MarkDistributionSpec.unit()
         for i in range(60):
             path = simulate(unit_rate, marks, 5.0, 600 + i)
             r = 1.0
             for tj in path.jump_times:
-                r *= 1.0 + h(tj)
-            r *= math.exp(-h.lambda_integral(unit_rate, 5.0))
-            got = density(path, h, unit_rate, 5.0)
+                r *= 1.0 + scale * phi(tj)
+            r *= math.exp(-scale * phi_lambda_integral(phi, unit_rate, 5.0))
+            got = density(path, scale, phi, unit_rate, 5.0)
             assert got == pytest.approx(r, rel=1e-12)
 
     def test_unit_expectation_small_scale(self, unit_rate):
         h = shift_constant(0.5)
         marks = MarkDistributionSpec.unit()
-        w = np.array([density(simulate(unit_rate, marks, 5.0, 7000 + i), h, unit_rate, 5.0) for i in range(3000)])
+        w = np.array([density(simulate(unit_rate, marks, 5.0, 7000 + i), *h, unit_rate, 5.0) for i in range(3000)])
         se = w.std(ddof=1) / math.sqrt(w.size)
         assert abs(w.mean() - 1.0) <= 4.0 * se
 
     def test_witness_kinds(self, unit_rate):
-        closed = ShiftFunction.scaled_phi(0.3, phi_fractional(0.7, 1.0))
-        kind, val = witness(closed, unit_rate, 5.0)
+        kind, val = witness(0.3, phi_fractional(0.7, 1.0), unit_rate, 5.0)
         assert kind == "closed_form" and val > 0
-        gridded = ShiftFunction.scaled_phi(0.3, PhiFunction.constant(1.0))
-        kind, val = witness(gridded, unit_rate, 5.0)
+        kind, val = witness(0.3, PhiFunction.constant(1.0), unit_rate, 5.0)
         assert kind == "numeric_check" and val == pytest.approx(0.3 * 5.0)
 
     def test_witness_rejects_inadmissible_negative_scale(self, unit_rate):
         # unbounded phi with any negative scale crosses h = -1 near the origin
-        h = ShiftFunction.scaled_phi(-0.1, phi_fractional(0.7, 1.0))
         with pytest.raises(ValidationError):
-            witness(h, unit_rate, 5.0)
+            witness(-0.1, phi_fractional(0.7, 1.0), unit_rate, 5.0)
         # a bounded phi with mild negative scale stays admissible
-        ok = ShiftFunction.scaled_phi(-0.5, PhiFunction.constant(1.0))
-        kind, _ = witness(ok, unit_rate, 5.0)
+        kind, _ = witness(-0.5, PhiFunction.constant(1.0), unit_rate, 5.0)
         assert kind == "numeric_check"
 
 
@@ -107,7 +103,7 @@ class TestShiftedCompensated:
     def test_zero_shift_matches_compensated(self, unit_rate):
         k = KernelSpec.exp_shot_noise(1.0)
         h = shift_constant(0.0)
-        a = shifted_compensated(TWO_JUMPS, k, h, unit_rate, 1.0, 2.5)
+        a = shifted_compensated(TWO_JUMPS, k, *h, unit_rate, 1.0, 2.5)
         b = eval_compensated(TWO_JUMPS, k, unit_rate, 1.0, 2.5)
         assert a == b
 
@@ -117,7 +113,7 @@ class TestShiftedCompensated:
         c = 0.7
         h = shift_constant(c)
         t = 2.5
-        got = shifted_compensated(TWO_JUMPS, k, h, unit_rate, 1.0, t)
+        got = shifted_compensated(TWO_JUMPS, k, *h, unit_rate, 1.0, t)
         n_t = 2.0
         assert got == pytest.approx(n_t - t - c * t, rel=1e-9)
 
@@ -125,16 +121,16 @@ class TestShiftedCompensated:
         # m1 int K (theta phi) lambda ds = theta t for the calibrating phi
         H, theta = 0.7, 0.3
         k = KernelSpec.fractional(H)
-        h = ShiftFunction.scaled_phi(theta, phi_fractional(H, 1.0))
+        phi = phi_fractional(H, 1.0)
         for t in (1.0, 2.5, 5.0):
-            got = kernel_shift_lambda_integral(k, h, unit_rate, t)
+            got = kernel_shift_lambda_integral(k, theta, phi, unit_rate, t)
             assert got == pytest.approx(theta * t, rel=1e-6)
 
     def test_calibrated_shift_within_4_ulp(self, unit_rate):
         k = KernelSpec.fractional(0.7)
-        h = ShiftFunction.scaled_phi(0.3, phi_fractional(0.7, 1.0))
+        phi = phi_fractional(0.7, 1.0)
         for t in (0.5, 1.0, 2.5, 3.0, 5.0, 1000.0):
-            got = kernel_shift_lambda_integral(k, h, unit_rate, t)
+            got = kernel_shift_lambda_integral(k, 0.3, phi, unit_rate, t)
             assert abs(got - 0.3 * t) <= 4 * math.ulp(0.3 * t), t
 
 
@@ -155,7 +151,7 @@ class TestGirsanovCheckConfig:
     def test_replicas_below_effective_sample_floor(self, replicas, scale):
         # the effective sample size is at most the replica count, and equals it only when h = 0
         message = (
-            f"{replicas} replicas with h_spec.scale {scale:g} cannot reach the "
+            f"{replicas} replicas with shift scale {scale:g} cannot reach the "
             "effective sample size floor MIN_EFFECTIVE_SAMPLE = 100"
         )
         with pytest.raises(ValidationError, match=message):
@@ -184,7 +180,7 @@ class TestVerifyEqualityInLaw:
         not_tiltable = GirsanovCheckConfig(
             kernel=KernelSpec.fractional(0.7),
             scale=0.1,
-            intensity=IntensitySpec.scaled_by_phi(1.0, 0.5, phi_fractional(0.7, 1.0)),
+            intensity=IntensitySpec.constant(1.0).tilted(0.5, phi_fractional(0.7, 1.0)),
             marks=unit_marks,
             eval_times=(1.0, 2.0),
             replicas=200,

@@ -437,7 +437,7 @@ class TestKernelPhiLambdaIntegral:
     def test_phi_scaled_rate_matches_quadrature(self):
         # table kernel values and the rate's own origin exponent
         kernel = KernelSpec.fractional(0.7)
-        inten = IntensitySpec.scaled_by_phi(1.5, 0.5, phi_fractional(0.7, 1.5))
+        inten = IntensitySpec.constant(1.5).tilted(0.5, phi_fractional(0.7, 1.5))
         for t in (0.5, 2.0, 5.0):
             got = kernel_lambda_integral(kernel, inten, t)
             assert got == pytest.approx(oracle_kernel_phi_lambda(kernel, inten, t), rel=1e-8)
@@ -496,7 +496,7 @@ class TestKernelPhiLambdaIntegral:
         # an affine grid phi clamps at its last node, s = 10: a kink of the
         # rate that one rule over [0, t] failed to converge across
         affine = PhiFunction(kind="grid", nodes=np.array([0.0, 10.0]), values=np.array([0.5, 2.0]))
-        inten = IntensitySpec.scaled_by_phi(1.0, 1.0, affine)
+        inten = IntensitySpec.constant(1.0).tilted(1.0, affine)
         for t in np.linspace(9.0, 12.0, 61):
             got = kernel_lambda_integral(kernel, inten, float(t))
 
@@ -513,7 +513,7 @@ def rough_phi_rate() -> tuple[PhiFunction, IntensitySpec]:
     nodes = np.linspace(0.0, 2.0, 4001)
     values = np.random.default_rng(5).uniform(0.0, 1.0, nodes.size)
     phi = PhiFunction(kind="grid", nodes=nodes, values=values)
-    return phi, IntensitySpec.scaled_by_phi(1.0, 1.0, phi)
+    return phi, IntensitySpec.constant(1.0).tilted(1.0, phi)
 
 
 class TestSingularQuad:

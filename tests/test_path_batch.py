@@ -27,7 +27,6 @@ from fpp_lab import (
     MarkedPath,
     PathBatch,
     PhiFunction,
-    ShiftFunction,
     ValidationError,
     consistency_experiment,
     eval_compensated_batch,
@@ -102,14 +101,14 @@ def compensators(kernel, intensity, m1, times):
     return [m1 * kernel_lambda_integral(kernel, intensity, t) if t > 0 else 0.0 for t in times]
 
 
-def oracle_log_terms(path, h, intensity, t):
+def oracle_log_terms(path, scale, phi, intensity, t):
     k = int(np.searchsorted(path.jump_times, t, side="right"))
-    hv = np.asarray(h(path.jump_times[:k]), dtype=float) if k else np.empty(0)
-    return np.log1p(hv), h.lambda_integral(intensity, t)
+    hv = scale * np.asarray(phi(path.jump_times[:k]), dtype=float) if k else np.empty(0)
+    return np.log1p(hv), scale * phi_lambda_integral(phi, intensity, t)
 
 
-def oracle_log_density(path, h, intensity, t):
-    logs, integral = oracle_log_terms(path, h, intensity, t)
+def oracle_log_density(path, scale, phi, intensity, t):
+    logs, integral = oracle_log_terms(path, scale, phi, intensity, t)
     return float(logs.sum()) - integral
 
 
@@ -171,9 +170,9 @@ def intensity_of(kind: str, rate: float, theta: float) -> IntensitySpec:
     if kind == "constant":
         return IntensitySpec.constant(rate)
     if kind == "fractional-phi":
-        return IntensitySpec.scaled_by_phi(rate, theta, phi_fractional(0.7, rate))
+        return IntensitySpec.constant(rate).tilted(theta, phi_fractional(0.7, rate))
     affine = PhiFunction(kind="grid", nodes=np.array([0.0, 10.0]), values=np.array([0.5, 2.0]))
-    return IntensitySpec.scaled_by_phi(rate, theta, affine)
+    return IntensitySpec.constant(rate).tilted(theta, affine)
 
 
 MARKS = {
@@ -344,12 +343,11 @@ class TestBatchedLayers:
     @given(paths, st.floats(0.0, 1.5))
     def test_log_densities(self, p, scale):
         intensity, _, batch, oracle = batch_and_paths(p)
-        h = ShiftFunction.scaled_phi(scale, PHI)
         for t in (0.5 * p["horizon"], p["horizon"]):
-            got = log_density_batch(batch, h, intensity, t)
+            got = log_density_batch(batch, scale, PHI, intensity, t)
             for i, path in enumerate(oracle):
-                logs, integral = oracle_log_terms(path, h, intensity, t)
-                want = oracle_log_density(path, h, intensity, t)
+                logs, integral = oracle_log_terms(path, scale, PHI, intensity, t)
+                want = oracle_log_density(path, scale, PHI, intensity, t)
                 assert abs(got[i] - want) <= 1e-14 * (np.abs(logs).sum() + abs(integral))
 
     @settings(max_examples=40, deadline=None)
@@ -393,7 +391,7 @@ class TestBatchedLayers:
     def test_mle_over_drift_paths_blocked(self, monkeypatch):
         # lanes split into many blocks, one lane alone in some of them
         monkeypatch.setattr(estimator, "JUMP_BLOCK", 500)
-        perturbed = IntensitySpec.scaled_by_phi(1.0, 1.0, PHI)
+        perturbed = IntensitySpec.constant(1.0).tilted(1.0, PHI)
         base = IntensitySpec.constant(1.0)
         times = np.array([5.0, 60.0, 150.0, 400.0])
         batch = simulate_batch(perturbed, MARKS["unit"], 400.0, range(300, 317))
@@ -404,14 +402,14 @@ class TestBatchedLayers:
                 assert abs(got[i, k] - want) <= 1e-12 * abs(want)
 
 
-def oracle_law_samples(cfg, h, tilted=None):
-    """(logw, x, y) by the per-replica loop under the shift h; y is None without a tilted intensity."""
+def oracle_law_samples(cfg, scale, phi, tilted=None):
+    """(logw, x, y) by the per-replica loop under the shift h = scale * phi; y is None without a tilted intensity."""
     horizon = max(cfg.eval_times)
     comp = compensators(cfg.kernel, cfg.intensity, cfg.marks.mean, cfg.eval_times)
     logw, x, y = [], [], []
     for i in range(cfg.replicas):
         path = oracle_simulate(cfg.intensity, cfg.marks, horizon, cfg.seed + i)
-        logw.append(oracle_log_density(path, h, cfg.intensity, horizon))
+        logw.append(oracle_log_density(path, scale, phi, cfg.intensity, horizon))
         x.append([oracle_eval_compensated(path, cfg.kernel, c, t) for t, c in zip(cfg.eval_times, comp)])
         if tilted is not None:
             ref = oracle_simulate(tilted, cfg.marks, horizon, cfg.seed + cfg.replicas + i)
@@ -451,17 +449,15 @@ class TestReplicaLoops:
 
     def test_equality_in_law(self):
         cfg = self.law_config()
-        h = ShiftFunction.scaled_phi(cfg.scale, PHI)
-        logw, x, _ = oracle_law_samples(cfg, h)
-        want = _compare_laws(cfg, _shifts(cfg, h), logw, x, x - np.array(_shifts(cfg, h)))
+        logw, x, _ = oracle_law_samples(cfg, cfg.scale, PHI)
+        want = _compare_laws(cfg, _shifts(cfg, PHI), logw, x, x - np.array(_shifts(cfg, PHI)))
         assert_reports_close(verify_equality_in_law(cfg, PHI), want)
 
     def test_tilted_law(self):
         cfg = self.law_config()
-        h = ShiftFunction.scaled_phi(cfg.scale, PHI)
-        tilted = IntensitySpec.scaled_by_phi(1.0, h.scale, h.phi)
-        logw, x, y = oracle_law_samples(cfg, h, tilted)
-        want = _compare_laws(cfg, _shifts(cfg, h), logw, x, y)
+        tilted = IntensitySpec.constant(1.0).tilted(cfg.scale, PHI)
+        logw, x, y = oracle_law_samples(cfg, cfg.scale, PHI, tilted)
+        want = _compare_laws(cfg, _shifts(cfg, PHI), logw, x, y)
         assert_reports_close(verify_tilted_law(cfg, PHI), want)
 
     def test_consistency(self):
@@ -473,7 +469,7 @@ class TestReplicaLoops:
             seed=51,
             marks=MarkDistributionSpec.unit(),
         )
-        perturbed = IntensitySpec.scaled_by_phi(1.0, 1.0, PHI)
+        perturbed = IntensitySpec.constant(1.0).tilted(1.0, PHI)
         paths = [oracle_simulate(perturbed, cfg.marks, 80.0, cfg.seed + i) for i in range(cfg.replicas)]
         est = np.array([[oracle_mle_solve(p, PHI, cfg.intensity, t) for t in cfg.horizons] for p in paths])
         report = consistency_experiment(cfg, PHI)

@@ -292,7 +292,7 @@ class TestRateFreeSolve:
 
     def test_tilted_solve_is_the_rate_one_solve_over_the_rate(self):
         kernel, grid = KernelSpec.fractional(0.7), power_grid(5.0, 400)
-        tilted = IntensitySpec.scaled_by_phi(1.0, 2.0, phi_fractional(0.7, 1.0))
+        tilted = IntensitySpec.constant(1.0).tilted(2.0, phi_fractional(0.7, 1.0))
         psi = solve_phi_volterra(kernel, IntensitySpec.constant(1.0), 1.0, grid)
         phi = solve_phi_volterra(kernel, tilted, 1.0, grid)
         assert np.array_equal(phi.nodes, psi.nodes)
@@ -315,7 +315,7 @@ class TestRateFreeSolve:
 
         constant = error(IntensitySpec.constant(1.0))
         assert constant == pytest.approx(1.285e-3, abs=5e-7)
-        assert error(IntensitySpec.scaled_by_phi(1.0, 2.0, psi)) == pytest.approx(constant, rel=1e-9)
+        assert error(IntensitySpec.constant(1.0).tilted(2.0, psi)) == pytest.approx(constant, rel=1e-9)
 
 
 #: the blocked-residual cases: kernel and grid, as stored next to the solved
@@ -411,7 +411,7 @@ class TestPhiLambdaIntegral:
         # int phi lambda = lam (int phi + theta int phi^2), both closed forms
         H, lam, theta = 0.7, 1.0, 0.5
         phi = phi_fractional(H, lam)
-        inten = IntensitySpec.scaled_by_phi(lam, theta, phi)
+        inten = IntensitySpec.constant(lam).tilted(theta, phi)
         t = 2.0
         c = phi.coefficient
         want = lam * (

@@ -108,7 +108,7 @@ class TestSimulate:
 
     def test_scaled_by_constant_phi_rate(self):
         # lambda (1 + theta phi) with phi == 1, theta = 1 doubles the rate
-        inten = IntensitySpec.scaled_by_phi(1.0, 1.0, PhiFunction.constant(1.0))
+        inten = IntensitySpec.constant(1.0).tilted(1.0, PhiFunction.constant(1.0))
         path = simulate(inten, MarkDistributionSpec.unit(), 1000.0, 99)
         assert abs(path.count / 1000.0 - 2.0) <= 3.0 * math.sqrt(2.0 / 1000.0)
 
@@ -116,7 +116,7 @@ class TestSimulate:
         # expected count = lam T + theta C T^(3/2-H)/(3/2-H), Poisson fluctuation scale
         H, lam, theta, T = 0.7, 1.0, 1.0, 500.0
         phi = phi_fractional(H, lam)
-        inten = IntensitySpec.scaled_by_phi(lam, theta, phi)
+        inten = IntensitySpec.constant(lam).tilted(theta, phi)
         path = simulate(inten, MarkDistributionSpec.unit(), T, 4321)
         expected = lam * T + theta * phi.coefficient * T ** (1.5 - H) / (1.5 - H)
         assert abs(path.count - expected) <= 4.0 * math.sqrt(expected)
@@ -130,7 +130,7 @@ class TestSimulate:
             return max_rate_on(spec, a, b)
 
         monkeypatch.setattr(IntensitySpec, "max_rate_on", counting)
-        inten = IntensitySpec.scaled_by_phi(1.0, 0.5, phi_fractional(0.7, 1.0))
+        inten = IntensitySpec.constant(1.0).tilted(0.5, phi_fractional(0.7, 1.0))
         marks = MarkDistributionSpec.unit()
         simulate(inten, marks, 5.0, 0)
         segments = len(calls)
@@ -232,7 +232,7 @@ class TestSmallMeanDraws:
             assert _thinning_majorant(inten, horizon)[2] == ()
             simulate(inten, marks, horizon, 3)
         # a phi-scaled majorant over a horizon whose first half already holds mass below 1e-9
-        inten = IntensitySpec.scaled_by_phi(1.0, 1.0, PhiFunction.constant(1.0))
+        inten = IntensitySpec.constant(1.0).tilted(1.0, PhiFunction.constant(1.0))
         assert len(_thinning_majorant(inten, 1e-10)[1]) == 1
         assert _thinning_majorant(inten, 1e-10)[2] == ()
         simulate(inten, marks, 1e-10, 3)
@@ -246,13 +246,13 @@ class TestIntegratedIntensity:
     def test_scaled_affine_phi(self):
         # phi(s) = 1 + s on [0,2]: int_0^2 (1 + 0.5 (1+s)) ds = 4
         phi = PhiFunction(kind="grid", nodes=np.array([0.0, 2.0]), values=np.array([1.0, 3.0]))
-        inten = IntensitySpec.scaled_by_phi(1.0, 0.5, phi)
+        inten = IntensitySpec.constant(1.0).tilted(0.5, phi)
         assert integrated_intensity(inten, 2.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_scaled_fractional_closed_form(self):
         H, lam, theta = 0.7, 2.0, 0.5
         phi = phi_fractional(H, lam)
-        inten = IntensitySpec.scaled_by_phi(lam, theta, phi)
+        inten = IntensitySpec.constant(lam).tilted(theta, phi)
         t = 3.0
         want = lam * t + theta * phi.coefficient * t ** (1.5 - H) / (1.5 - H)
         assert integrated_intensity(inten, t) == pytest.approx(want, rel=1e-12)

@@ -25,9 +25,8 @@ MOVED = {
     "special_functions": ["ln_gamma"],
 }
 # (module, class, method) that moved to tests/oracles.py as free functions
+# (the shift class's constant and witness left with the class: test_shift_is_passed_as_scale_and_phi)
 MOVED_METHODS = [
-    ("girsanov", "ShiftFunction", "constant"),
-    ("girsanov", "ShiftFunction", "witness"),
     ("phi_solver", "PhiFunction", "from_csv"),
     ("point_process", "MarkedPath", "from_csv"),
 ]
@@ -80,3 +79,14 @@ def test_law_and_consistency_checks_take_phi_at_run():
     law = {field.name for field in dataclasses.fields(fpp_lab.GirsanovCheckConfig)}
     assert "scale" in law and "h" not in law
     assert "phi" not in {field.name for field in dataclasses.fields(fpp_lab.ConsistencyConfig)}
+
+
+def test_shift_is_passed_as_scale_and_phi():
+    # h = scale * phi is passed as (scale, phi): no wrapper class, and tilted is the one tilt constructor
+    girsanov = importlib.import_module("fpp_lab.girsanov")
+    assert not hasattr(fpp_lab, "ShiftFunction") and not hasattr(girsanov, "ShiftFunction")
+    assert not hasattr(fpp_lab.IntensitySpec, "scaled_by_phi")
+    shift = ["scale", "phi", "intensity", "t"]
+    assert list(inspect.signature(fpp_lab.log_density_batch).parameters) == ["batch", *shift]
+    assert list(inspect.signature(fpp_lab.log_density).parameters) == ["path", *shift]
+    assert list(inspect.signature(fpp_lab.kernel_shift_lambda_integral).parameters) == ["kernel", *shift]
