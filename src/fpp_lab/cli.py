@@ -381,7 +381,10 @@ def _error_record(exc: Exception) -> str:
 def run_command(config_path: str, seed: int | None, out: str | None) -> int:
     try:
         cfg = ResolvedConfig(_load_config(config_path), seed, out)
-        cfg.output_path.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.output_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output_path {cfg.output_path}: {exc}") from exc
         summary = EXPERIMENTS[cfg.experiment][0](cfg)
     except ValidationError as exc:
         sys.stderr.write(_error_record(exc))

@@ -986,7 +986,7 @@ class TestBadInputExitsThroughContract:
             "output_path": str(out),
         }
 
-    @pytest.mark.parametrize(("replicas", "scale"), [(100, 0.3), (99, 0.0), (1, 0.3)])
+    @pytest.mark.parametrize(("replicas", "scale"), [(100, 0.3), (99, 0.3), (99, 0.0), (1, 0.3)])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_replicas_below_effective_sample_floor(self, tmp_path, capsys, command, replicas, scale):
         # the effective sample size is at most the replica count, and equals it only
@@ -998,6 +998,23 @@ class TestBadInputExitsThroughContract:
         assert err["error"]["type"] == "ValidationError"
         assert "effective sample size floor MIN_EFFECTIVE_SAMPLE = 100" in err["error"]["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["config", "--out"])
+    @pytest.mark.parametrize("target", ["file", "under-file"])
+    def test_output_path_that_cannot_be_created(self, tmp_path, capsys, target, via):
+        # mkdir used to leave with a raw FileExistsError or NotADirectoryError traceback;
+        # validate creates nothing, so it still exits 0 on these configs
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker if target == "file" else blocker / "out"
+        cfg = write_config(tmp_path, "c.json", simulate_config(tmp_path / "unused" if via == "--out" else out))
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg), *(["--out", str(out)] if via == "--out" else [])]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["message"].startswith(f"cannot create output_path {out}: ")
+        assert blocker.is_file() and not (tmp_path / "unused").exists()
 
     def test_effective_sample_floor_admits_equal_weights(self, tmp_path):
         # h = 0: every weight is 1 and the effective sample size is the replica count

@@ -9,6 +9,10 @@ package's syntax tree checks that `special_functions.hyp2f1` is the one
 function that imports scipy, another that no package code calls a one-row
 twin of a batched layer, and a third that the CLI names none of the phi
 solver's numerics.
+
+The `fpp-lab` console script that `pyproject.toml` declares runs in a fresh
+process as well, once per command on a valid and on a rejected config, so
+the entry point and the exit status it hands the shell are checked too.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,13 +76,73 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
-def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
-    """Run `script` with `args` in a fresh interpreter that imports `fpp_lab` from this checkout."""
+def run_fresh(script: str, *args: str, code: int = 0) -> subprocess.CompletedProcess:
+    """Run `script` with `args` in a fresh interpreter that imports `fpp_lab` from this checkout.
+
+    The process must exit with status `code`.
+    """
     src = str(Path(fpp_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
+
+
+def entry_point() -> tuple[str, str]:
+    """(module, function) of the `fpp-lab` console script that pyproject.toml declares."""
+    # read with a regex: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^fpp-lab\s*=\s*"([\w.]+):(\w+)"\s*$', text, re.M)
+    assert match, "pyproject.toml declares no fpp-lab console script"
+    return match.group(1), match.group(2)
+
+
+# what pip's wrapper script does: main() reads sys.argv, and its return value is the exit status
+CONSOLE_SCRIPT = """
+import importlib, sys
+module, function, *argv = sys.argv[1:]
+sys.argv = ["fpp-lab", *argv]
+sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+#: a valid solve-phi config, and a negative tilt of a scaled-by-phi intensity with the error it exits 1 on
+ENTRY_POINT_CASES = {
+    "solve-phi": (
+        {
+            "experiment": "solve-phi",
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "grid": {"start": 0.01, "stop": 2.0, "count": 200},
+        },
+        None,
+    ),
+    "negative-tilt": (
+        {
+            "experiment": "simulate",
+            "intensity": {"kind": "scaled-by-phi", "base_rate": 1.0, "theta": -1.0},
+            "horizon": 5.0,
+        },
+        {"type": "ValidationError", "message": "theta must be >= 0, got -1.0"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_POINT_CASES))
+def test_console_script_exit_status(tmp_path, case):
+    # every CLI case is pinned in test_cli.py through cli.main(argv); this runs the
+    # declared entry point itself, with no argv, in a fresh process per command
+    edit, error = ENTRY_POINT_CASES[case]
+    out = tmp_path / "out"
+    cfg = dict(edit, kernel={"kind": "fractional", "H": 0.7}, marks={"kind": "unit"}, seed=0, output_path=str(out))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    module, function = entry_point()
+    for command in ("validate", "run"):
+        proc = run_fresh(CONSOLE_SCRIPT, module, function, command, str(path), code=1 if error else 0)
+        if error:
+            assert json.loads(proc.stderr) == {"error": error}
+            assert not out.exists()
+    if not error:
+        assert (out / "phi.csv").stat().st_size > 0
 
 
 def test_scipy_loads_on_first_use():
