@@ -60,82 +60,72 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, where: str):
+def _number(obj: dict, key: str, where: str, integer: bool = False):
+    """obj[key] as a finite float, or as an int if `integer`; a bool is neither."""
     if key not in obj:
         raise ValidationError(f"missing {key!r} in {where}")
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
+        raise ValidationError(f"{where}.{key} must be {'an integer' if integer else 'a number'}, got {val!r}")
+    if integer:
+        return val
     if not abs(val) <= sys.float_info.max:  # JSON reads 1e310 as inf; also rejects nan
         raise ValidationError(f"{where}.{key} must be finite, got {val!r}")
     return float(val)
 
 
-def _integer(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ValidationError(f"missing {key!r} in {where}")
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ValidationError(f"{where}.{key} must be an integer, got {val!r}")
-    return int(val)
+def _path(val, name: str) -> str:
+    """`val` as a file path: a non-empty string without the NUL byte that no file system call takes."""
+    if not isinstance(val, str) or not val:
+        raise ValidationError(f"{name} must be a non-empty string, got {val!r}")
+    if "\0" in val:
+        raise ValidationError(f"{name} must not contain a NUL byte, got {val!r}")
+    return val
 
 
-def parse_kernel(obj: dict) -> KernelSpec:
-    _check_keys(obj, {"kind", "a", "H", "path"}, "kernel")
-    kind = _require(obj, "kind")
-    if kind == "indicator":
-        _check_keys(obj, {"kind"}, "kernel(indicator)")
-        return KernelSpec.indicator()
-    if kind == "exp_shot_noise":
-        _check_keys(obj, {"kind", "a"}, "kernel(exp_shot_noise)")
-        return KernelSpec.exp_shot_noise(_number(obj, "a", "kernel"))
-    if kind == "fractional":
-        _check_keys(obj, {"kind", "H"}, "kernel(fractional)")
-        return KernelSpec.fractional(_number(obj, "H", "kernel"))
-    if kind == "tabulated":
-        _check_keys(obj, {"kind", "path"}, "kernel(tabulated)")
-        path = _require(obj, "path")
-        if not isinstance(path, str) or not path:
-            raise ValidationError(f"kernel.path must be a non-empty string, got {path!r}")
-        return KernelSpec.tabulated_from_csv(path)
-    raise ValidationError(f"unknown kernel kind {kind!r}")
+#: config object -> kind -> (the keys the kind reads besides "kind", what it builds from
+#: their values); every key but a kernel's "path" is a number.  An intensity builds its
+#: constant base and the tilt theta that only a scaled-by-phi intensity takes.
+KINDS = {
+    "kernel": {
+        "indicator": ((), KernelSpec.indicator),
+        "exp_shot_noise": (("a",), KernelSpec.exp_shot_noise),
+        "fractional": (("H",), KernelSpec.fractional),
+        "tabulated": (("path",), KernelSpec.tabulated_from_csv),
+    },
+    "marks": {
+        "unit": ((), MarkDistributionSpec.unit),
+        "exponential": (("mean",), MarkDistributionSpec.exponential),
+        "lognormal": (("mu", "sigma"), MarkDistributionSpec.lognormal),
+    },
+    "intensity": {
+        "constant": (("base_rate",), lambda rate: (IntensitySpec.constant(rate), None)),
+        "scaled-by-phi": (("base_rate", "theta"), lambda rate, theta: (IntensitySpec.constant(rate), theta)),
+    },
+}
+#: the kind of a config object that names none; the others must name one
+DEFAULT_KIND = {"intensity": "constant"}
 
 
-def parse_marks(obj: dict) -> MarkDistributionSpec:
-    _check_keys(obj, {"kind", "mean", "mu", "sigma"}, "marks")
-    kind = _require(obj, "kind")
-    if kind == "unit":
-        _check_keys(obj, {"kind"}, "marks(unit)")
-        return MarkDistributionSpec.unit()
-    if kind == "exponential":
-        _check_keys(obj, {"kind", "mean"}, "marks(exponential)")
-        return MarkDistributionSpec.exponential(_number(obj, "mean", "marks"))
-    if kind == "lognormal":
-        _check_keys(obj, {"kind", "mu", "sigma"}, "marks(lognormal)")
-        return MarkDistributionSpec.lognormal(
-            _number(obj, "mu", "marks"), _number(obj, "sigma", "marks")
-        )
-    raise ValidationError(f"unknown marks kind {kind!r}")
-
-
-def parse_intensity(obj: dict) -> tuple[IntensitySpec, str, float | None]:
-    """The constant base intensity, the kind, and the tilt theta that only a scaled-by-phi intensity takes."""
-    _check_keys(obj, {"kind", "base_rate", "theta"}, "intensity")
-    kind = obj.get("kind", "constant")
-    base = IntensitySpec.constant(_number(obj, "base_rate", "intensity"))
-    if kind == "constant":
-        _check_keys(obj, {"kind", "base_rate"}, "intensity(constant)")
-        return base, kind, None
-    if kind == "scaled-by-phi":
-        return base, kind, _number(obj, "theta", "intensity")
-    raise ValidationError(f"unknown intensity kind {kind!r}")
+def parse_kind(obj: dict, where: str):
+    """What the config's `where` object `obj` describes, built by its kind's entry in KINDS."""
+    kinds = KINDS[where]
+    _check_keys(obj, {"kind"}.union(*(keys for keys, _ in kinds.values())), where)
+    kind = obj.get("kind", DEFAULT_KIND[where]) if where in DEFAULT_KIND else _require(obj, "kind")
+    if not isinstance(kind, str) or kind not in kinds:  # a list kind cannot be hashed
+        raise ValidationError(f"unknown {where} kind {kind!r}")
+    keys, build = kinds[kind]
+    _check_keys(obj, {"kind", *keys}, f"{where}({kind})")
+    return build(*(
+        _path(_require(obj, key), f"{where}.{key}") if key == "path" else _number(obj, key, where) for key in keys
+    ))
 
 
 def parse_grid(obj: dict) -> np.ndarray:
     _check_keys(obj, {"start", "stop", "count"}, "grid")
     start = _number(obj, "start", "grid")
     stop = _number(obj, "stop", "grid")
-    count = _integer(obj, "count", "grid")
+    count = _number(obj, "count", "grid", integer=True)
     if not (0 < start <= stop) or count < 1 or (count == 1) != (start == stop):
         raise ValidationError("grid requires 0 < start <= stop, count >= 1, and start == stop iff count == 1")
     if count**2 > MAX_GRID_NODES_SQUARED:
@@ -183,27 +173,25 @@ class ResolvedConfig:
         _check_keys(raw, {"experiment", "seed", "output_path", *need, *optional}, f"{exp} config")
         for key in need:
             _require(raw, key)
-        self.seed = _integer(raw, "seed", "config") if seed_override is None else int(seed_override)
+        self.seed = _number(raw, "seed", "config", integer=True) if seed_override is None else int(seed_override)
         if self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed}")
-        out = raw.get("output_path") if out_override is None else out_override
-        if not isinstance(out, str) or not out:
-            raise ValidationError("output_path must be a non-empty string (or pass --out)")
+        out = _path(raw.get("output_path") if out_override is None else out_override, "output_path (or --out)")
         self.output_path = Path(out)
         self.raw = dict(raw, seed=self.seed, output_path=str(out))
 
-        self.marks = parse_marks(raw["marks"])
-        self.kernel = parse_kernel(raw["kernel"]) if "kernel" in raw else None
+        self.marks = parse_kind(raw["marks"], "marks")
+        self.kernel = parse_kind(raw["kernel"], "kernel") if "kernel" in raw else None
         self.horizon = _number(raw, "horizon", "config") if "horizon" in raw else None
         self.grid = parse_grid(raw["grid"]) if "grid" in raw else None
         self.theta_true = _number(raw, "theta_true", "config") if "theta_true" in raw else None
-        self.replicas = _integer(raw, "replicas", "config") if "replicas" in raw else 1
+        self.replicas = _number(raw, "replicas", "config", integer=True) if "replicas" in raw else 1
         if self.replicas < 1:
             raise ValidationError("replicas must be >= 1")
         self.h_scale, closed_form = parse_h_spec(raw["h_spec"]) if "h_spec" in raw else (None, False)
 
-        self.base_intensity, self.intensity_kind, self.intensity_theta = parse_intensity(raw["intensity"])
-        if self.intensity_kind == "scaled-by-phi":
+        self.base_intensity, self.intensity_theta = parse_kind(raw["intensity"], "intensity")
+        if self.intensity_theta is not None:  # a scaled-by-phi intensity
             if exp not in ("simulate", "solve-phi"):  # the others run at the constant base_rate
                 raise ValidationError(f"only simulate and solve-phi read a scaled-by-phi intensity, not {exp}")
             if self.kernel is None:
@@ -251,7 +239,7 @@ class ResolvedConfig:
     @cached_property
     def intensity(self) -> IntensitySpec:
         """The config's intensity, built on first use: a phi solve can be heavy."""
-        if self.intensity_kind == "constant":
+        if self.intensity_theta is None:
             return self.base_intensity
         return self.base_intensity.tilted(self.intensity_theta, self.phi())
 
@@ -366,7 +354,7 @@ def _load_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # a RecursionError: nested too deeply to decode
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
@@ -386,6 +374,7 @@ def run_command(config_path: str, seed: int | None, out: str | None) -> int:
         except OSError as exc:
             raise ValidationError(f"cannot create output_path {cfg.output_path}: {exc}") from exc
         summary = EXPERIMENTS[cfg.experiment][0](cfg)
+        write_json(cfg.output_path / "run_summary.json", summary)
     except ValidationError as exc:
         sys.stderr.write(_error_record(exc))
         return 1
@@ -396,7 +385,6 @@ def run_command(config_path: str, seed: int | None, out: str | None) -> int:
     except FppError as exc:  # NumericsError, or any other error of the package
         sys.stderr.write(_error_record(exc))
         return 2
-    write_json(cfg.output_path / "run_summary.json", summary)
     status = "PASS" if summary["passed"] else "FAIL"
     headline = ", ".join(f"{k}={v}" for k, v in sorted(summary["headline"].items()))
     print(f"{status} {cfg.experiment} seed={cfg.seed} {headline}")

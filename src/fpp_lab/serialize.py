@@ -30,8 +30,12 @@ def dumps_json(obj: Any) -> str:
 
 
 def write_json(path, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(obj))
+    """Write `obj` as canonical JSON; raises ValidationError, naming the file, when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps_json(obj))
+    except OSError as exc:
+        raise ValidationError(f"cannot write JSON file {path}: {exc}") from exc
 
 
 #: rows formatted per write, so that a file of any length needs memory for this many rows only
@@ -44,17 +48,21 @@ def write_csv(path, header: str, columns: Sequence) -> None:
     The rows go out in chunks of CSV_CHUNK_ROWS: each column's slice is
     `.tolist()` once, so its cells are Python floats and ints, written as
     their `repr` (a float's shortest round-trip form), and each chunk is
-    joined and written in one piece.
+    joined and written in one piece.  Raises ValidationError, naming the
+    file, when it cannot be written.
     """
     cols = [np.asarray(c) for c in columns]
     if len({len(c) for c in cols}) > 1:
         raise ValidationError(f"CSV columns under {header!r} differ in length")
     rows = len(cols[0]) if cols else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, rows, CSV_CHUNK_ROWS):
-            cells = (map(repr, c[lo : lo + CSV_CHUNK_ROWS].tolist()) for c in cols)
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for lo in range(0, rows, CSV_CHUNK_ROWS):
+                cells = (map(repr, c[lo : lo + CSV_CHUNK_ROWS].tolist()) for c in cols)
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write CSV file {path}: {exc}") from exc
 
 
 def read_csv(path, expected_header: str) -> np.ndarray:

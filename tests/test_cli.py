@@ -109,6 +109,41 @@ class TestValidate:
         cfg = write_config(tmp_path, "readme.json", json.loads(example))
         assert main(["validate", str(cfg)]) == 0
 
+    def test_readme_kinds_table(self, tmp_path, capsys):
+        # the README's table of config objects gives cli.KINDS, and the keys of h_spec and grid
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| object | kind | keys |\n|---|---|---|\n")[1].split("\n\n")[0]
+        documented, defaults = {}, {}
+        for line in table.splitlines():
+            obj, kind, keys = (re.findall(r"`([\w-]+)`", cell) for cell in line.strip("|").split("|"))
+            documented.setdefault(obj[0], {})[kind[0] if kind else None] = tuple(keys)
+            if "(the default kind)" in line:
+                defaults[obj[0]] = kind[0]
+        assert {where: documented.pop(where, None) for where in cli.KINDS} == {
+            where: {kind: keys for kind, (keys, _) in kinds.items()} for where, kinds in cli.KINDS.items()
+        }
+        assert defaults == cli.DEFAULT_KIND
+        # the objects without a kind: each listed key is required, and no other key is read
+        assert set(documented) == {"h_spec", "grid"} and all(list(kinds) == [None] for kinds in documented.values())
+        base = TestBadInputExitsThroughContract.law_config(tmp_path / "out", 200, 0.3)
+        for obj, kinds in documented.items():
+            edits = {f"missing {key!r} in {obj}": {k: v for k, v in base[obj].items() if k != key} for key in kinds[None]}
+            edits[f"unknown keys in {obj}: ['extra']"] = dict(base[obj], extra=1.0)
+            for message, edit in edits.items():
+                cfg = write_config(tmp_path, "c.json", dict(base, **{obj: edit}))
+                assert main(["validate", str(cfg)]) == 1
+                assert json.loads(capsys.readouterr().err)["error"]["message"] == message
+
+    @pytest.mark.parametrize("where", ["kernel", "marks", "intensity"])
+    def test_kind_that_is_not_a_string(self, tmp_path, capsys, where):
+        # a list kind cannot be a key of cli.KINDS: it is an unknown kind, not a TypeError
+        raw = TestBadInputExitsThroughContract.law_config(tmp_path / "out", 200, 0.3)
+        raw[where] = dict(raw[where], kind=["unit"])
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert main(["validate", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValidationError", "message": f"unknown {where} kind ['unit']"}
+
     def test_null_marks(self, tmp_path, capsys):
         # marks is required, and null is not a marks object
         raw = simulate_config(tmp_path / "out")
@@ -1015,6 +1050,66 @@ class TestBadInputExitsThroughContract:
         assert err["error"]["type"] == "ValidationError"
         assert err["error"]["message"].startswith(f"cannot create output_path {out}: ")
         assert blocker.is_file() and not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("artifact", ["phi.csv", "run_summary.json"])
+    def test_artifact_that_cannot_be_written(self, tmp_path, capsys, artifact):
+        # a directory in an artifact's place used to leave run with a raw IsADirectoryError
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        raw = {
+            "experiment": "solve-phi",
+            "kernel": {"kind": "fractional", "H": 0.7},
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "grid": {"start": 0.01, "stop": 2.0, "count": 200},
+            "seed": 1,
+            "output_path": str(out),
+        }
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert main(["run", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"]["type"] == "ValidationError"
+        kind = "CSV" if artifact.endswith(".csv") else "JSON"
+        assert err["error"]["message"].startswith(f"cannot write {kind} file {out / artifact}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_nested_too_deeply(self, tmp_path, capsys, command):
+        # json.load used to raise a raw RecursionError on 100 000 nested lists
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[" * 100_000)
+        assert main([command, str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["message"].startswith(f"config {cfg} is not valid JSON: maximum recursion depth")
+
+    @pytest.mark.parametrize(
+        ("via", "command"),
+        [("output_path", "validate"), ("output_path", "run"), ("--out", "run"), ("kernel.path", "validate"),
+         ("kernel.path", "run")],
+    )
+    def test_nul_byte_in_path(self, tmp_path, capsys, via, command):
+        # a NUL used to pass validate in output_path and leave run as a raw "ValueError: embedded
+        # null byte"; in kernel.path it left both commands that way
+        table = tmp_path / "k.csv"
+        table.write_text("t,s,value\n1,1,0\n1,2,0\n2,1,0.5\n2,2,0\n")
+        bad = str(tmp_path / "a\0b")
+        raw = {
+            "experiment": "solve-phi",
+            "kernel": {"kind": "tabulated", "path": bad if via == "kernel.path" else str(table)},
+            "intensity": {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "grid": {"start": 0.5, "stop": 2.0, "count": 4},
+            "seed": 1,
+            "output_path": bad if via == "output_path" else str(tmp_path / "out"),
+        }
+        cfg = write_config(tmp_path, "c.json", raw)
+        assert main([command, str(cfg), *(["--out", bad] if via == "--out" else [])]) == 1
+        name = "output_path (or --out)" if via != "kernel.path" else via
+        message = f"{name} must not contain a NUL byte, got {bad!r}"
+        assert json.loads(capsys.readouterr().err)["error"] == {"type": "ValidationError", "message": message}
+        assert not (tmp_path / "out").exists()
 
     def test_effective_sample_floor_admits_equal_weights(self, tmp_path):
         # h = 0: every weight is 1 and the effective sample size is the replica count

@@ -105,7 +105,8 @@ sys.argv = ["fpp-lab", *argv]
 sys.exit(getattr(importlib.import_module(module), function)())
 """
 
-#: a valid solve-phi config, and a negative tilt of a scaled-by-phi intensity with the error it exits 1 on
+#: a valid solve-phi config, a negative tilt of a scaled-by-phi intensity, and a config text nested too
+#: deeply to decode (the recursion limit is the fresh process's), with the errors they exit 1 on
 ENTRY_POINT_CASES = {
     "solve-phi": (
         {
@@ -123,6 +124,14 @@ ENTRY_POINT_CASES = {
         },
         {"type": "ValidationError", "message": "theta must be >= 0, got -1.0"},
     ),
+    "deep-nesting": (
+        "[" * 100_000,
+        {
+            "type": "ValidationError",
+            "message": "config {config} is not valid JSON: maximum recursion depth exceeded while decoding a JSON "
+            "array from a unicode string",
+        },
+    ),
 }
 
 
@@ -132,14 +141,16 @@ def test_console_script_exit_status(tmp_path, case):
     # declared entry point itself, with no argv, in a fresh process per command
     edit, error = ENTRY_POINT_CASES[case]
     out = tmp_path / "out"
-    cfg = dict(edit, kernel={"kind": "fractional", "H": 0.7}, marks={"kind": "unit"}, seed=0, output_path=str(out))
+    if not isinstance(edit, str):
+        cfg = dict(edit, kernel={"kind": "fractional", "H": 0.7}, marks={"kind": "unit"}, seed=0, output_path=str(out))
+        edit = json.dumps(cfg)
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(edit)
     module, function = entry_point()
     for command in ("validate", "run"):
         proc = run_fresh(CONSOLE_SCRIPT, module, function, command, str(path), code=1 if error else 0)
         if error:
-            assert json.loads(proc.stderr) == {"error": error}
+            assert json.loads(proc.stderr) == {"error": dict(error, message=error["message"].format(config=path))}
             assert not out.exists()
     if not error:
         assert (out / "phi.csv").stat().st_size > 0

@@ -19,7 +19,7 @@ from fpp_lab import (
     volterra_residuals,
 )
 from fpp_lab import kernels, phi_solver
-from fpp_lab.cli import parse_kernel
+from fpp_lab.cli import parse_kind
 from fpp_lab.kernels import PANEL_BLOCK, kernel_phi_lambda_integral
 from fpp_lab.phi_solver import residual_spots
 
@@ -341,7 +341,7 @@ def blocked_case(case: str) -> tuple[KernelSpec, np.ndarray]:
         tg, sg = np.linspace(*kernel["t"]), np.linspace(*kernel["s"])
         spec = KernelSpec.tabulated(tg, sg, np.exp(-(tg[:, None] - sg[None, :])))
     else:
-        spec = parse_kernel(kernel)
+        spec = parse_kind(kernel, "kernel")
     if grid["kind"] == "power":
         return spec, power_grid(grid["stop"], grid["count"])
     return spec, uniform_grid(grid["start"], grid["stop"], grid["count"])
