@@ -33,17 +33,15 @@ from .estimator import (
 from .girsanov import GirsanovCheckConfig, require_diagonal_degenerate, verify_equality_in_law
 from .kernels import KernelSpec
 from .phi_solver import PhiFunction, calibration_phi, check_residuals, solve_phi_volterra
-from .point_process import IntensitySpec, MarkDistributionSpec, require_tilt, simulate_replicas
+from .point_process import (
+    IntensitySpec, MarkDistributionSpec, expected_jumps, require_tilt, require_times, simulate_replicas,
+)
 from .serialize import dumps_json, write_csv, write_json
 
-# Pre-flight cost caps, checked before anything is allocated; each is more than
-# 100x the largest run in the tests and the benchmark (1000 replicas x 1000
-# expected jumps; a 4000-node phi grid).
-
-#: cap on replicas x max(base_rate x horizon, 1), a lower bound of the jumps a
-#: run draws (a phi tilt only adds jumps)
-MAX_REPLICA_JUMPS = 1e9
-#: cap on the grid count squared: the Volterra solve is O(n^2) in the nodes
+#: pre-flight cost cap on the grid count squared, checked before anything is allocated:
+#: the Volterra solve is O(n^2) in the nodes, and 1e10 is more than 100x the largest
+#: grid in the tests and the benchmark (4000 nodes); point_process.MAX_REPLICA_JUMPS
+#: caps the jumps a run draws
 MAX_GRID_NODES_SQUARED = 1e10
 
 def _require(cfg: dict, key: str):
@@ -201,14 +199,12 @@ class ResolvedConfig:
             raise ValidationError("simulate reads a kernel only to define phi for a scaled-by-phi intensity")
         if exp in ("estimate", "trajectory"):  # the drift is the tilt of the base by theta_true
             require_tilt(self.theta_true)
-        # two checks restated because the library makes them only at run, or not at all: a
-        # tabulated kernel under phi_source "closed_form", a key kept only because the bench's
-        # law-check config sends it (the library solves a tabulated phi); and the 1-node grid,
-        # which the Volterra solve checks inside the solve
+        # restated, as the library has no such rule: phi_source "closed_form", a key kept only because
+        # the bench's law-check config sends it, rejects a tabulated kernel (the library solves its phi)
         if closed_form and self.kernel.kind == "tabulated":
             raise ValidationError("no closed-form phi for kernel kind 'tabulated'")
-        if exp == "solve-phi" and self.grid.size < 2:
-            raise ValidationError("grid must be a 1-d array with at least 2 nodes")
+        if self.grid is not None:  # the Volterra solve of solve-phi needs 2 nodes
+            require_times(self.grid, "grid", 2 if exp == "solve-phi" else 1, self.horizon)
         # the library config of the law or consistency check, built here so that validate
         # runs its checks; phi is passed in at run
         self.check = None
@@ -224,17 +220,12 @@ class ResolvedConfig:
                 replicas=self.replicas, seed=self.seed, marks=self.marks,
             )
 
-        if self.grid is not None and self.horizon is not None and self.grid[-1] > self.horizon:
-            raise ValidationError("grid extends beyond the horizon")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        jumps = 1.0 if self.horizon is None else max(self.base_intensity.base_rate * self.horizon, 1.0)
-        # replicas first: an int beyond the float range cannot multiply a float
-        if self.replicas > MAX_REPLICA_JUMPS or not self.replicas * jumps <= MAX_REPLICA_JUMPS:
-            raise ValidationError(
-                f"replicas x expected jump count ({self.replicas} x {jumps:.6g}) exceeds "
-                f"the pre-flight cap {MAX_REPLICA_JUMPS:.3g}"
-            )
+        if self.horizon is not None:
+            if not self.horizon > 0:
+                raise ValidationError(f"horizon must be positive, got {self.horizon}")
+            # the jump cap at the base rate, which builds no phi; a tilt only adds jumps,
+            # and run counts them before its first draw
+            expected_jumps(self.base_intensity, self.horizon, self.replicas)
 
     @cached_property
     def intensity(self) -> IntensitySpec:
@@ -401,16 +392,18 @@ def validate_command(config_path: str) -> int:
     return 0
 
 
+# the command line, built once at import rather than on every call of main
+_PARSER = argparse.ArgumentParser(prog="fpp-lab", description=__doc__)
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+_RUN = _COMMANDS.add_parser("run", help="run an experiment config")
+_RUN.add_argument("config")
+_RUN.add_argument("--seed", type=int, default=None, help="override the config seed")
+_RUN.add_argument("--out", type=str, default=None, help="override output_path")
+_COMMANDS.add_parser("validate", help="validate a config without running it").add_argument("config")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="fpp-lab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--out", type=str, default=None, help="override output_path")
-    p_val = sub.add_parser("validate", help="validate a config without running it")
-    p_val.add_argument("config")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "run":
         return run_command(args.config, args.seed, args.out)
     return validate_command(args.config)

@@ -31,6 +31,7 @@ from .point_process import (
     MarkDistributionSpec,
     MarkedPath,
     PathBatch,
+    require_times,
     simulate_replicas,
 )
 from .phi_solver import PhiFunction, phi_lambda_integral
@@ -254,11 +255,7 @@ def trajectory(
     horizon: float, grid: np.ndarray, seed: int,
 ) -> EstimateTrace:
     """theta-hat at each grid time along replica 0 of `drift_estimates`, the path of stream seed."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid[0] <= 0 or grid[-1] > horizon:
-        raise ValidationError("grid must lie inside (0, horizon]")
-    if not np.all(np.diff(grid) > 0):
-        raise ValidationError("grid must be strictly increasing")
+    grid = require_times(grid, "grid", 1, horizon)
     theta_hat, jumps = drift_estimates(intensity, phi, theta, marks, horizon, grid, 1, seed)
     epochs = np.flatnonzero(np.diff(jumps[0], prepend=0))
     return EstimateTrace(times=grid, theta_hat=theta_hat[0], jump_epochs=epochs)
@@ -309,12 +306,9 @@ class ConsistencyConfig:
     marks: MarkDistributionSpec
 
     def __post_init__(self):
-        hz = tuple(float(t) for t in self.horizons)
-        object.__setattr__(self, "horizons", hz)
         if not self.theta_true > 0:
             raise ValidationError(f"theta_true must be positive, got {self.theta_true}")
-        if len(hz) < 2 or list(hz) != sorted(set(hz)) or hz[0] <= 0:
-            raise ValidationError("horizons must be >= 2 strictly increasing positives")
+        object.__setattr__(self, "horizons", tuple(require_times(self.horizons, "horizons", 2).tolist()))
         if self.replicas < 2:
             raise ValidationError("need at least 2 replicas")
 

@@ -8,16 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
 from .kernels import KernelSpec, kernel_eval_at, kernel_lambda_integral
 from .point_process import IntensitySpec, MarkedPath, PathBatch
-
-
-def _check_time(horizon: float, t: float) -> None:
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
-    if t > horizon:
-        raise ValidationError(f"t={t} beyond path horizon {horizon}")
 
 
 def eval_filtered_batch(batch: PathBatch, kernel: KernelSpec, t: float) -> np.ndarray:
@@ -26,7 +18,7 @@ def eval_filtered_batch(batch: PathBatch, kernel: KernelSpec, t: float) -> np.nd
     One `kernel_eval_at` call on the jumps of all rows; `np.bincount` then
     adds each row's terms left to right.
     """
-    _check_time(batch.horizon, t)
+    batch.check_time(t)
     sel = batch.jump_times <= t
     if not sel.any():  # not a shortcut: np.bincount of no terms returns int64 zeros
         return np.zeros(batch.replicas)
@@ -48,9 +40,8 @@ def eval_compensated_batch(
 ) -> np.ndarray:
     """Compensated filtered process of every row: N^K_t - m1 int_0^t K(t,s) lambda(s) ds.
 
-    The compensator is computed once for all rows.
+    The compensator is computed once for all rows, after `eval_filtered_batch` has checked t.
     """
-    _check_time(batch.horizon, t)
     if t == 0:
         return np.zeros(batch.replicas)
     return eval_filtered_batch(batch, kernel, t) - m1 * kernel_lambda_integral(kernel, intensity, t)

@@ -42,6 +42,7 @@ from .point_process import (
     MarkDistributionSpec,
     MarkedPath,
     PathBatch,
+    require_times,
     simulate_replicas,
 )
 from .phi_solver import PhiFunction, phi_lambda_integral
@@ -66,8 +67,7 @@ def log_density_batch(
     the jumps otherwise: raises ValidationError naming the first row, and its
     seed, where 1 + h vanishes or goes negative at a jump.
     """
-    if t < 0 or t > batch.horizon:
-        raise ValidationError(f"t={t} outside [0, horizon={batch.horizon}]")
+    batch.check_time(t)
     sel = batch.jump_times <= t
     rows = batch.rows[sel]
     hv = scale * np.asarray(phi(batch.jump_times[sel]), dtype=float)
@@ -119,10 +119,7 @@ class GirsanovCheckConfig:
     seed: int
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.eval_times)
-        object.__setattr__(self, "eval_times", times)
-        if not times or any(t <= 0 for t in times) or list(times) != sorted(set(times)):
-            raise ValidationError("eval_times must be strictly increasing positives")
+        object.__setattr__(self, "eval_times", tuple(require_times(self.eval_times, "eval_times", 1).tolist()))
         # the ESS is at most the replica count, and equals it only when every weight agrees (h = 0)
         if self.replicas < MIN_EFFECTIVE_SAMPLE + (self.scale != 0):
             raise ValidationError(

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .kernels import _F_TABLE_RATIO, KernelSpec, _fractional_row, kernel_eval_at, kernel_phi_lambda_integral
-from .point_process import IntensitySpec
+from .point_process import IntensitySpec, require_times
 from .serialize import write_csv
 
 #: diagonal product weights below this abort the forward substitution
@@ -237,13 +237,7 @@ def solve_phi_volterra(
     abrupt panel-width shrinkage excites a sawtooth mode and must be
     avoided.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValidationError("grid must be a 1-d array with at least 2 nodes")
-    if not grid[0] > 0:
-        raise ValidationError("grid must start above 0")
-    if not np.all(np.diff(grid) > 0):
-        raise ValidationError("grid must be strictly increasing")
+    grid = require_times(grid, "grid", 2)
     if not m1 > 0:
         raise ValidationError(f"m1 must be positive, got {m1}")
 

@@ -46,6 +46,10 @@ SKIPPED_MASS_TOL = 1e-9
 #: a quarter of the run time in per-block overhead)
 JUMP_BLOCK = 2**15
 
+#: pre-flight cap on replicas x max(Lambda(horizon), 1) at the intensity drawn at: more than
+#: 100x the largest run in the tests and the benchmark (1000 replicas x 1000 expected jumps)
+MAX_REPLICA_JUMPS = 1e9
+
 #: the largest mean `numpy.random.Generator.poisson` accepts
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 #: `Generator.poisson` draws a mean below this by the multiplication method
@@ -100,6 +104,19 @@ def require_tilt(theta: float) -> None:
     """Raise ValidationError unless theta >= 0, the rule of a tilt (1 + theta phi) lambda; needs no phi."""
     if theta < 0:
         raise ValidationError(f"theta must be >= 0, got {theta}")
+
+
+def require_times(times, name: str, at_least: int, horizon: float | None = None) -> np.ndarray:
+    """`times` as a float array; raises ValidationError unless it is 1-d and holds at least
+    `at_least` (>= 1) finite, strictly increasing, positive times, none past `horizon`."""
+    t = np.asarray(times, dtype=float)
+    if not (
+        t.ndim == 1 and t.size >= at_least and t[0] > 0 and t[-1] < math.inf
+        and (horizon is None or t[-1] <= horizon) and np.all(np.diff(t) > 0)
+    ):
+        past = "" if horizon is None else f" up to the horizon {horizon}"
+        raise ValidationError(f"{name} must be >= {at_least} strictly increasing finite positive times{past}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -251,6 +268,11 @@ class PathBatch:
         lo, hi = self.offsets[i], self.offsets[i + 1]
         return MarkedPath(self.jump_times[lo:hi], self.marks[lo:hi], self.horizon, check=False)
 
+    def check_time(self, t: float) -> None:
+        """Raise ValidationError unless 0 <= t <= horizon, the times the rows are defined at."""
+        if not 0 <= t <= self.horizon:
+            raise ValidationError(f"t={t} outside [0, horizon={self.horizon}]")
+
     def describe(self, i: int) -> str:
         """'replica <n> (seed <s>)' for row i, for error messages."""
         name = f"replica {self.first_replica + i}"
@@ -340,11 +362,12 @@ def _small_mean_draws(rng: np.random.Generator, floors: tuple, block: int) -> li
     return drawn
 
 
-def expected_jumps(intensity: IntensitySpec, horizon: float) -> float:
+def expected_jumps(intensity: IntensitySpec, horizon: float, replicas: int = 1) -> float:
     """Lambda(horizon), the expected jump count of one path.
 
     Raises ValidationError when it is not finite or beyond the largest mean
-    `Generator.poisson` accepts, where thinning could not draw it.
+    `Generator.poisson` accepts, where thinning could not draw it, or when
+    replicas x max(Lambda(horizon), 1) exceeds MAX_REPLICA_JUMPS.
     """
     with np.errstate(over="ignore"):  # an overflowed mass is rejected below
         mass = integrated_intensity(intensity, horizon)
@@ -352,6 +375,13 @@ def expected_jumps(intensity: IntensitySpec, horizon: float) -> float:
         raise ValidationError(
             f"expected jump count {mass:.6g} on [0, {horizon}] is beyond what a Poisson "
             f"draw accepts ({POISSON_MEAN_MAX:.6g})"
+        )
+    jumps = max(mass, 1.0)
+    # replicas first: an int beyond the float range cannot multiply a float
+    if replicas > MAX_REPLICA_JUMPS or not replicas * jumps <= MAX_REPLICA_JUMPS:
+        raise ValidationError(
+            f"replicas x expected jump count ({replicas} x {jumps:.6g}) exceeds "
+            f"the pre-flight cap {MAX_REPLICA_JUMPS:.3g}"
         )
     return mass
 
@@ -457,10 +487,10 @@ def simulate_replicas(
     """(rows, batch) blocks of about JUMP_BLOCK expected jumps holding replicas 0, ..., replicas - 1.
 
     Replica i draws from the stream `seed + i`.  `expected_jumps` rejects the
-    run before anything is drawn.  No batch is kept after it is yielded, so
+    run, MAX_REPLICA_JUMPS counted at this intensity, before anything is drawn.  No batch is kept after it is yielded, so
     a caller that drops each one holds one block in memory at a time.
     """
-    for rows in replica_blocks(replicas, expected_jumps(intensity, horizon)):
+    for rows in replica_blocks(replicas, expected_jumps(intensity, horizon, replicas)):
         seeds = range(seed + rows.start, seed + rows.stop)
         yield rows, simulate_batch(intensity, marks, horizon, seeds, rows.start)
 

@@ -939,7 +939,7 @@ class TestBadInputExitsThroughContract:
     def test_expected_jumps_beyond_poisson_range(self, tmp_path, capsys, monkeypatch, experiment):
         # finite, but no Poisson draw takes 2e301 expected jumps (numpy: "lam value too large");
         # the cost cap, lifted here, would reject the config first
-        monkeypatch.setattr(cli, "MAX_REPLICA_JUMPS", math.inf)
+        monkeypatch.setattr(point_process, "MAX_REPLICA_JUMPS", math.inf)
         raw = simulate_config(tmp_path / "out")
         raw["intensity"]["base_rate"] = 1e300
         if experiment == "consistency":
@@ -956,7 +956,7 @@ class TestBadInputExitsThroughContract:
         # 5e16 expected jumps: a Poisson draw takes them, but thinning's uniforms
         # would need 711 PiB, which no address space maps, so nothing is allocated;
         # the cost cap, lifted here, would reject the config first
-        monkeypatch.setattr(cli, "MAX_REPLICA_JUMPS", math.inf)
+        monkeypatch.setattr(point_process, "MAX_REPLICA_JUMPS", math.inf)
         raw = simulate_config(tmp_path / "out")
         raw["intensity"]["base_rate"] = 1e16
         raw["horizon"] = 5.0
@@ -1005,6 +1005,34 @@ class TestBadInputExitsThroughContract:
         assert err["error"]["type"] == "ValidationError"
         assert "pre-flight cap" in err["error"]["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["simulate", "estimate", "trajectory", "consistency"])
+    def test_tilt_beyond_cost_cap_exits_at_run(self, tmp_path, capsys, monkeypatch, experiment):
+        # run used to draw the tilted paths, as the cap counted replicas x base_rate x horizon
+        # only; validate, which builds no phi, still checks the base rate, which passes here
+        monkeypatch.setattr(point_process, "MAX_REPLICA_JUMPS", 1000.0)
+        out = tmp_path / "out"
+        raw = {
+            "experiment": experiment,
+            "kernel": {"kind": "fractional", "H": 0.7},
+            "intensity": {"kind": "scaled-by-phi", "base_rate": 1.0, "theta": 1e4}
+            if experiment == "simulate" else {"kind": "constant", "base_rate": 1.0},
+            "marks": {"kind": "unit"},
+            "horizon": 5.0,
+            "grid": {"start": 1.0, "stop": 5.0, "count": 3},
+            "theta_true": 1e4,
+            "replicas": 10,
+            "seed": 1,
+            "output_path": str(out),
+        }
+        cfg = write_config(tmp_path, "c.json", reads_only(raw))
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["message"].endswith("exceeds the pre-flight cap 1e+03")
+        assert list(out.iterdir()) == []
 
     @staticmethod
     def law_config(out: Path, replicas: int, scale: float) -> dict:
@@ -1202,13 +1230,17 @@ class TestBadInputExitsThroughContract:
             "equality in law requires a diagonal-degenerate kernel (K(t,t) = 0); got kind 'indicator'",
         ),
         "consistency:one-replica": ({"replicas": 1}, "need at least 2 replicas"),
-        "consistency:one-horizon": ({"grid": ONE_NODE}, "horizons must be >= 2 strictly increasing positives"),
+        "consistency:one-horizon": (
+            {"grid": ONE_NODE}, "horizons must be >= 2 strictly increasing finite positive times"
+        ),
         "consistency:zero-theta": ({"theta_true": 0.0}, "theta_true must be positive, got 0.0"),
         "estimate:negative-theta": ({"theta_true": -1.0}, "theta must be >= 0, got -1.0"),
         "trajectory:negative-theta": ({"theta_true": -1.0}, "theta must be >= 0, got -1.0"),
         "simulate:negative-intensity-theta": (NEGATIVE_TILT, "theta must be >= 0, got -1.0"),
         "solve-phi:negative-intensity-theta": (NEGATIVE_TILT, "theta must be >= 0, got -1.0"),
-        "solve-phi:one-node": ({"grid": ONE_NODE}, "grid must be a 1-d array with at least 2 nodes"),
+        "solve-phi:one-node": (
+            {"grid": ONE_NODE}, "grid must be >= 2 strictly increasing finite positive times up to the horizon 5.0"
+        ),
         "simulate:zero-horizon": ({"horizon": 0.0}, "horizon must be positive, got 0.0"),
         "estimate:negative-horizon": ({"horizon": -1.0}, "horizon must be positive, got -1.0"),
         "trajectory:repeated-node": (

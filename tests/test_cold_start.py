@@ -13,6 +13,9 @@ solver's numerics.
 The `fpp-lab` console script that `pyproject.toml` declares runs in a fresh
 process as well, once per command on a valid and on a rejected config, so
 the entry point and the exit status it hands the shell are checked too.
+So is a run whose tilt crosses the jump cap, under an address-space limit
+that makes a run that draws its paths fail fast instead of exhausting the
+host.
 """
 
 from __future__ import annotations
@@ -76,13 +79,27 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
-def run_fresh(script: str, *args: str, code: int = 0) -> subprocess.CompletedProcess:
+def run_fresh(
+    script: str, *args: str, code: int = 0, address_space: int | None = None
+) -> subprocess.CompletedProcess:
     """Run `script` with `args` in a fresh interpreter that imports `fpp_lab` from this checkout.
 
-    The process must exit with status `code`.
+    The process must exit with status `code`.  BLAS runs one thread there, and `address_space`,
+    if given, caps the child's address space in bytes (RLIMIT_AS, set by the child before it
+    imports anything), so a run that asks for more memory fails fast with a MemoryError instead
+    of exhausting the host.
     """
     src = str(Path(fpp_lab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    if address_space is not None:
+        limit = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))"
+        script = f"{limit}\n{script}"
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     return proc
@@ -154,6 +171,35 @@ def test_console_script_exit_status(tmp_path, case):
             assert not out.exists()
     if not error:
         assert (out / "phi.csv").stat().st_size > 0
+
+
+#: the paper's estimation set-up with a drift of 1e9: validate checks the jump cap at the base
+#: rate, 1000 x 5 expected jumps, while the tilted paths expect about 3.5e9 jumps each
+HUGE_TILT_ESTIMATE = {
+    "experiment": "estimate",
+    "kernel": {"kind": "fractional", "H": 0.7},
+    "intensity": {"kind": "constant", "base_rate": 1.0},
+    "marks": {"kind": "unit"},
+    "horizon": 5.0,
+    "theta_true": 1e9,
+    "replicas": 1000,
+    "seed": 0,
+}
+
+
+def test_tilt_beyond_the_cost_cap_exits_before_drawing(tmp_path):
+    # run used to draw the tilted paths; under the 512 MiB address-space cap that ends in a
+    # MemoryError within seconds instead of exhausting the host
+    out = tmp_path / "out"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(HUGE_TILT_ESTIMATE, output_path=str(out))))
+    module, function = entry_point()
+    run_fresh(CONSOLE_SCRIPT, module, function, "validate", str(path), address_space=2**29)
+    proc = run_fresh(CONSOLE_SCRIPT, module, function, "run", str(path), code=1, address_space=2**29)
+    message = json.loads(proc.stderr)["error"]["message"]
+    assert message.startswith("replicas x expected jump count (1000 x ")
+    assert message.endswith(" exceeds the pre-flight cap 1e+09")
+    assert list(out.iterdir()) == []
 
 
 def test_scipy_loads_on_first_use():

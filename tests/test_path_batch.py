@@ -303,6 +303,20 @@ class TestSimulateReplicas:
             next(blocks)
         assert drawn == []
 
+    def test_cap_counts_the_tilt_before_drawing(self, monkeypatch):
+        # 10 replicas at rate 1 on [0, 5] expect 50 jumps, under the lowered cap of 1000; the
+        # tilt by 1e4 alone crosses it, which the cap used to miss
+        drawn = []
+        monkeypatch.setattr(point_process, "MAX_REPLICA_JUMPS", 1000.0)
+        monkeypatch.setattr(point_process, "simulate_batch", lambda *args: drawn.append(args))
+        base = IntensitySpec.constant(1.0)
+        assert point_process.expected_jumps(base, 5.0, 10) == 5.0
+        blocks = simulate_replicas(base.tilted(1e4, phi_fractional(0.7, 1.0)), MARKS["unit"], 5.0, 10, 0)
+        message = r"^replicas x expected jump count \(10 x \S+\) exceeds the pre-flight cap 1e\+03$"
+        with pytest.raises(ValidationError, match=message):
+            next(blocks)
+        assert drawn == []
+
 
 class TestBatchedLayers:
     @settings(max_examples=40, deadline=None)

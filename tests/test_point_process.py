@@ -9,14 +9,26 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fpp_lab import (
+    ConsistencyConfig,
+    GirsanovCheckConfig,
     IntensitySpec,
+    KernelSpec,
     MarkDistributionSpec,
     MarkedPath,
+    PathBatch,
     PhiFunction,
     ValidationError,
+    eval_compensated,
+    eval_compensated_batch,
+    eval_filtered,
+    eval_filtered_batch,
     integrated_intensity,
+    log_density,
+    log_density_batch,
     phi_fractional,
     simulate,
+    solve_phi_volterra,
+    trajectory,
 )
 from fpp_lab import point_process
 from fpp_lab.point_process import POISSON_MULT_MAX, _small_mean_draws, _thinning_majorant
@@ -274,3 +286,43 @@ class TestIntensityValidation:
     def test_scaled_needs_phi(self):
         with pytest.raises(ValidationError):
             IntensitySpec(kind="scaled-by-phi", base_rate=1.0, theta=1.0)
+
+
+K, PHI = KernelSpec.fractional(0.7), phi_fractional(0.7, 1.0)
+RATE, UNIT = IntensitySpec.constant(1.0), MarkDistributionSpec.unit()
+#: each caller of the time-grid rule `require_times`, called on a grid
+GRID_READERS = {
+    "GirsanovCheckConfig": lambda times: GirsanovCheckConfig(
+        kernel=K, scale=0.0, intensity=RATE, marks=UNIT, eval_times=times, replicas=200, seed=0
+    ),
+    "ConsistencyConfig": lambda times: ConsistencyConfig(
+        intensity=RATE, theta_true=1.0, horizons=times, replicas=2, seed=0, marks=UNIT
+    ),
+    "trajectory": lambda times: trajectory(RATE, PHI, 1.0, UNIT, 5.0, np.array(times), 0),
+    "solve_phi_volterra": lambda times: solve_phi_volterra(K, RATE, 1.0, np.array(times)),
+}
+#: each batch evaluator, and its one-row twin, at time t; all check t by `PathBatch.check_time`
+EVALUATORS = {
+    "eval_filtered_batch": lambda batch, t: eval_filtered_batch(batch, K, t),
+    "eval_filtered": lambda batch, t: eval_filtered(batch.row(0), K, t),
+    "eval_compensated_batch": lambda batch, t: eval_compensated_batch(batch, K, RATE, 1.0, t),
+    "eval_compensated": lambda batch, t: eval_compensated(batch.row(0), K, RATE, 1.0, t),
+    "log_density_batch": lambda batch, t: log_density_batch(batch, 0.3, PHI, RATE, t),
+    "log_density": lambda batch, t: log_density(batch.row(0), 0.3, PHI, RATE, t),
+}
+
+
+class TestTimeRules:
+    @pytest.mark.parametrize("times", [(1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0), (math.nan, 2.0)])
+    @pytest.mark.parametrize("reader", list(GRID_READERS))
+    def test_non_finite_times_are_rejected(self, reader, times):
+        # (1.0, nan) and (1.0, inf) used to construct both check configs
+        with pytest.raises(ValidationError, match=r"must be >= [12] strictly increasing finite positive times"):
+            GRID_READERS[reader](times)
+
+    @pytest.mark.parametrize("evaluator", list(EVALUATORS))
+    def test_nan_time_is_rejected(self, evaluator):
+        # the filtered process and the log-density used to return zeros at t = nan
+        batch = PathBatch(np.array([0.5, 1.5]), np.ones(2), np.array([0, 2]), 2.0)
+        with pytest.raises(ValidationError, match=r"^t=nan outside \[0, horizon=2.0\]$"):
+            EVALUATORS[evaluator](batch, math.nan)
